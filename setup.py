@@ -1,31 +1,21 @@
-"""Build script: compiles the optional Cython search kernel.
+"""Build script: compiles the optional C search kernel ``zerosum._kernel``.
 
-The package works without the extension (a pure-Python kernel is selected at
-import time), so any build failure here degrades to the slow lane instead of
-breaking the install.
+The kernel is one hand-written C file built with the system compiler and the
+Python headers.  The package works without it (a pure-Python kernel is
+selected at import time), so the extension is optional: a failed compile
+degrades to the slow lane instead of breaking the install, and
+``ZEROSUM_SKIP_EXT=1`` skips it on purpose.
 """
 
 import os
-import sys
 
 from setuptools import Extension, setup
 
+KERNEL = Extension(
+    "zerosum._kernel",
+    ["src/zerosum/_kernel.c"],
+    extra_compile_args=["-O3"],
+    optional=True,
+)
 
-def _extensions():
-    if os.environ.get("ZEROSUM_SKIP_EXT"):
-        return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print("zerosum: Cython not available, building without compiled kernel",
-              file=sys.stderr)
-        return []
-    ext = Extension(
-        "zerosum._kernel",
-        ["src/zerosum/_kernel.pyx"],
-        extra_compile_args=["-O3"],
-    )
-    return cythonize([ext], compiler_directives={"language_level": "3"})
-
-
-setup(ext_modules=_extensions())
+setup(ext_modules=[] if os.environ.get("ZEROSUM_SKIP_EXT") else [KERNEL])

@@ -5,7 +5,7 @@ primitive is ``translate(mask, e)`` = { r*e : r in mask }, applied byte by
 byte through precomputed tables.
 
 Two search lanes share one traversal contract (the compiled kernel in
-``_kernel.pyx`` implements the same contract, so node counts agree):
+``_kernel.c`` implements the same contract, so node counts agree):
 
 * abelian lane: the reachable set of a multiset is closed under a single
   right-append update, so a DFS node is just one bitset.
@@ -33,10 +33,6 @@ DEFAULT_STATE_CAP = 100_000_000
 
 class LimitExceeded(Exception):
     """Raised when a search or DP would exceed its configured state cap."""
-
-
-class SupportOverflow(Exception):
-    """A packed-key kernel ran out of key width (pure lane never raises it)."""
 
 
 class Context:

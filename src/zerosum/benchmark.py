@@ -55,9 +55,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     kernels = available_kernels()
-    if "cython" not in kernels:
+    if "compiled" not in kernels:
         print("compiled kernel not available; benchmarking the pure lane only")
-    lanes = [k for k in ("pure", "cython") if k in kernels]
+    lanes = [k for k in ("pure", "compiled") if k in kernels]
     workloads = QUICK_WORKLOADS if args.quick else FULL_WORKLOADS
 
     print(f"{'workload':22s}" + "".join(f"{lane:>14s}" for lane in lanes)
@@ -76,7 +76,7 @@ def main(argv=None) -> int:
         for lane in lanes:
             row += f"{times[lane] * 1000:11.1f} ms"
         if len(lanes) == 2:
-            row += f"{times['pure'] / times['cython']:12.1f}x"
+            row += f"{times['pure'] / times['compiled']:12.1f}x"
         row += f"{nodes:11d}"
         print(row)
     return 0

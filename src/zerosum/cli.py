@@ -3,7 +3,8 @@
 Subcommands: ``group info``, ``free check``, ``reach``, ``davenport``,
 ``extremal``, ``verify``, ``report``.  Exit codes: 0 success (including
 documented discrepancies), 1 verification failure, 2 usage error, 3 node
-budget exhausted.
+budget exhausted, 4 internal error (an unexpected exception, reported in one
+line; the traceback goes to the ``zerosum.cli`` logger at debug level).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import logging
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +38,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
+
+log = logging.getLogger(__name__)
 
 VERIFY_TARGETS = ("dihedral", "dicyclic", "metacyclic", "cyclic", "weighted",
                   "cyclic-structure", "minzero")
@@ -65,7 +70,8 @@ def _common_flags(parser, *, budget=True, cache=True):
         parser.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                             help="node budget per search branch (default %(default)s)")
         parser.add_argument("--parallelism", type=int, default=1,
-                            help="worker processes for top-level search branches")
+                            help="worker processes for top-level search "
+                                 "branches (at most the CPU count)")
     if cache:
         parser.add_argument("--cache-dir", type=Path, default=None,
                             help="result cache directory (default: "
@@ -466,6 +472,10 @@ def main(argv=None) -> int:
     except (GroupError, SequenceError, EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        log.debug("internal error", exc_info=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry():

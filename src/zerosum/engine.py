@@ -1,8 +1,9 @@
 """Product reachability and canonical search, dispatched to a kernel lane.
 
-A compiled Cython kernel (``zerosum._kernel``) is used when it was built and
-the group is small enough for machine-word bitsets; otherwise the pure-Python
-twin (``zerosum._pykernel``) takes over.  Both lanes follow one traversal
+The compiled lane (``zerosum._kernel``, hand-written C built by ``setup.py``)
+is used when the extension was built and the group has order <= 64, so that
+bitsets fit a machine word; otherwise the pure-Python twin
+(``zerosum._pykernel``) takes over.  Both lanes follow one traversal
 contract, so every result (node counts included) is identical across lanes
 and across ``parallelism`` settings.
 
@@ -17,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import _pykernel
-from ._pykernel import LimitExceeded, SupportOverflow
+from ._pykernel import LimitExceeded
 from .groups import Group, build_group
 from .sequences import GSequence
 
@@ -51,14 +52,14 @@ class BudgetExhaustedError(RuntimeError):
 def available_kernels() -> dict:
     kernels = {"pure": _pykernel}
     if _compiled is not None:
-        kernels["cython"] = _compiled
+        kernels["compiled"] = _compiled
     return kernels
 
 
 def default_kernel_name() -> str:
     if os.environ.get("ZEROSUM_PURE_KERNEL", "") not in ("", "0"):
         return "pure"
-    return "cython" if _compiled is not None else "pure"
+    return "compiled" if _compiled is not None else "pure"
 
 
 def _resolve_kernel(group: Group, kernel: str | None):
@@ -242,6 +243,7 @@ def _run_search(group: Group, mode: str, target: int, floor: int, budget: int,
                 parallelism: int, kernel: str | None):
     kern = _resolve_kernel(group, kernel)
     n = group.order
+    parallelism = min(parallelism, os.cpu_count() or 1)
     chunks = _chunk_ranges(n, parallelism) if n > 1 else []
     results = []
     try:
@@ -257,14 +259,6 @@ def _run_search(group: Group, mode: str, target: int, floor: int, budget: int,
                                        target, floor, budget, lo, hi)
                            for lo, hi in chunks]
                 results = [f.result() for f in futures]
-    except SupportOverflow:
-        # Compiled lane ran out of packed-key width; the pure lane has no
-        # such bound and follows the identical traversal.
-        if kern is _pykernel:
-            raise
-        ctx = _context(group, _pykernel)
-        results = [_pykernel.search(ctx, mode, target, floor, budget, 1, n,
-                                    STATE_LIMIT)]
     except LimitExceeded as exc:
         raise EngineLimitError(str(exc)) from None
 
@@ -292,9 +286,6 @@ def max_free_search(group: Group, *, budget: int, parallelism: int = 1,
     """
     kern = _resolve_kernel(group, kernel)
     try:
-        g_len, g_wit, g_nodes = kern.greedy(_context(group, kern))
-    except SupportOverflow:
-        kern = _pykernel
         g_len, g_wit, g_nodes = kern.greedy(_context(group, kern))
     except LimitExceeded as exc:
         raise EngineLimitError(str(exc)) from None

@@ -12,5 +12,5 @@ def test_benchmark_quick_pass(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "search D:5" in out and "enum Q:2" in out
     lanes = benchmark.available_kernels()
-    if "cython" in lanes:
+    if "compiled" in lanes:
         assert "speedup" in out

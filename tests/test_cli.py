@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+from concurrent.futures import Future
 
 import pytest
 
+import zerosum.cli as cli
+import zerosum.engine as engine
 from zerosum import cache
 from zerosum.cli import CSV_HEADER, main
 
@@ -133,6 +136,16 @@ def test_budget_exhaustion_exit_3(tmp_path, capsys):
     assert "unknown above" in err
     # nothing cached for the failed run
     assert cache.lookup(tmp_path, "davenport", "D:8") is None
+
+
+def test_unexpected_error_exit_4(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic fault")
+
+    monkeypatch.setattr(cli, "max_free_length", boom)
+    code, _, err = run(capsys, "davenport", "--group", "D:4", "--no-cache")
+    assert code == 4
+    assert err == "internal error: RuntimeError: synthetic fault\n"
 
 
 def test_verify_exit_codes(tmp_path, capsys):
@@ -274,3 +287,31 @@ def test_davenport_parallelism_flag(tmp_path, capsys):
     assert a["davenport"] == b["davenport"] == 9
     assert a["nodes"] == b["nodes"]
     assert a["witness"] == b["witness"]
+
+
+def test_parallelism_clamped_to_cpu_count(monkeypatch, capsys):
+    # a fake pool records its size and runs the chunks inline, so the
+    # unclamped worker count is never started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    code, out, _ = run(capsys, "davenport", "--group", "D:5", "--json",
+                       "--parallelism", "64", "--no-cache")
+    assert code == 0 and sizes == [2]
+    assert json.loads(out)["davenport"] == 6
