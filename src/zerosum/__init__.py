@@ -17,7 +17,7 @@ from .engine import (
     oracle_reachable,
     reachable_products,
 )
-from .davenport import SearchResult, davenport, max_free_length, verify_known_constants
+from .davenport import SearchResult, max_free_length, verify_known_constants
 from .extremal import (
     CharacterizationFamily,
     VerificationReport,
@@ -61,7 +61,6 @@ __all__ = [
     "check_cyclic_structure",
     "check_minimal_zero_sum_order",
     "check_weighted_lemma",
-    "davenport",
     "default_kernel_name",
     "enumerate_extremal",
     "family_cyclic",

@@ -358,18 +358,22 @@ visit(Search *s, int e, uint64_t reach, int length)
     return rc;
 }
 
+/* Canonical DFS, one branch per root (first element) 1 .. n-1.  Each root
+ * has its own node budget and prunes against max(floor_len, its own best),
+ * never against other roots, so each root's node count and budget use depend
+ * on that root alone. */
 static PyObject *
 search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"ctx", "mode", "target", "floor_len", "budget",
-                             "lo", "hi", "state_cap", NULL};
+                             "state_cap", NULL};
     PyObject *ctx_obj, *budget_obj;
     const char *mode;
-    int target, floor_len, lo, hi;
+    int target, floor_len;
     long long state_cap = DEFAULT_STATE_CAP;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OsiiOii|L:search", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OsiiO|L:search", kwlist,
                                      &ctx_obj, &mode, &target, &floor_len,
-                                     &budget_obj, &lo, &hi, &state_cap))
+                                     &budget_obj, &state_cap))
         return NULL;
     const Context *c = get_context(ctx_obj);
     if (c == NULL)
@@ -386,17 +390,13 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
     if (!c->abelian && table_init(&s.dp, state_cap, c->identity) < 0)
         return NULL;
     s.found = PyList_New(0);
-    if (lo < 1)
-        lo = 1;
-    if (hi > c->n)
-        hi = c->n;
     int complete = 1, best_len = floor_len;
     long long total_nodes = 0;
     PyObject *witness = Py_NewRef(Py_None), *result = NULL;
     if (s.found == NULL)
         goto done;
 
-    for (int root = lo; root < hi; root++) {
+    for (int root = 1; root < c->n; root++) {
         s.nodes = 0;
         s.root_best = floor_len;
         if (!c->abelian)
@@ -575,8 +575,9 @@ static PyMethodDef kernel_methods[] = {
      "greedy(ctx)\n--\n\n"
      "Leftmost canonical descent; returns (length, witness, nodes)."},
     {"search", (PyCFunction)(void (*)(void))search, METH_VARARGS | METH_KEYWORDS,
-     "search(ctx, mode, target, floor_len, budget, lo, hi, state_cap=100000000)\n--\n\n"
-     "Canonical DFS over the roots [lo, hi); same contract as the pure lane."},
+     "search(ctx, mode, target, floor_len, budget, state_cap=100000000)\n--\n\n"
+     "Canonical DFS, one branch per root 1 .. n-1; same contract as the pure\n"
+     "lane."},
     {"reachable", (PyCFunction)(void (*)(void))reachable,
      METH_VARARGS | METH_KEYWORDS,
      "reachable(ctx, elems, counts, until_mask=0, state_cap=100000000)\n--\n\n"

@@ -233,30 +233,27 @@ def greedy(ctx):
         start = e
 
 
-def search(ctx, mode, target, floor_len, budget, lo, hi,
-           state_cap=DEFAULT_STATE_CAP):
-    """Canonical DFS over the first-element roots [lo, hi).
+def search(ctx, mode, target, floor_len, budget, state_cap=DEFAULT_STATE_CAP):
+    """Canonical DFS, one branch per first element (root) 1 .. n-1.
 
     mode 'max': find the longest free multiset.  Pruning within each root
     measures against max(floor_len, best found in that root), never against
-    other roots, so results and node counts do not depend on how roots are
-    split across workers.  mode 'enum': collect every free multiset of length
-    exactly ``target`` (>= 1).
+    other roots, so each root's node count and budget use depend on that
+    root alone.  mode 'enum': collect every free multiset of length exactly
+    ``target`` (>= 1).
 
     The node budget applies to each root branch separately; an exhausted
     branch is abandoned and the result is flagged incomplete.  A node is
     counted whenever a feasible append is made (or a sequence is collected).
     """
     n, inv = ctx.n, ctx.inv
-    lo = max(lo, 1)
-    hi = min(hi, n)
     found = []
     best_len = floor_len
     best_witness = None
     total_nodes = 0
     complete = True
 
-    for root in range(lo, hi):
+    for root in range(1, n):
         nodes = 0
         root_best = floor_len
         root_witness = None

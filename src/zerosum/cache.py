@@ -91,28 +91,39 @@ def store(cache_dir: Path, record: CacheRecord) -> Path:
     return target
 
 
+def _read_valid(path: Path) -> CacheRecord | None:
+    """The record stored at ``path``, or None with a warning if it is
+    unreadable, from another schema version or fails its hash check."""
+    try:
+        with open(path) as fh:
+            raw = json.loads(fh.readline())
+    except (OSError, json.JSONDecodeError):
+        raw = None
+    if not (isinstance(raw, dict) and isinstance(raw.get("kind"), str)
+            and isinstance(raw.get("group_spec"), str)):
+        warnings.warn(f"unreadable cache record {path}; ignored", CacheWarning)
+        return None
+    if raw.get("schema_version") != SCHEMA_VERSION:
+        warnings.warn(f"cache record {path} has schema "
+                      f"{raw.get('schema_version')}, expected {SCHEMA_VERSION}; "
+                      f"ignored", CacheWarning)
+        return None
+    payload = raw.get("payload")
+    if not isinstance(payload, dict) or raw.get("content_hash") != payload_hash(payload):
+        warnings.warn(f"cache record {path} failed its hash check; ignored",
+                      CacheWarning)
+        return None
+    return CacheRecord(SCHEMA_VERSION, raw["group_spec"], raw["kind"], payload,
+                       raw["content_hash"])
+
+
 def lookup(cache_dir: Path, kind: str, group_spec: str) -> dict | None:
     """Return the cached payload, or None (with a warning if it was invalid)."""
     path = record_path(Path(cache_dir), kind, group_spec)
     if not path.exists():
         return None
-    try:
-        with open(path) as fh:
-            raw = json.loads(fh.readline())
-    except (OSError, json.JSONDecodeError):
-        warnings.warn(f"unreadable cache record {path}; recomputing", CacheWarning)
-        return None
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        warnings.warn(f"cache record {path} has schema "
-                      f"{raw.get('schema_version')}, expected {SCHEMA_VERSION}",
-                      CacheWarning)
-        return None
-    payload = raw.get("payload")
-    if not isinstance(payload, dict) or raw.get("content_hash") != payload_hash(payload):
-        warnings.warn(f"cache record {path} failed its hash check; recomputing",
-                      CacheWarning)
-        return None
-    return payload
+    record = _read_valid(path)
+    return None if record is None else record.payload
 
 
 def load_all(cache_dir: Path) -> list[CacheRecord]:
@@ -120,20 +131,5 @@ def load_all(cache_dir: Path) -> list[CacheRecord]:
     cache_dir = Path(cache_dir)
     if not cache_dir.is_dir():
         return []
-    out = []
-    for path in sorted(cache_dir.glob("*.json")):
-        try:
-            with open(path) as fh:
-                raw = json.loads(fh.readline())
-        except (OSError, json.JSONDecodeError):
-            warnings.warn(f"unreadable cache record {path}; skipped", CacheWarning)
-            continue
-        payload = raw.get("payload")
-        if (raw.get("schema_version") != SCHEMA_VERSION
-                or not isinstance(payload, dict)
-                or raw.get("content_hash") != payload_hash(payload)):
-            warnings.warn(f"invalid cache record {path}; skipped", CacheWarning)
-            continue
-        out.append(CacheRecord(raw["schema_version"], raw["group_spec"],
-                               raw["kind"], payload, raw["content_hash"]))
-    return out
+    records = (_read_valid(path) for path in sorted(cache_dir.glob("*.json")))
+    return [rec for rec in records if rec is not None]

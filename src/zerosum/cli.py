@@ -56,7 +56,6 @@ class RunConfig:
     budget: int
     output_format: str
     cache_dir: Path
-    parallelism: int
     rng_seed: int
     use_cache: bool
 
@@ -69,9 +68,6 @@ def _common_flags(parser, *, budget=True, cache=True):
     if budget:
         parser.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                             help="node budget per search branch (default %(default)s)")
-        parser.add_argument("--parallelism", type=int, default=1,
-                            help="worker processes for top-level search "
-                                 "branches (at most the CPU count)")
     if cache:
         parser.add_argument("--cache-dir", type=Path, default=None,
                             help="result cache directory (default: "
@@ -140,7 +136,6 @@ def _config(args) -> RunConfig:
         budget=getattr(args, "budget", DEFAULT_NODE_BUDGET),
         output_format="json" if getattr(args, "json", False) else "table",
         cache_dir=Path(cache_dir),
-        parallelism=getattr(args, "parallelism", 1),
         rng_seed=getattr(args, "rng_seed", DEFAULT_SEED),
         use_cache=not getattr(args, "no_cache", False),
     )
@@ -148,6 +143,26 @@ def _config(args) -> RunConfig:
 
 def _emit(obj):
     print(json.dumps(obj, sort_keys=True))
+
+
+def _cached(cfg: RunConfig, kind: str, key: str, compute) -> dict:
+    """The payload for ``kind``/``key``: read from the cache, else computed
+    by ``compute()`` and stored.
+
+    The returned copy carries ``schema_version``.  A cache hit reports 0
+    nodes and 0 ms, since this run expanded nothing.
+    """
+    payload = cache_mod.lookup(cfg.cache_dir, kind, key) if cfg.use_cache else None
+    hit = payload is not None
+    if not hit:
+        payload = compute()
+        if cfg.use_cache:
+            cache_mod.store(cfg.cache_dir, cache_mod.make_record(kind, key, payload))
+    shown = dict(payload, schema_version=SCHEMA_VERSION)
+    if hit:
+        shown.update(nodes=0, millis=0.0)
+        print(f"cache hit for {kind} {key}", file=sys.stderr)
+    return shown
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +246,15 @@ def cmd_reach(args) -> int:
 def cmd_davenport(args) -> int:
     cfg = _config(args)
     g = build_group(args.group, rng_seed=cfg.rng_seed)
-    payload = cache_mod.lookup(cfg.cache_dir, "davenport", g.key) if cfg.use_cache else None
-    cached = payload is not None
-    if payload is None:
-        res = max_free_length(g, budget=cfg.budget, parallelism=cfg.parallelism)
+
+    def compute():
+        res = max_free_length(g, budget=cfg.budget)
         if not res.complete:
             raise BudgetExhaustedError(
                 f"node budget exhausted: D({g.key}) unknown above length "
                 f"{res.max_free_length}",
                 best_length=res.max_free_length, nodes=res.nodes_expanded)
-        payload = {
+        return {
             "group": g.key,
             "davenport": res.davenport,
             "max_free_length": res.max_free_length,
@@ -248,15 +262,8 @@ def cmd_davenport(args) -> int:
             "nodes": res.nodes_expanded,
             "millis": round(res.elapsed * 1000.0, 3),
         }
-        if cfg.use_cache:
-            cache_mod.store(cfg.cache_dir, cache_mod.make_record(
-                "davenport", g.key, payload))
-    shown = dict(payload)
-    shown["schema_version"] = SCHEMA_VERSION
-    if cached:
-        shown["nodes"] = 0
-        shown["millis"] = 0.0
-        print(f"cache hit for davenport {g.key}", file=sys.stderr)
+
+    shown = _cached(cfg, "davenport", g.key, compute)
     if cfg.output_format == "json":
         _emit(shown)
         return EXIT_OK
@@ -269,11 +276,10 @@ def cmd_davenport(args) -> int:
 def cmd_extremal(args) -> int:
     cfg = _config(args)
     g = build_group(args.group, rng_seed=cfg.rng_seed)
-    payload = cache_mod.lookup(cfg.cache_dir, "extremal", g.key) if cfg.use_cache else None
-    cached = payload is not None
-    if payload is None:
-        enum = enumerate_extremal(g, budget=cfg.budget, parallelism=cfg.parallelism)
-        payload = {
+
+    def compute():
+        enum = enumerate_extremal(g, budget=cfg.budget)
+        return {
             "group": g.key,
             "davenport": enum.davenport,
             "length": enum.length,
@@ -282,15 +288,8 @@ def cmd_extremal(args) -> int:
             "nodes": enum.nodes_expanded,
             "millis": round(enum.elapsed * 1000.0, 3),
         }
-        if cfg.use_cache:
-            cache_mod.store(cfg.cache_dir, cache_mod.make_record(
-                "extremal", g.key, payload))
-    shown = dict(payload)
-    shown["schema_version"] = SCHEMA_VERSION
-    if cached:
-        shown["nodes"] = 0
-        shown["millis"] = 0.0
-        print(f"cache hit for extremal {g.key}", file=sys.stderr)
+
+    shown = _cached(cfg, "extremal", g.key, compute)
     if cfg.output_format == "json":
         if args.limit is not None:
             shown["sequences"] = shown["sequences"][:args.limit]
@@ -327,20 +326,21 @@ def _int_param(params: dict, key: str) -> int:
         raise EngineError(f"--param {key}={params[key]!r} is not an integer") from None
 
 
+# verify targets diffed by verify_theorem: group kind and its parameters
+_THEOREM_GROUPS = {
+    "dihedral": ("D", ("n",)),
+    "dicyclic": ("Q", ("n",)),
+    "cyclic": ("C", ("n",)),
+    "metacyclic": ("M", ("q", "m", "s")),
+}
+
+
 def _run_verify(target: str, params: dict, cfg: RunConfig):
-    if target == "dihedral":
-        group = build_group(f"D:{_int_param(params, 'n')}", rng_seed=cfg.rng_seed)
-        return verify_theorem(group, budget=cfg.budget, parallelism=cfg.parallelism)
-    if target == "dicyclic":
-        group = build_group(f"Q:{_int_param(params, 'n')}", rng_seed=cfg.rng_seed)
-        return verify_theorem(group, budget=cfg.budget, parallelism=cfg.parallelism)
-    if target == "cyclic":
-        group = build_group(f"C:{_int_param(params, 'n')}", rng_seed=cfg.rng_seed)
-        return verify_theorem(group, budget=cfg.budget, parallelism=cfg.parallelism)
-    if target == "metacyclic":
-        q, m, s = (_int_param(params, k) for k in ("q", "m", "s"))
-        group = build_group(f"M:{q},{m},{s}", rng_seed=cfg.rng_seed)
-        return verify_theorem(group, budget=cfg.budget, parallelism=cfg.parallelism)
+    if target in _THEOREM_GROUPS:
+        kind, keys = _THEOREM_GROUPS[target]
+        spec = kind + ":" + ",".join(str(_int_param(params, k)) for k in keys)
+        group = build_group(spec, rng_seed=cfg.rng_seed)
+        return verify_theorem(group, budget=cfg.budget)
     if target == "weighted":
         return check_weighted_lemma(_int_param(params, "n"))
     if target == "cyclic-structure":
@@ -357,30 +357,22 @@ def cmd_verify(args) -> int:
     cfg = _config(args)
     params = _parse_params(args.param)
     key = args.target + ":" + ",".join(f"{k}={params[k]}" for k in sorted(params))
-    payload = cache_mod.lookup(cfg.cache_dir, "verify", key) if cfg.use_cache else None
-    if payload is None:
-        report = _run_verify(args.target, params, cfg)
-        payload = report.to_payload()
-        if cfg.use_cache:
-            cache_mod.store(cfg.cache_dir, cache_mod.make_record("verify", key, payload))
-    else:
-        print(f"cache hit for verify {key}", file=sys.stderr)
+    shown = _cached(cfg, "verify", key,
+                    lambda: _run_verify(args.target, params, cfg).to_payload())
     if cfg.output_format == "json":
-        shown = dict(payload)
-        shown["schema_version"] = SCHEMA_VERSION
         _emit(shown)
     else:
-        print(f"verify {payload['target']} {payload['group']}: {payload['verdict']}")
-        print(f"  enumerated {payload['enumerated_count']}, "
-              f"predicted {payload['predicted_count']}, "
-              f"missing {len(payload['missing'])}, extra {len(payload['extra'])}")
-        for s in payload["missing"]:
+        print(f"verify {shown['target']} {shown['group']}: {shown['verdict']}")
+        print(f"  enumerated {shown['enumerated_count']}, "
+              f"predicted {shown['predicted_count']}, "
+              f"missing {len(shown['missing'])}, extra {len(shown['extra'])}")
+        for s in shown["missing"]:
             print(f"  missing: {s}")
-        for s in payload["extra"]:
+        for s in shown["extra"]:
             print(f"  extra:   {s}")
-        for k, v in payload["details"].items():
+        for k, v in shown["details"].items():
             print(f"  {k}: {v}")
-    return EXIT_VERIFY_FAILURE if payload["verdict"] == VERDICT_FAILURE else EXIT_OK
+    return EXIT_VERIFY_FAILURE if shown["verdict"] == VERDICT_FAILURE else EXIT_OK
 
 
 _WORST = {"failure": 2, "documented-discrepancy": 1, "exact-match": 0, "": -1}

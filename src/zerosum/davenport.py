@@ -39,7 +39,6 @@ class SearchResult:
 
 
 def max_free_length(group: Group, *, budget: int = DEFAULT_NODE_BUDGET,
-                    parallelism: int = 1,
                     kernel: str | None = None) -> SearchResult:
     """Length of the longest product-1-free multiset, with one witness.
 
@@ -47,8 +46,7 @@ def max_free_length(group: Group, *, budget: int = DEFAULT_NODE_BUDGET,
     re-checked against the reachability engine before being returned.
     """
     t0 = time.perf_counter()
-    raw = engine.max_free_search(group, budget=budget, parallelism=parallelism,
-                                 kernel=kernel)
+    raw = engine.max_free_search(group, budget=budget, kernel=kernel)
     elapsed = time.perf_counter() - t0
     witness = GSequence.from_indices(group, raw["witness"])
     if witness.length != raw["max_len"]:
@@ -68,9 +66,8 @@ def max_free_length(group: Group, *, budget: int = DEFAULT_NODE_BUDGET,
 
 
 def davenport(group: Group, *, budget: int = DEFAULT_NODE_BUDGET,
-              parallelism: int = 1, kernel: str | None = None) -> int:
-    res = max_free_length(group, budget=budget, parallelism=parallelism,
-                          kernel=kernel)
+              kernel: str | None = None) -> int:
+    res = max_free_length(group, budget=budget, kernel=kernel)
     if not res.complete:
         raise BudgetExhaustedError(
             f"node budget exhausted for {group.key}: D(G) unknown above "
@@ -145,8 +142,8 @@ def _p_power_products(p: int, max_order: int) -> list[tuple[int, ...]]:
 
 
 def verify_known_constants(*, budget: int = DEFAULT_NODE_BUDGET,
-                           parallelism: int = 1, kernel: str | None = None,
-                           roster=None, progress=None) -> list[ConstantCheck]:
+                           kernel: str | None = None, roster=None,
+                           progress=None) -> list[ConstantCheck]:
     """Measure D(G) across the roster and diff against the closed forms."""
     checks = []
     for spec, expected, formula in (roster if roster is not None
@@ -154,8 +151,7 @@ def verify_known_constants(*, budget: int = DEFAULT_NODE_BUDGET,
         group = build_group(spec)
         t0 = time.perf_counter()
         try:
-            res = max_free_length(group, budget=budget,
-                                  parallelism=parallelism, kernel=kernel)
+            res = max_free_length(group, budget=budget, kernel=kernel)
             computed = res.davenport
             nodes = res.nodes_expanded
         except engine.EngineLimitError:

@@ -4,8 +4,7 @@ The compiled lane (``zerosum._kernel``, hand-written C built by ``setup.py``)
 is used when the extension was built and the group has order <= 64, so that
 bitsets fit a machine word; otherwise the pure-Python twin
 (``zerosum._pykernel``) takes over.  Both lanes follow one traversal
-contract, so every result (node counts included) is identical across lanes
-and across ``parallelism`` settings.
+contract, so every result (node counts included) is identical across lanes.
 
 Set ``ZEROSUM_PURE_KERNEL=1`` to force the pure lane.
 """
@@ -14,12 +13,11 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import _pykernel
 from ._pykernel import LimitExceeded
-from .groups import Group, build_group
+from .groups import Group
 from .sequences import GSequence
 
 try:
@@ -215,83 +213,19 @@ def oracle_reachable(group: Group, seq: GSequence) -> ReachableSet:
 # Canonical DFS drivers (max-length and fixed-length enumeration)
 # ---------------------------------------------------------------------------
 
-def _chunk_ranges(n: int, parts: int):
-    """Split the root range [1, n) into at most ``parts`` contiguous chunks."""
-    roots = n - 1
-    parts = max(1, min(parts, roots))
-    base, rem = divmod(roots, parts)
-    out = []
-    lo = 1
-    for i in range(parts):
-        hi = lo + base + (1 if i < rem else 0)
-        out.append((lo, hi))
-        lo = hi
-    return out
-
-
-def _search_worker(spec_str, kernel_name, mode, target, floor, budget, lo, hi):
-    group = build_group(spec_str)
-    kern = available_kernels()[kernel_name]
-    limit = getattr(kern, "MAX_ORDER", None)
-    if limit is not None and group.order > limit:
-        kern = _pykernel
-    ctx = _context(group, kern)
-    return kern.search(ctx, mode, target, floor, budget, lo, hi, STATE_LIMIT)
-
-
-def _run_search(group: Group, mode: str, target: int, floor: int, budget: int,
-                parallelism: int, kernel: str | None):
-    kern = _resolve_kernel(group, kernel)
-    n = group.order
-    parallelism = min(parallelism, os.cpu_count() or 1)
-    chunks = _chunk_ranges(n, parallelism) if n > 1 else []
-    results = []
-    try:
-        if parallelism <= 1 or len(chunks) <= 1:
-            ctx = _context(group, kern)
-            for lo, hi in chunks or [(1, n)]:
-                results.append(kern.search(ctx, mode, target, floor, budget,
-                                           lo, hi, STATE_LIMIT))
-        else:
-            name = "pure" if kern is _pykernel else kern.LANE
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                futures = [pool.submit(_search_worker, group.key, name, mode,
-                                       target, floor, budget, lo, hi)
-                           for lo, hi in chunks]
-                results = [f.result() for f in futures]
-    except LimitExceeded as exc:
-        raise EngineLimitError(str(exc)) from None
-
-    merged = {
-        "complete": all(r["complete"] for r in results) if results else True,
-        "best_len": floor,
-        "witness": None,
-        "found": [],
-        "nodes": 0,
-    }
-    for r in results:
-        merged["nodes"] += r["nodes"]
-        merged["found"].extend(r["found"])
-        if r["best_len"] > merged["best_len"]:
-            merged["best_len"] = r["best_len"]
-            merged["witness"] = r["witness"]
-    return merged
-
-
-def max_free_search(group: Group, *, budget: int, parallelism: int = 1,
+def max_free_search(group: Group, *, budget: int,
                     kernel: str | None = None) -> dict:
     """Longest product-1-free multiset via greedy floor + per-root DFS.
 
     Returns keys: complete, max_len, witness (index tuple), nodes.
     """
     kern = _resolve_kernel(group, kernel)
+    ctx = _context(group, kern)
     try:
-        g_len, g_wit, g_nodes = kern.greedy(_context(group, kern))
+        g_len, g_wit, g_nodes = kern.greedy(ctx)
+        res = kern.search(ctx, "max", 0, g_len, budget, STATE_LIMIT)
     except LimitExceeded as exc:
         raise EngineLimitError(str(exc)) from None
-    if group.order <= 1:
-        return {"complete": True, "max_len": 0, "witness": (), "nodes": 0}
-    res = _run_search(group, "max", 0, g_len, budget, parallelism, kernel)
     witness = res["witness"] if res["best_len"] > g_len else g_wit
     return {
         "complete": res["complete"],
@@ -302,7 +236,7 @@ def max_free_search(group: Group, *, budget: int, parallelism: int = 1,
 
 
 def enumerate_free(group: Group, length: int, *, budget: int,
-                   parallelism: int = 1, kernel: str | None = None) -> dict:
+                   kernel: str | None = None) -> dict:
     """All free multisets of exactly ``length``, in lexicographic order.
 
     Returns keys: complete, found (list of index tuples), nodes.
@@ -311,6 +245,11 @@ def enumerate_free(group: Group, length: int, *, budget: int,
         raise EngineError("enumeration length must be >= 0")
     if length == 0:
         return {"complete": True, "found": [()], "nodes": 0}
-    res = _run_search(group, "enum", length, 0, budget, parallelism, kernel)
+    kern = _resolve_kernel(group, kernel)
+    try:
+        res = kern.search(_context(group, kern), "enum", length, 0, budget,
+                          STATE_LIMIT)
+    except LimitExceeded as exc:
+        raise EngineLimitError(str(exc)) from None
     return {"complete": res["complete"], "found": res["found"],
             "nodes": res["nodes"]}

@@ -103,18 +103,16 @@ class ExtremalEnumeration:
 
 
 def enumerate_extremal(group: Group, *, budget: int = DEFAULT_NODE_BUDGET,
-                       parallelism: int = 1,
                        kernel: str | None = None) -> ExtremalEnumeration:
     """All product-1-free multisets of the maximal length D(G) - 1."""
     t0 = time.perf_counter()
-    res = max_free_length(group, budget=budget, parallelism=parallelism,
-                          kernel=kernel)
+    res = max_free_length(group, budget=budget, kernel=kernel)
     if not res.complete:
         raise BudgetExhaustedError(
             f"budget exhausted while establishing D({group.key})",
             best_length=res.max_free_length, nodes=res.nodes_expanded)
     enum = engine.enumerate_free(group, res.max_free_length, budget=budget,
-                                 parallelism=parallelism, kernel=kernel)
+                                 kernel=kernel)
     if not enum["complete"]:
         raise BudgetExhaustedError(
             f"budget exhausted while enumerating extremal sequences of {group.key}",
@@ -272,13 +270,11 @@ def family_for(group: Group) -> CharacterizationFamily:
 # ---------------------------------------------------------------------------
 
 def verify_theorem(group: Group, *, budget: int = DEFAULT_NODE_BUDGET,
-                   parallelism: int = 1,
                    kernel: str | None = None) -> VerificationReport:
     """Diff the enumerated extremal set against the predicted family."""
     t0 = time.perf_counter()
     family = family_for(group)
-    enum = enumerate_extremal(group, budget=budget, parallelism=parallelism,
-                              kernel=kernel)
+    enum = enumerate_extremal(group, budget=budget, kernel=kernel)
     enumerated = set(enum.sequences)
     predicted = set(family.sequences)
 

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import Future
 
 import pytest
 
 import zerosum.cli as cli
-import zerosum.engine as engine
 from zerosum import cache
 from zerosum.cli import CSV_HEADER, main
 
@@ -44,6 +42,24 @@ def test_davenport_cache_hit_reports_zero_nodes(tmp_path, capsys):
     assert "cache hit" in err
 
 
+def test_verify_cache_hit_reports_zero_nodes(tmp_path, capsys):
+    argv = ("verify", "--target", "dihedral", "--param", "n=4", "--json",
+            "--cache-dir", str(tmp_path))
+    code, out, _ = run(capsys, *argv)
+    first = json.loads(out)
+    assert code == 0 and first["nodes"] > 0
+    code, out, err = run(capsys, *argv)
+    hit = json.loads(out)
+    assert code == 0
+    assert hit["nodes"] == 0 and hit["millis"] == 0.0
+    assert "cache hit for verify dihedral:n=4" in err
+    assert set(hit) == set(first)
+    same = {k: v for k, v in first.items() if k not in ("nodes", "millis")}
+    assert {k: hit[k] for k in same} == same
+    # the stored record keeps the counts of the run that computed it
+    assert cache.lookup(tmp_path, "verify", "dihedral:n=4")["nodes"] == first["nodes"]
+
+
 def test_cache_round_trip_and_tampering(tmp_path, capsys):
     run(capsys, "davenport", "--group", "D:5", "--cache-dir", str(tmp_path))
     payload1 = cache.lookup(tmp_path, "davenport", "D:5")
@@ -66,6 +82,27 @@ def test_cache_round_trip_and_tampering(tmp_path, capsys):
                            "--cache-dir", str(tmp_path))
     assert code == 0
     assert json.loads(out)["davenport"] == 6
+
+
+def test_load_all_skips_tampered_record(tmp_path, capsys):
+    for spec in ("C:4", "D:5"):
+        run(capsys, "davenport", "--group", spec, "--cache-dir", str(tmp_path))
+    path = cache.record_path(tmp_path, "davenport", "D:5")
+    raw = json.loads(path.read_text())
+    raw["payload"]["davenport"] = 99
+    path.write_text(json.dumps(raw) + "\n")
+    (tmp_path / "stray.json").write_text("[1]\n")  # JSON, but no record
+    with pytest.warns(cache.CacheWarning) as caught:
+        records = cache.load_all(tmp_path)
+    messages = sorted(str(w.message) for w in caught)
+    assert len(messages) == 2
+    assert "hash" in messages[0] and "unreadable" in messages[1]
+    assert [(r.kind, r.group_spec) for r in records] == [("davenport", "C:4")]
+    with pytest.warns(cache.CacheWarning):
+        code, out, _ = run(capsys, "report", "--format", "json",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert [r["group"] for r in json.loads(out)["rows"]] == ["C:4"]
 
 
 def test_schema_version_bump_invalidates(tmp_path):
@@ -275,43 +312,3 @@ def test_json_outputs_validate_against_shipped_schema(tmp_path, capsys):
     # the cache record envelope itself
     rec = json.loads(cache.record_path(tmp_path, "davenport", "D:6").read_text())
     validate("cache_record", rec)
-
-
-def test_davenport_parallelism_flag(tmp_path, capsys):
-    code, out, _ = run(capsys, "davenport", "--group", "Q:4", "--json",
-                       "--parallelism", "3", "--cache-dir", str(tmp_path))
-    assert code == 0
-    seq_code, seq_out, _ = run(capsys, "davenport", "--group", "Q:4", "--json",
-                               "--no-cache")
-    a, b = json.loads(out), json.loads(seq_out)
-    assert a["davenport"] == b["davenport"] == 9
-    assert a["nodes"] == b["nodes"]
-    assert a["witness"] == b["witness"]
-
-
-def test_parallelism_clamped_to_cpu_count(monkeypatch, capsys):
-    # a fake pool records its size and runs the chunks inline, so the
-    # unclamped worker count is never started
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
-    code, out, _ = run(capsys, "davenport", "--group", "D:5", "--json",
-                       "--parallelism", "64", "--no-cache")
-    assert code == 0 and sizes == [2]
-    assert json.loads(out)["davenport"] == 6

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -52,13 +53,17 @@ def test_witness_tightness_small_groups(spec):
         assert not is_product1_free(g, extended)
 
 
-def test_determinism_and_parallel_merge():
+def test_determinism():
     g = grp("Q:4")
     a = max_free_length(g)
     b = max_free_length(g)
     assert dataclasses.replace(a, elapsed=0.0) == dataclasses.replace(b, elapsed=0.0)
-    c = max_free_length(g, parallelism=3)
-    assert dataclasses.replace(a, elapsed=0.0) == dataclasses.replace(c, elapsed=0.0)
+
+
+def test_davenport_submodule_is_not_shadowed():
+    import zerosum.davenport as m
+    assert m is sys.modules["zerosum.davenport"]
+    assert m.davenport(grp("D:5")) == 6
 
 
 def test_budget_exhaustion_is_explicit():
