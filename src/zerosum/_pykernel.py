@@ -9,9 +9,15 @@ Two search lanes share one traversal contract (the compiled kernel in
 
 * abelian lane: the reachable set of a multiset is closed under a single
   right-append update, so a DFS node is just one bitset.
-* general lane: a DFS node keeps the full sub-multiset DP table
-  {count vector -> product set of exactly that sub-multiset}; appending an
-  element adds the states that use its new copy.
+* general lane: a DFS node keeps the full sub-multiset DP table, the
+  product set of every sub-multiset of the path, in a dense list indexed in
+  mixed radix (the layout of the compiled kernel's ``Table``); appending an
+  element adds one block of states at the end, and undoing truncates it.
+
+The DFS is a loop over an explicit stack with one frame per path element
+(the element, its reach set, an iterator over the children not yet
+visited), so long paths in large groups cannot hit the interpreter's
+recursion limit.
 
 A multiset S stays product-1-free after appending e iff e != 1 and e^-1 is
 not reachable from S: any product-1 ordering rotates cyclically to one that
@@ -19,8 +25,6 @@ starts with e, and rotations preserve product 1.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 LANE = "pure"
 
@@ -135,74 +139,70 @@ def reachable(ctx, elems, counts, until_mask=0, state_cap=DEFAULT_STATE_CAP):
 # DFS over canonical (non-decreasing index) free multisets
 # ---------------------------------------------------------------------------
 
-class _Abort(Exception):
-    pass
+class _Table:
+    """Dense sub-multiset DP table of the current path (non-abelian lane).
 
-
-class _GeneralState:
-    """Path state for the non-abelian lane: the live sub-multiset DP table.
-
-    Table keys are count vectors aligned with ``support`` and stored with
-    trailing zeros stripped, so keys stay valid when the support grows.
+    ``vals`` is indexed in mixed radix: digit j is the count of
+    ``support[j]``, with stride ``stride[j]`` = prod_{i<j} (counts[i] + 1).
+    Only the last digit of a canonical path ever grows, so appending a copy
+    of e adds one block of ``stride[pos]`` states at the end and undoing it
+    truncates that block.
     """
 
-    __slots__ = ("support", "counts", "table", "live", "cap")
+    __slots__ = ("vals", "support", "counts", "stride", "cap")
 
     def __init__(self, identity, cap):
+        self.vals = [1 << identity]
         self.support = []
         self.counts = []
-        self.table = {(): 1 << identity}
-        self.live = 1
+        self.stride = []
         self.cap = cap
 
     def append(self, ctx, e):
-        """Add one copy of e (>= every current support element).
+        """Add one copy of e (>= every support element); return the union of
+        the new states' product sets.
 
-        Returns (added_keys, grew_support, union of the new product sets).
-        New states are exactly those whose e-coordinate equals the new
-        multiplicity; they are filled in increasing sub-multiset size so each
-        state's parents are available when needed.
+        A new state is the union over its nonzero digits j of
+        translate(parent with digit j lowered, support[j]); parents with the
+        same last digit lie earlier in the new block, so one forward pass
+        fills it.
         """
-        support, counts, table = self.support, self.counts, self.table
-        if support and support[-1] == e:
-            grew = False
-            counts[-1] += 1
-        else:
-            grew = True
+        vals, support, counts, stride = (self.vals, self.support, self.counts,
+                                         self.stride)
+        if not support or support[-1] != e:
             support.append(e)
-            counts.append(1)
+            counts.append(0)
+            stride.append(len(vals))
         pos = len(support) - 1
-        prefixes = sorted(product(*(range(c + 1) for c in counts[:pos])), key=sum)
-        self.live += len(prefixes)
-        if self.live > self.cap:
+        block, base = stride[pos], len(vals)
+        if base + block > self.cap:
             raise LimitExceeded(f"search DP exceeds the state cap {self.cap}")
-        top = counts[pos]
-        added = []
+        counts[pos] += 1
+        lower = list(zip(stride[:pos], support[:pos]))
+        dig = [0] * pos
         gain = 0
-        for prefix in prefixes:
-            state = prefix + (top,)
-            mask = 0
-            for j, c in enumerate(state):
-                if c:
-                    parent = state[:j] + (c - 1,) + state[j + 1:]
-                    i = len(parent)
-                    while i and parent[i - 1] == 0:
-                        i -= 1
-                    mask |= translate(ctx, table[parent[:i]], support[j])
-            table[state] = mask
-            added.append(state)
-            gain |= mask
-        return added, grew, gain
+        for idx in range(base, base + block):
+            m = translate(ctx, vals[idx - block], e)
+            for j, (step, f) in enumerate(lower):
+                if dig[j]:
+                    m |= translate(ctx, vals[idx - step], f)
+            vals.append(m)
+            gain |= m
+            for j in range(pos):
+                dig[j] += 1
+                if dig[j] <= counts[j]:
+                    break
+                dig[j] = 0
+        return gain
 
-    def undo(self, added, grew):
-        for key in added:
-            del self.table[key]
-        self.live -= len(added)
-        if grew:
+    def undo(self):
+        """Remove the copy added by the last ``append``."""
+        del self.vals[-self.stride[-1]:]
+        self.counts[-1] -= 1
+        if not self.counts[-1]:
             self.support.pop()
             self.counts.pop()
-        else:
-            self.counts[-1] -= 1
+            self.stride.pop()
 
 
 def greedy(ctx):
@@ -214,7 +214,7 @@ def greedy(ctx):
     large as the greedy choice.
     """
     n, inv = ctx.n, ctx.inv
-    state = None if ctx.abelian else _GeneralState(ctx.identity, DEFAULT_STATE_CAP)
+    table = None if ctx.abelian else _Table(ctx.identity, DEFAULT_STATE_CAP)
     reach = 0
     path = []
     start = 1
@@ -227,10 +227,16 @@ def greedy(ctx):
         if ctx.abelian:
             reach |= translate(ctx, reach, e) | (1 << e)
         else:
-            _, _, gain = state.append(ctx, e)
-            reach |= gain
+            reach |= table.append(ctx, e)
         path.append(e)
         start = e
+
+
+def _feasible(reach, start, n, inv):
+    """Elements f >= start that keep a multiset with this reach set free."""
+    for f in range(start, n):
+        if not (reach >> inv[f]) & 1:
+            yield f
 
 
 def search(ctx, mode, target, floor_len, budget, state_cap=DEFAULT_STATE_CAP):
@@ -247,6 +253,7 @@ def search(ctx, mode, target, floor_len, budget, state_cap=DEFAULT_STATE_CAP):
     counted whenever a feasible append is made (or a sequence is collected).
     """
     n, inv = ctx.n, ctx.inv
+    enum = mode == "enum"
     found = []
     best_len = floor_len
     best_witness = None
@@ -257,48 +264,49 @@ def search(ctx, mode, target, floor_len, budget, state_cap=DEFAULT_STATE_CAP):
         nodes = 0
         root_best = floor_len
         root_witness = None
-        path = []
-        state = None if ctx.abelian else _GeneralState(ctx.identity, state_cap)
-
-        def visit(e, reach, length):
+        table = None if ctx.abelian else _Table(ctx.identity, state_cap)
+        # One frame per path element below the node being visited: (the
+        # element, the reach set after it, an iterator over its feasible
+        # children f >= it).
+        stack = []
+        e, reach = root, 0
+        while True:
             # e already passed the feasibility test: e != 1, inv(e) not in reach
-            nonlocal nodes, root_best, root_witness
             nodes += 1
             if nodes > budget:
-                raise _Abort
-            newlen = length + 1
-            if mode == "enum" and newlen == target:
-                path.append(e)
-                found.append(tuple(path))
-                path.pop()
-                return
-            if ctx.abelian:
-                added = grew = None
-                child = reach | translate(ctx, reach, e) | (1 << e)
+                complete = False
+                break
+            newlen = len(stack) + 1
+            if enum and newlen == target:
+                found.append((*[fr[0] for fr in stack], e))
             else:
-                added, grew, gain = state.append(ctx, e)
-                child = reach | gain
-            potential = newlen + (n - 1 - child.bit_count())
-            path.append(e)
-            if mode == "max":
-                if newlen > root_best:
-                    root_best = newlen
-                    root_witness = tuple(path)
-                descend = potential > root_best
+                if table is None:
+                    child = reach | translate(ctx, reach, e) | (1 << e)
+                else:
+                    child = reach | table.append(ctx, e)
+                potential = newlen + (n - 1 - child.bit_count())
+                if not enum:
+                    if newlen > root_best:
+                        root_best = newlen
+                        root_witness = (*[fr[0] for fr in stack], e)
+                    descend = potential > root_best
+                else:
+                    descend = potential >= target
+                if descend:
+                    stack.append((e, child, _feasible(child, e, n, inv)))
+                elif table is not None:
+                    table.undo()
+            # Visit the top frame's next candidate; pop frames that are spent.
+            while stack:
+                _, reach, children = stack[-1]
+                e = next(children, None)
+                if e is not None:
+                    break
+                stack.pop()
+                if table is not None:
+                    table.undo()
             else:
-                descend = potential >= target
-            if descend:
-                for f in range(e, n):
-                    if not (child >> inv[f]) & 1:
-                        visit(f, child, newlen)
-            path.pop()
-            if not ctx.abelian:
-                state.undo(added, grew)
-
-        try:
-            visit(root, 0, 0)
-        except _Abort:
-            complete = False
+                break
 
         total_nodes += nodes
         if root_best > best_len:

@@ -60,13 +60,26 @@ class RunConfig:
     use_cache: bool
 
 
+def _int_at_least(low: int):
+    """argparse ``type`` for an integer >= ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _common_flags(parser, *, budget=True, cache=True):
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
     parser.add_argument("--rng-seed", type=int, default=DEFAULT_SEED,
                         help="seed for randomized spot checks (default %(default)s)")
     if budget:
-        parser.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+        parser.add_argument("--budget", type=_int_at_least(1),
+                            default=DEFAULT_NODE_BUDGET,
                             help="node budget per search branch (default %(default)s)")
     if cache:
         parser.add_argument("--cache-dir", type=Path, default=None,
@@ -110,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ext = sub.add_parser("extremal", help="enumerate extremal free sequences")
     ext.add_argument("--group", required=True)
-    ext.add_argument("--limit", type=int, default=None,
+    ext.add_argument("--limit", type=_int_at_least(0), default=None,
                      help="print at most this many sequences")
     _common_flags(ext)
 

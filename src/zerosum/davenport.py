@@ -38,21 +38,21 @@ class SearchResult:
     complete: bool
 
 
-def max_free_length(group: Group, *, budget: int = DEFAULT_NODE_BUDGET,
-                    kernel: str | None = None) -> SearchResult:
+def max_free_length(group: Group, *,
+                    budget: int = DEFAULT_NODE_BUDGET) -> SearchResult:
     """Length of the longest product-1-free multiset, with one witness.
 
     The witness is the lexicographically least extremal multiset and is
     re-checked against the reachability engine before being returned.
     """
     t0 = time.perf_counter()
-    raw = engine.max_free_search(group, budget=budget, kernel=kernel)
+    raw = engine.max_free_search(group, budget=budget)
     elapsed = time.perf_counter() - t0
     witness = GSequence.from_indices(group, raw["witness"])
     if witness.length != raw["max_len"]:
         raise RuntimeError(f"witness length {witness.length} disagrees with "
                            f"search result {raw['max_len']}")
-    if not engine.is_product1_free(group, witness, kernel=kernel):
+    if not engine.is_product1_free(group, witness):
         raise RuntimeError(f"search returned a non-free witness for {group.key}")
     return SearchResult(
         group_key=group.key,
@@ -65,9 +65,8 @@ def max_free_length(group: Group, *, budget: int = DEFAULT_NODE_BUDGET,
     )
 
 
-def davenport(group: Group, *, budget: int = DEFAULT_NODE_BUDGET,
-              kernel: str | None = None) -> int:
-    res = max_free_length(group, budget=budget, kernel=kernel)
+def davenport(group: Group, *, budget: int = DEFAULT_NODE_BUDGET) -> int:
+    res = max_free_length(group, budget=budget)
     if not res.complete:
         raise BudgetExhaustedError(
             f"node budget exhausted for {group.key}: D(G) unknown above "
@@ -142,8 +141,7 @@ def _p_power_products(p: int, max_order: int) -> list[tuple[int, ...]]:
 
 
 def verify_known_constants(*, budget: int = DEFAULT_NODE_BUDGET,
-                           kernel: str | None = None, roster=None,
-                           progress=None) -> list[ConstantCheck]:
+                           roster=None) -> list[ConstantCheck]:
     """Measure D(G) across the roster and diff against the closed forms."""
     checks = []
     for spec, expected, formula in (roster if roster is not None
@@ -151,16 +149,14 @@ def verify_known_constants(*, budget: int = DEFAULT_NODE_BUDGET,
         group = build_group(spec)
         t0 = time.perf_counter()
         try:
-            res = max_free_length(group, budget=budget, kernel=kernel)
+            res = max_free_length(group, budget=budget)
             computed = res.davenport
             nodes = res.nodes_expanded
         except engine.EngineLimitError:
             computed, nodes = None, 0
         millis = (time.perf_counter() - t0) * 1000.0
-        check = ConstantCheck(group=spec, formula=formula, expected=expected,
-                              computed=computed, ok=computed == expected,
-                              nodes=nodes, millis=millis)
-        checks.append(check)
-        if progress is not None:
-            progress(check)
+        checks.append(ConstantCheck(group=spec, formula=formula,
+                                    expected=expected, computed=computed,
+                                    ok=computed == expected, nodes=nodes,
+                                    millis=millis))
     return checks

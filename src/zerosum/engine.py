@@ -47,30 +47,17 @@ class BudgetExhaustedError(RuntimeError):
         self.nodes = nodes
 
 
-def available_kernels() -> dict:
-    kernels = {"pure": _pykernel}
-    if _compiled is not None:
-        kernels["compiled"] = _compiled
-    return kernels
-
-
 def default_kernel_name() -> str:
     if os.environ.get("ZEROSUM_PURE_KERNEL", "") not in ("", "0"):
         return "pure"
     return "compiled" if _compiled is not None else "pure"
 
 
-def _resolve_kernel(group: Group, kernel: str | None):
-    name = kernel or default_kernel_name()
-    try:
-        kern = available_kernels()[name]
-    except KeyError:
-        raise EngineError(f"unknown kernel {name!r}; available: "
-                          f"{sorted(available_kernels())}") from None
-    limit = getattr(kern, "MAX_ORDER", None)
-    if limit is not None and group.order > limit:
-        kern = _pykernel
-    return kern
+def _kernel_for(group: Group):
+    """The kernel module that runs ``group``: the one lane-selection point."""
+    if default_kernel_name() == "compiled" and group.order <= _compiled.MAX_ORDER:
+        return _compiled
+    return _pykernel
 
 
 def _context(group: Group, kern):
@@ -130,11 +117,10 @@ def _guard(seq: GSequence):
             f"sub-multiset state space ~{estimate} exceeds the limit {STATE_LIMIT}")
 
 
-def _run_reachable(group: Group, seq: GSequence, until_mask: int,
-                   kernel: str | None):
+def _run_reachable(group: Group, seq: GSequence, until_mask: int):
     seq._check_group(group)
     _guard(seq)
-    kern = _resolve_kernel(group, kernel)
+    kern = _kernel_for(group)
     ctx = _context(group, kern)
     elems, counts = _counts_of(seq)
     try:
@@ -143,17 +129,15 @@ def _run_reachable(group: Group, seq: GSequence, until_mask: int,
         raise EngineLimitError(str(exc)) from None
 
 
-def reachable_products(group: Group, seq: GSequence, *,
-                       kernel: str | None = None) -> ReachableSet:
+def reachable_products(group: Group, seq: GSequence) -> ReachableSet:
     """Exact set of products over nonempty sub-multisets of ``seq``."""
     if seq.length == 0:
         raise EngineError("reachable set requires a nonempty sequence")
-    mask, _ = _run_reachable(group, seq, 0, kernel)
+    mask, _ = _run_reachable(group, seq, 0)
     return ReachableSet(group.key, mask)
 
 
-def is_product1_free(group: Group, seq: GSequence, *,
-                     kernel: str | None = None) -> bool:
+def is_product1_free(group: Group, seq: GSequence) -> bool:
     """True iff no nonempty subsequence multiplies to 1 in any order.
 
     The empty sequence is vacuously free.  The DP short-circuits the moment
@@ -161,12 +145,11 @@ def is_product1_free(group: Group, seq: GSequence, *,
     """
     if seq.length == 0:
         return True
-    _, hit = _run_reachable(group, seq, 1 << group.identity, kernel)
+    _, hit = _run_reachable(group, seq, 1 << group.identity)
     return not hit
 
 
-def has_product_in(group: Group, seq: GSequence, targets, *,
-                   kernel: str | None = None) -> bool:
+def has_product_in(group: Group, seq: GSequence, targets) -> bool:
     """True iff some nonempty subsequence multiplies into ``targets``."""
     targets = list(targets)
     if not targets:
@@ -178,7 +161,7 @@ def has_product_in(group: Group, seq: GSequence, targets, *,
         mask |= 1 << t
     if seq.length == 0:
         return False
-    _, hit = _run_reachable(group, seq, mask, kernel)
+    _, hit = _run_reachable(group, seq, mask)
     return hit
 
 
@@ -213,13 +196,12 @@ def oracle_reachable(group: Group, seq: GSequence) -> ReachableSet:
 # Canonical DFS drivers (max-length and fixed-length enumeration)
 # ---------------------------------------------------------------------------
 
-def max_free_search(group: Group, *, budget: int,
-                    kernel: str | None = None) -> dict:
+def max_free_search(group: Group, *, budget: int) -> dict:
     """Longest product-1-free multiset via greedy floor + per-root DFS.
 
     Returns keys: complete, max_len, witness (index tuple), nodes.
     """
-    kern = _resolve_kernel(group, kernel)
+    kern = _kernel_for(group)
     ctx = _context(group, kern)
     try:
         g_len, g_wit, g_nodes = kern.greedy(ctx)
@@ -235,8 +217,7 @@ def max_free_search(group: Group, *, budget: int,
     }
 
 
-def enumerate_free(group: Group, length: int, *, budget: int,
-                   kernel: str | None = None) -> dict:
+def enumerate_free(group: Group, length: int, *, budget: int) -> dict:
     """All free multisets of exactly ``length``, in lexicographic order.
 
     Returns keys: complete, found (list of index tuples), nodes.
@@ -245,7 +226,7 @@ def enumerate_free(group: Group, length: int, *, budget: int,
         raise EngineError("enumeration length must be >= 0")
     if length == 0:
         return {"complete": True, "found": [()], "nodes": 0}
-    kern = _resolve_kernel(group, kernel)
+    kern = _kernel_for(group)
     try:
         res = kern.search(_context(group, kern), "enum", length, 0, budget,
                           STATE_LIMIT)

@@ -102,17 +102,16 @@ class ExtremalEnumeration:
     elapsed: float
 
 
-def enumerate_extremal(group: Group, *, budget: int = DEFAULT_NODE_BUDGET,
-                       kernel: str | None = None) -> ExtremalEnumeration:
+def enumerate_extremal(group: Group, *,
+                       budget: int = DEFAULT_NODE_BUDGET) -> ExtremalEnumeration:
     """All product-1-free multisets of the maximal length D(G) - 1."""
     t0 = time.perf_counter()
-    res = max_free_length(group, budget=budget, kernel=kernel)
+    res = max_free_length(group, budget=budget)
     if not res.complete:
         raise BudgetExhaustedError(
             f"budget exhausted while establishing D({group.key})",
             best_length=res.max_free_length, nodes=res.nodes_expanded)
-    enum = engine.enumerate_free(group, res.max_free_length, budget=budget,
-                                 kernel=kernel)
+    enum = engine.enumerate_free(group, res.max_free_length, budget=budget)
     if not enum["complete"]:
         raise BudgetExhaustedError(
             f"budget exhausted while enumerating extremal sequences of {group.key}",
@@ -269,18 +268,18 @@ def family_for(group: Group) -> CharacterizationFamily:
 # Theorem verification
 # ---------------------------------------------------------------------------
 
-def verify_theorem(group: Group, *, budget: int = DEFAULT_NODE_BUDGET,
-                   kernel: str | None = None) -> VerificationReport:
+def verify_theorem(group: Group, *,
+                   budget: int = DEFAULT_NODE_BUDGET) -> VerificationReport:
     """Diff the enumerated extremal set against the predicted family."""
     t0 = time.perf_counter()
     family = family_for(group)
-    enum = enumerate_extremal(group, budget=budget, kernel=kernel)
+    enum = enumerate_extremal(group, budget=budget)
     enumerated = set(enum.sequences)
     predicted = set(family.sequences)
 
     bad_predictions = [
         s for s in family.sequences
-        if s.length != enum.length or not is_product1_free(group, s, kernel=kernel)
+        if s.length != enum.length or not is_product1_free(group, s)
     ]
     missing = sorted(predicted - enumerated)
     extra = sorted(enumerated - predicted)
@@ -388,8 +387,8 @@ def _cyclic_shape_instances(group: Group, n: int, length: int):
     return out
 
 
-def check_cyclic_structure(n: int, *, budget: int = DEFAULT_NODE_BUDGET,
-                           kernel: str | None = None) -> VerificationReport:
+def check_cyclic_structure(n: int, *,
+                           budget: int = DEFAULT_NODE_BUDGET) -> VerificationReport:
     """Check multiplicity and shape structure of zero-sum-free sequences in C_n.
 
     For every length l >= (n+1)/2 some element must repeat at least
@@ -406,7 +405,7 @@ def check_cyclic_structure(n: int, *, budget: int = DEFAULT_NODE_BUDGET,
     length_counts = {}
     shape_lengths = []
     for length in range(min_len, n):
-        enum = engine.enumerate_free(group, length, budget=budget, kernel=kernel)
+        enum = engine.enumerate_free(group, length, budget=budget)
         if not enum["complete"]:
             raise BudgetExhaustedError(
                 f"budget exhausted enumerating C:{n} at length {length}",
@@ -422,8 +421,7 @@ def check_cyclic_structure(n: int, *, budget: int = DEFAULT_NODE_BUDGET,
         if length in (n - 1, n - 2, n - 3):
             shape_lengths.append(length)
             allowed = _cyclic_shape_instances(group, n, length)
-            free_allowed = {s for s in allowed
-                            if is_product1_free(group, s, kernel=kernel)}
+            free_allowed = {s for s in allowed if is_product1_free(group, s)}
             enum_set = set(seqs)
             for seq in sorted(enum_set - free_allowed):
                 violations.append(
@@ -474,8 +472,7 @@ def _covered_abelian(group: Group) -> bool:
     return len(primes) == 1
 
 
-def minimal_zero_sequences(group: Group, *, budget: int = DEFAULT_NODE_BUDGET,
-                           kernel: str | None = None):
+def minimal_zero_sequences(group: Group, *, budget: int = DEFAULT_NODE_BUDGET):
     """All minimal zero sequences of length D(G) in a small abelian group.
 
     Minimal: the full product is 1 (order irrelevant, the group is abelian)
@@ -485,7 +482,7 @@ def minimal_zero_sequences(group: Group, *, budget: int = DEFAULT_NODE_BUDGET,
     """
     if not group.is_abelian:
         raise GroupError("minimal zero sequence check covers abelian groups only")
-    enum = enumerate_extremal(group, budget=budget, kernel=kernel)
+    enum = enumerate_extremal(group, budget=budget)
     if group.order == 1:
         # D = 1 and the identity singleton is the unique minimal zero sequence
         return enum, [GSequence(group.key, (group.identity,))]
@@ -501,23 +498,21 @@ def minimal_zero_sequences(group: Group, *, budget: int = DEFAULT_NODE_BUDGET,
                 prod = group.mul(prod, a)
             if prod != group.identity:
                 continue
-            if all(is_product1_free(group, cand.remove(GSequence(group.key, (f,))),
-                                    kernel=kernel)
+            if all(is_product1_free(group, cand.remove(GSequence(group.key, (f,))))
                    for f in set(items)):
                 out.add(cand)
     return enum, sorted(out)
 
 
-def check_minimal_zero_sum_order(group: Group, *,
-                                 budget: int = DEFAULT_NODE_BUDGET,
-                                 kernel: str | None = None) -> VerificationReport:
+def check_minimal_zero_sum_order(
+        group: Group, *, budget: int = DEFAULT_NODE_BUDGET) -> VerificationReport:
     """Every minimal zero sequence of length D(G) has an element of order exp(G)."""
     if not group.is_abelian or group.order > 36 or not _covered_abelian(group):
         raise GroupError(
             f"minimal zero-sum order check covers abelian groups of order <= 36 "
             f"(cyclic, rank two, one-prime products); got {group.key}")
     t0 = time.perf_counter()
-    enum, minimal = minimal_zero_sequences(group, budget=budget, kernel=kernel)
+    enum, minimal = minimal_zero_sequences(group, budget=budget)
     exponent = group.exponent
     violations = [
         seq.format(group) for seq in minimal

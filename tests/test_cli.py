@@ -166,6 +166,15 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--limit", "-1"), ("--budget", "0"),
+                                         ("--budget", "-5"), ("--limit", "x")])
+def test_out_of_range_flag_values_exit_2(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["extremal", "--group", "D:4", "--no-cache", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_budget_exhaustion_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "davenport", "--group", "D:8", "--budget", "3",
                        "--cache-dir", str(tmp_path))

@@ -207,3 +207,21 @@ def test_budget_exhaustion_marks_search_incomplete():
         assert (engine.max_free_search(g, budget=budget)
                 == engine.max_free_search(g, budget=budget))
     assert not engine.max_free_search(g, budget=7)["complete"]
+
+
+def test_pure_search_depth_is_not_bounded_by_recursion_limit():
+    # C:70 runs on the pure lane, and its extremal paths have 69 elements;
+    # the DFS must not need a Python frame per path element.
+    import inspect
+    import sys
+
+    import zerosum.engine as engine
+    g = grp("C:70")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        res = engine.enumerate_free(g, 69, budget=10 ** 7)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res["complete"] and res["nodes"] == 55_833
+    assert len(res["found"]) == 24  # g^69 for each of the phi(70) generators
