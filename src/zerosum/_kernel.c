@@ -1,21 +1,28 @@
-/* Compiled search kernel for groups of order <= 64.
+/* Compiled search kernel for groups of order <= 4096 (groups.TABLE_LIMIT).
  *
  * Implements the traversal contract of zerosum._pykernel exactly: the same
  * DFS order, pruning, budgets and node accounting, so every result (node
- * counts included) is identical across lanes.  Bitsets are single 64-bit
- * words, with bit i standing for element index i.
+ * counts included) is identical across lanes.  A bitset is an array of
+ * words = (n + 63) / 64 64-bit words; element index i is bit i % 64 of
+ * word i / 64.
  *
- * translate(mask, e) = { r*e : r in mask } is applied byte by byte through
- * per-element tables.  One extra table row maps a set to the set of its
- * inverses, which turns the feasibility test "inv(f) not reachable" into a
- * single word operation.
+ * translate(mask, e) = { r*e : r in mask }.  With one word (n <= 64) it is
+ * applied byte by byte through per-element tables, and one extra table row
+ * maps a set to the set of its inverses, which turns the feasibility test
+ * "inv(f) not reachable" into word operations.  Byte tables for more words
+ * would take (n + 1) * n/8 * 256 * words * 8 bytes (4.3 GB at n = 1024), so
+ * larger groups walk the set bits instead, through the transposed product
+ * table rmul[e*n + r] = r*e and the inverse table.  The DFS body is written
+ * once over the word count and the compiler specializes it for one word.
  *
  * The sub-multiset DP (non-abelian search lane and stand-alone reachability)
  * keeps its table in a dense array indexed in mixed radix: digit j is the
  * count of the j-th distinct element, with stride prod_{i<j} (c_i + 1).
  * Canonical paths append elements in non-decreasing order, so only the last
  * digit ever grows; appending a copy of e adds one block of states at the
- * end of the array, and undoing it truncates the array again.
+ * end of the array, and undoing it truncates the array again.  Each state
+ * holds one bitset, so state caps are counted in words: a cap of N admits
+ * N / words states.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -23,25 +30,30 @@
 #include <stdint.h>
 #include <string.h>
 
-#define MAX_ORDER 64
+#define MAX_ORDER 4096
+#define MAX_WORDS (MAX_ORDER / 64)
 #define DEFAULT_STATE_CAP 100000000LL
 #define CONTEXT_NAME "zerosum._kernel.Context"
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
 
 /* zerosum._pykernel.LimitExceeded: both lanes raise the same class. */
 static PyObject *LimitExceeded;
 
 /* ------------------------------------------------------------------------
- * Context: translate tables for one group
+ * Context: product tables for one group
  * ------------------------------------------------------------------------ */
 
 typedef struct {
     int n;
     int identity;
     int abelian;
-    int chunks;                 /* bytes per bitset: (n + 7) / 8 */
-    uint64_t full;              /* bits 0 .. n-1 */
-    /* (n + 1) rows of chunks * 256 words: row e < n translates by e,
-     * row n maps a set to the set of its inverses. */
+    int words;                  /* 64-bit words per bitset: (n + 63) / 64 */
+    int chunks;                 /* bytes per one-word bitset: (n + 7) / 8 */
+    uint64_t last;              /* the valid bits of the last word */
+    const uint16_t *rmul;       /* rmul[e*n + r] = r*e */
+    const uint16_t *inv;        /* inv[r] = r^-1 */
+    /* words == 1 only: (n + 1) rows of chunks * 256 words; row e < n
+     * translates by e, row n maps a set to the set of its inverses. */
     uint64_t tables[];
 } Context;
 
@@ -55,8 +67,56 @@ apply_row(const Context *c, uint64_t mask, int row)
     return out;
 }
 
-#define translate(c, mask, e) apply_row((c), (mask), (e))
-#define inverses(c, mask) apply_row((c), (mask), (c)->n)
+/* Adds i to a set of W words; with one word, i < 64 and the word index is
+ * known to be 0, so a set held in a register stays there. */
+ALWAYS_INLINE void
+set_bit(uint64_t *s, int i, int W)
+{
+    s[W == 1 ? 0 : i >> 6] |= 1ULL << (i & 63);
+}
+
+/* dst |= translate(src, e); src and dst must not overlap. */
+ALWAYS_INLINE void
+translate_or(const Context *c, int W, const uint64_t *src, int e, uint64_t *dst)
+{
+    if (W == 1) {
+        dst[0] |= apply_row(c, src[0], e);
+        return;
+    }
+    const uint16_t *row = c->rmul + (size_t)e * c->n;
+    for (int w = 0; w < W; w++)
+        for (uint64_t m = src[w]; m; m &= m - 1)
+            set_bit(dst, row[w * 64 + __builtin_ctzll(m)], W);
+}
+
+/* cand = { f >= start : inv(f) not in reach }, the elements f >= start
+ * that keep a multiset with this reach set free. */
+ALWAYS_INLINE void
+feasible(const Context *c, int W, const uint64_t *reach, int start,
+         uint64_t *cand)
+{
+    if (W == 1) {
+        cand[0] = ~apply_row(c, reach[0], c->n) & c->last & (~0ULL << start);
+        return;
+    }
+    memset(cand, 0, W * sizeof *cand);
+    for (int w = 0; w < W; w++)
+        for (uint64_t m = reach[w]; m; m &= m - 1)
+            set_bit(cand, c->inv[w * 64 + __builtin_ctzll(m)], W);
+    for (int w = 0; w < W; w++)
+        cand[w] = w < start >> 6 ? 0 : ~cand[w];
+    cand[W - 1] &= c->last;
+    cand[start >> 6] &= ~0ULL << (start & 63);
+}
+
+ALWAYS_INLINE int
+popcount(const uint64_t *s, int W)
+{
+    int count = 0;
+    for (int w = 0; w < W; w++)
+        count += __builtin_popcountll(s[w]);
+    return count;
+}
 
 static void
 context_free(PyObject *capsule)
@@ -68,6 +128,95 @@ static const Context *
 get_context(PyObject *obj)
 {
     return (const Context *)PyCapsule_GetPointer(obj, CONTEXT_NAME);
+}
+
+/* Read a buffer of `count` native int16 values, each in [0, n): value i
+ * goes to out[(i % n) * n + i / n] when transpose is set, else to out[i]. */
+static int
+read_int16(const Py_buffer *buf, Py_ssize_t count, int n, int transpose,
+           uint16_t *out, const char *what)
+{
+    if (buf->len != count * (Py_ssize_t)sizeof(int16_t)) {
+        PyErr_Format(PyExc_ValueError, "%s must hold %zd int16 entries",
+                     what, count);
+        return -1;
+    }
+    const char *p = buf->buf;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        int16_t v;
+        memcpy(&v, p + i * sizeof v, sizeof v);
+        if (v < 0 || v >= n) {
+            PyErr_Format(PyExc_ValueError, "%s entry %d out of range", what, v);
+            return -1;
+        }
+        out[transpose ? (i % n) * n + i / n : i] = (uint16_t)v;
+    }
+    return 0;
+}
+
+static PyObject *
+build_context(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "mul_flat", "inv", "identity", "abelian", NULL};
+    int n, identity, abelian;
+    Py_buffer mul, inv;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iy*y*ip:build_context",
+                                     kwlist, &n, &mul, &inv, &identity, &abelian))
+        return NULL;
+    PyObject *capsule = NULL;
+    Context *c = NULL;
+    if (n < 1 || n > MAX_ORDER) {
+        PyErr_Format(PyExc_ValueError,
+                     "compiled kernel supports orders 1..%d, got %d", MAX_ORDER, n);
+        goto done;
+    }
+    if (identity < 0 || identity >= n) {
+        PyErr_SetString(PyExc_ValueError, "identity index out of range");
+        goto done;
+    }
+    int words = (n + 63) / 64, chunks = (n + 7) / 8;
+    int rows = words == 1 ? n + 1 : 0;      /* byte tables: one word only */
+    size_t row_words = (size_t)chunks * 256;
+    c = PyMem_Malloc(sizeof(Context) + rows * row_words * sizeof(uint64_t)
+                     + ((size_t)n * n + n) * sizeof(uint16_t));
+    if (c == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    uint16_t *rmul = (uint16_t *)(c->tables + rows * row_words);
+    uint16_t *inverse = rmul + (size_t)n * n;
+    c->n = n;
+    c->identity = identity;
+    c->abelian = abelian;
+    c->words = words;
+    c->chunks = chunks;
+    c->last = n % 64 ? (1ULL << n % 64) - 1 : ~0ULL;
+    c->rmul = rmul;
+    c->inv = inverse;
+    if (read_int16(&mul, (Py_ssize_t)n * n, n, 1, rmul, "mul_flat") < 0
+            || read_int16(&inv, n, n, 0, inverse, "inv") < 0)
+        goto done;
+    for (int row = 0; row < rows; row++) {
+        uint64_t *t = c->tables + row * row_words;
+        for (int pos = 0; pos < chunks; pos++, t += 256) {
+            t[0] = 0;
+            for (int v = 1; v < 256; v++) {
+                int low = v & -v;
+                int r = pos * 8 + __builtin_ctz(low);
+                uint64_t img = 0;
+                if (r < n)
+                    img = 1ULL << (row < n ? rmul[row * n + r] : inverse[r]);
+                t[v] = t[v ^ low] | img;
+            }
+        }
+    }
+    capsule = PyCapsule_New(c, CONTEXT_NAME, context_free);
+done:
+    if (capsule == NULL)
+        PyMem_Free(c);
+    PyBuffer_Release(&mul);
+    PyBuffer_Release(&inv);
+    return capsule;
 }
 
 /* Read a sequence of `len` ints, each in [0, bound), into out[]. */
@@ -100,57 +249,44 @@ read_indices(PyObject *seq, Py_ssize_t len, int bound, int *out,
     return 0;
 }
 
-static PyObject *
-build_context(PyObject *self, PyObject *args, PyObject *kwargs)
+/* A nonnegative int of at most n bits as a bitset; wider values and
+ * negative ones are refused, never truncated. */
+static int
+read_mask(PyObject *obj, const Context *c, uint64_t *out)
 {
-    static char *kwlist[] = {"n", "mul_flat", "inv", "identity", "abelian", NULL};
-    int n, identity, abelian;
-    PyObject *mul_obj, *inv_obj;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOip:build_context", kwlist,
-                                     &n, &mul_obj, &inv_obj, &identity, &abelian))
-        return NULL;
-    if (n < 1 || n > MAX_ORDER) {
+    if (!PyLong_Check(obj)) {
+        PyErr_SetString(PyExc_TypeError, "until_mask must be an int");
+        return -1;
+    }
+    if (_PyLong_Sign(obj) < 0 || _PyLong_NumBits(obj) > (size_t)c->n) {
         PyErr_Format(PyExc_ValueError,
-                     "compiled kernel supports orders 1..%d, got %d", MAX_ORDER, n);
-        return NULL;
+                     "until_mask must be a bitset of the %d group elements", c->n);
+        return -1;
     }
-    if (identity < 0 || identity >= n) {
-        PyErr_SetString(PyExc_ValueError, "identity index out of range");
-        return NULL;
+    unsigned char bytes[MAX_WORDS * 8];
+    size_t len = (size_t)c->words * 8;
+#if PY_VERSION_HEX >= 0x030D0000
+    if (_PyLong_AsByteArray((PyLongObject *)obj, bytes, len, 1, 0, 1) < 0)
+#else
+    if (_PyLong_AsByteArray((PyLongObject *)obj, bytes, len, 1, 0) < 0)
+#endif
+        return -1;
+    for (int w = 0; w < c->words; w++) {
+        out[w] = 0;
+        for (int b = 7; b >= 0; b--)
+            out[w] = out[w] << 8 | bytes[w * 8 + b];
     }
-    int mul[MAX_ORDER * MAX_ORDER], inv[MAX_ORDER];
-    if (read_indices(mul_obj, (Py_ssize_t)n * n, n, mul, "mul_flat") < 0
-            || read_indices(inv_obj, n, n, inv, "inv") < 0)
-        return NULL;
+    return 0;
+}
 
-    int chunks = (n + 7) / 8;
-    size_t row_words = (size_t)chunks * 256;
-    Context *c = PyMem_Malloc(sizeof(Context) + (n + 1) * row_words * sizeof(uint64_t));
-    if (c == NULL)
-        return PyErr_NoMemory();
-    c->n = n;
-    c->identity = identity;
-    c->abelian = abelian;
-    c->chunks = chunks;
-    c->full = n == 64 ? ~0ULL : (1ULL << n) - 1;
-    for (int row = 0; row <= n; row++) {
-        uint64_t *t = c->tables + row * row_words;
-        for (int pos = 0; pos < chunks; pos++, t += 256) {
-            t[0] = 0;
-            for (int v = 1; v < 256; v++) {
-                int low = v & -v;
-                int r = pos * 8 + __builtin_ctz(low);
-                uint64_t img = 0;
-                if (r < n)
-                    img = 1ULL << (row < n ? mul[r * n + row] : inv[r]);
-                t[v] = t[v ^ low] | img;
-            }
-        }
-    }
-    PyObject *capsule = PyCapsule_New(c, CONTEXT_NAME, context_free);
-    if (capsule == NULL)
-        PyMem_Free(c);
-    return capsule;
+static PyObject *
+mask_to_int(const uint64_t *s, int W)
+{
+    unsigned char bytes[MAX_WORDS * 8];
+    for (int w = 0; w < W; w++)
+        for (int b = 0; b < 8; b++)
+            bytes[w * 8 + b] = (unsigned char)(s[w] >> (8 * b));
+    return _PyLong_FromByteArray(bytes, (size_t)W * 8, 1, 0);
 }
 
 /* ------------------------------------------------------------------------
@@ -160,43 +296,47 @@ build_context(PyObject *self, PyObject *args, PyObject *kwargs)
 typedef struct {
     uint64_t *vals;             /* product set of each sub-multiset */
     long long size, cap;        /* live states, allocated states */
-    long long state_cap;
+    long long state_cap;        /* in words */
+    long long max_states;       /* state_cap / words */
     int spt;                    /* distinct elements on the path */
     int support[MAX_ORDER];
     int counts[MAX_ORDER];
+    int dig[MAX_ORDER];
     long long stride[MAX_ORDER];
 } Table;
 
 /* Back to the empty path, whose only state (the empty product) is {1}. */
 static void
-table_reset(Table *t, int identity)
+table_reset(Table *t, const Context *c)
 {
     t->size = 1;
     t->spt = 0;
-    t->vals[0] = 1ULL << identity;
+    memset(t->vals, 0, c->words * sizeof *t->vals);
+    set_bit(t->vals, c->identity, c->words);
 }
 
 static int
-table_init(Table *t, long long state_cap, int identity)
+table_init(Table *t, const Context *c, long long state_cap)
 {
     t->cap = 1024;
     t->state_cap = state_cap;
-    t->vals = PyMem_New(uint64_t, t->cap);
+    t->max_states = state_cap / c->words;
+    t->vals = PyMem_New(uint64_t, t->cap * c->words);
     if (t->vals == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    table_reset(t, identity);
+    table_reset(t, c);
     return 0;
 }
 
 /* Add one copy of e (>= every support element).  The new states are those
- * whose last digit is the new count; *gain is the union of their product
- * sets.  Each is the union over its nonzero digits j of
+ * whose last digit is the new count; gain becomes the union of their
+ * product sets.  Each is the union over its nonzero digits j of
  * translate(parent with digit j lowered, support[j]); parents with the same
  * last digit lie earlier in the new block, so one forward pass fills it. */
-static int
-table_append(Table *t, const Context *c, int e, uint64_t *gain)
+ALWAYS_INLINE int
+table_append(Table *t, const Context *c, int e, uint64_t *gain, int W)
 {
     int pos = t->spt - 1;
     if (pos < 0 || t->support[pos] != e) {
@@ -206,7 +346,7 @@ table_append(Table *t, const Context *c, int e, uint64_t *gain)
         t->stride[pos] = t->size;
     }
     long long block = t->stride[pos], base = t->size;
-    if (base + block > t->state_cap) {
+    if (base + block > t->max_states) {
         PyErr_Format(LimitExceeded, "search DP exceeds the state cap %lld",
                      t->state_cap);
         return -1;
@@ -216,7 +356,7 @@ table_append(Table *t, const Context *c, int e, uint64_t *gain)
         while (cap < base + block)
             cap *= 2;
         uint64_t *vals = t->vals;
-        if (PyMem_Resize(vals, uint64_t, cap) == NULL) {
+        if (PyMem_Resize(vals, uint64_t, cap * W) == NULL) {
             PyErr_NoMemory();
             return -1;
         }
@@ -225,15 +365,19 @@ table_append(Table *t, const Context *c, int e, uint64_t *gain)
     }
     t->counts[pos]++;
 
-    uint64_t *v = t->vals, g = 0;
-    int dig[MAX_ORDER] = {0};
+    uint64_t *v = t->vals;
+    int *dig = t->dig;
+    memset(dig, 0, pos * sizeof *dig);
+    memset(gain, 0, W * sizeof *gain);
     for (long long idx = base; idx < base + block; idx++) {
-        uint64_t m = translate(c, v[idx - block], e);
+        uint64_t *m = v + idx * W;
+        memset(m, 0, W * sizeof *m);
+        translate_or(c, W, v + (idx - block) * W, e, m);
         for (int j = 0; j < pos; j++)
             if (dig[j])
-                m |= translate(c, v[idx - t->stride[j]], t->support[j]);
-        v[idx] = m;
-        g |= m;
+                translate_or(c, W, v + (idx - t->stride[j]) * W, t->support[j], m);
+        for (int w = 0; w < W; w++)
+            gain[w] |= m[w];
         for (int j = 0; j < pos; j++) {
             if (++dig[j] <= t->counts[j])
                 break;
@@ -241,8 +385,22 @@ table_append(Table *t, const Context *c, int e, uint64_t *gain)
         }
     }
     t->size = base + block;
-    *gain = g;
     return 0;
+}
+
+/* table_append out of line, one copy per word count: the DFS frames stay
+ * small and the address of a one-word set held in a register never escapes
+ * into them. */
+static __attribute__((noinline)) int
+table_append1(Table *t, const Context *c, int e, uint64_t *gain)
+{
+    return table_append(t, c, e, gain, 1);
+}
+
+static __attribute__((noinline)) int
+table_appendw(Table *t, const Context *c, int e, uint64_t *gain)
+{
+    return table_append(t, c, e, gain, c->words);
 }
 
 /* Remove the copy added by the last table_append. */
@@ -270,9 +428,48 @@ typedef struct {
     int root_best;
     int path[MAX_ORDER];
     int witness[MAX_ORDER];
+    /* Slot d (words each) of reach holds the reach set of the path's first
+     * d elements, slot d of cand the feasible children of that path; the
+     * DFS recurses up to n - 1 deep, so these live here, not on the stack. */
+    uint64_t *reach, *cand;
     PyObject *found;
     Table dp;                   /* non-abelian lane only */
 } Search;
+
+static void
+search_free(Search *s)
+{
+    if (s == NULL)
+        return;
+    Py_XDECREF(s->found);
+    PyMem_Free(s->dp.vals);
+    PyMem_Free(s->reach);
+    PyMem_Free(s);
+}
+
+static Search *
+search_new(const Context *c, long long state_cap)
+{
+    Search *s = PyMem_Malloc(sizeof(Search));
+    if (s == NULL)
+        return (Search *)PyErr_NoMemory();
+    s->ctx = c;
+    s->found = NULL;
+    s->dp.vals = NULL;
+    size_t slots = ((size_t)c->n + 1) * c->words;
+    s->reach = PyMem_Calloc(2 * slots, sizeof(uint64_t));
+    if (s->reach == NULL) {
+        PyErr_NoMemory();
+        search_free(s);
+        return NULL;
+    }
+    s->cand = s->reach + slots;
+    if (!c->abelian && table_init(&s->dp, c, state_cap) < 0) {
+        search_free(s);
+        return NULL;
+    }
+    return s;
+}
 
 static PyObject *
 int_tuple(const int *v, int len)
@@ -294,23 +491,47 @@ int_tuple(const int *v, int len)
 /* A free multiset of a group of order n has fewer than n elements, because
  * every append strictly grows its reachable set, which never holds 1. */
 static int
-check_depth(int length)
+check_depth(const Context *c, int length)
 {
-    if (length < MAX_ORDER)
+    if (length < c->n)
         return 0;
     PyErr_SetString(PyExc_ValueError,
                     "path longer than the group order: the table is not a group");
     return -1;
 }
 
-/* e already passed the feasibility test: e != 1 and inv(e) not in reach. */
-static int
-visit(Search *s, int e, uint64_t reach, int length)
+/* child = reach with e appended to the path. */
+ALWAYS_INLINE int
+extend(Search *s, int e, const uint64_t *reach, uint64_t *child, int W)
+{
+    const Context *c = s->ctx;
+    if (c->abelian) {
+        memcpy(child, reach, W * sizeof *child);
+        translate_or(c, W, reach, e, child);
+        set_bit(child, e, W);
+        return 0;
+    }
+    uint64_t gain1, *gain = W == 1 ? &gain1 : child;
+    if ((W == 1 ? table_append1 : table_appendw)(&s->dp, c, e, gain) < 0)
+        return -1;
+    for (int w = 0; w < W; w++)
+        child[w] = reach[w] | gain[w];
+    return 0;
+}
+
+static int visit1(Search *s, int e, uint64_t reach, int length);
+static int visitw(Search *s, int e, int length);
+
+/* e already passed the feasibility test: e != 1 and inv(e) not in reach.
+ * One-word sets live in locals, so the compiler keeps them in registers;
+ * wider ones live in the arena slot of their depth. */
+ALWAYS_INLINE int
+visit_body(Search *s, int e, const uint64_t *reach, int length, int W)
 {
     const Context *c = s->ctx;
     if (++s->nodes > s->budget)
         return VISIT_ABORT;
-    if (check_depth(length) < 0)
+    if (check_depth(c, length) < 0)
         return VISIT_ERROR;
     int newlen = length + 1;
     s->path[length] = e;
@@ -323,16 +544,12 @@ visit(Search *s, int e, uint64_t reach, int length)
         Py_DECREF(t);
         return VISIT_OK;
     }
-    uint64_t child;
-    if (c->abelian) {
-        child = reach | translate(c, reach, e) | (1ULL << e);
-    } else {
-        uint64_t gain;
-        if (table_append(&s->dp, c, e, &gain) < 0)
-            return VISIT_ERROR;
-        child = reach | gain;
-    }
-    int potential = newlen + (c->n - 1 - __builtin_popcountll(child));
+    uint64_t child1, cand1;
+    uint64_t *child = W == 1 ? &child1 : s->reach + (size_t)newlen * W;
+    uint64_t *cand = W == 1 ? &cand1 : s->cand + (size_t)newlen * W;
+    if (extend(s, e, reach, child, W) < 0)
+        return VISIT_ERROR;
+    int potential = newlen + (c->n - 1 - popcount(child, W));
     int descend;
     if (!s->enumerate) {
         if (newlen > s->root_best) {
@@ -346,16 +563,30 @@ visit(Search *s, int e, uint64_t reach, int length)
     int rc = VISIT_OK;
     if (descend) {
         /* f >= e whose inverse is not reachable, in increasing order */
-        uint64_t cand = ~inverses(c, child) & c->full & (~0ULL << e);
-        while (cand && rc == VISIT_OK) {
-            int f = __builtin_ctzll(cand);
-            cand &= cand - 1;
-            rc = visit(s, f, child, newlen);
+        feasible(c, W, child, e, cand);
+        for (int w = 0; w < W && rc == VISIT_OK; w++) {
+            for (uint64_t bits = cand[w]; bits && rc == VISIT_OK; bits &= bits - 1) {
+                int f = w * 64 + __builtin_ctzll(bits);
+                rc = W == 1 ? visit1(s, f, child1, newlen) : visitw(s, f, newlen);
+            }
         }
     }
     if (!c->abelian)
         table_undo(&s->dp);
     return rc;
+}
+
+static int
+visit1(Search *s, int e, uint64_t reach, int length)
+{
+    return visit_body(s, e, &reach, length, 1);
+}
+
+static int
+visitw(Search *s, int e, int length)
+{
+    int W = s->ctx->words;
+    return visit_body(s, e, s->reach + (size_t)length * W, length, W);
 }
 
 /* Canonical DFS, one branch per root (first element) 1 .. n-1.  Each root
@@ -385,45 +616,45 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
     if (overflow)
         budget = overflow > 0 ? LLONG_MAX : LLONG_MIN;
 
-    Search s = {.ctx = c, .enumerate = strcmp(mode, "max") != 0,
-                .target = target, .budget = budget};
-    if (!c->abelian && table_init(&s.dp, state_cap, c->identity) < 0)
+    Search *s = search_new(c, state_cap);
+    if (s == NULL)
         return NULL;
-    s.found = PyList_New(0);
+    s->enumerate = strcmp(mode, "max") != 0;
+    s->target = target;
+    s->budget = budget;
+    s->found = PyList_New(0);
     int complete = 1, best_len = floor_len;
     long long total_nodes = 0;
     PyObject *witness = Py_NewRef(Py_None), *result = NULL;
-    if (s.found == NULL)
+    if (s->found == NULL)
         goto done;
 
     for (int root = 1; root < c->n; root++) {
-        s.nodes = 0;
-        s.root_best = floor_len;
+        s->nodes = 0;
+        s->root_best = floor_len;
         if (!c->abelian)
-            table_reset(&s.dp, c->identity);
-        int rc = visit(&s, root, 0, 0);
+            table_reset(&s->dp, c);
+        int rc = c->words == 1 ? visit1(s, root, 0, 0) : visitw(s, root, 0);
         if (rc == VISIT_ERROR)
             goto done;
         if (rc == VISIT_ABORT)
             complete = 0;
-        total_nodes += s.nodes;
+        total_nodes += s->nodes;
         /* root_best above floor_len means a witness was recorded */
-        if (s.root_best > best_len) {
-            best_len = s.root_best;
-            Py_SETREF(witness, int_tuple(s.witness, best_len));
+        if (s->root_best > best_len) {
+            best_len = s->root_best;
+            Py_SETREF(witness, int_tuple(s->witness, best_len));
             if (witness == NULL)
                 goto done;
         }
     }
     result = Py_BuildValue("{s:O,s:i,s:O,s:O,s:L}", "complete",
                            complete ? Py_True : Py_False, "best_len", best_len,
-                           "witness", witness, "found", s.found,
+                           "witness", witness, "found", s->found,
                            "nodes", total_nodes);
 done:
     Py_XDECREF(witness);
-    Py_XDECREF(s.found);
-    if (!c->abelian)
-        PyMem_Free(s.dp.vals);
+    search_free(s);
     return result;
 }
 
@@ -435,36 +666,31 @@ greedy(PyObject *self, PyObject *ctx_obj)
     const Context *c = get_context(ctx_obj);
     if (c == NULL)
         return NULL;
-    Table dp;
-    if (!c->abelian && table_init(&dp, DEFAULT_STATE_CAP, c->identity) < 0)
+    Search *s = search_new(c, DEFAULT_STATE_CAP);
+    if (s == NULL)
         return NULL;
-    int path[MAX_ORDER], len = 0, start = 1;
-    uint64_t reach = 0;
+    int W = c->words, len = 0, start = 1;
     PyObject *result = NULL;
     for (;;) {
-        uint64_t cand = ~inverses(c, reach) & c->full & (~0ULL << start);
-        if (cand == 0)
+        feasible(c, W, s->reach + (size_t)len * W, start, s->cand);
+        int w = 0;
+        while (w < W && s->cand[w] == 0)
+            w++;
+        if (w == W)
             break;
-        int e = __builtin_ctzll(cand);
-        if (check_depth(len) < 0)
+        int e = w * 64 + __builtin_ctzll(s->cand[w]);
+        if (check_depth(c, len) < 0
+                || extend(s, e, s->reach + (size_t)len * W,
+                          s->reach + (size_t)(len + 1) * W, W) < 0)
             goto done;
-        if (c->abelian) {
-            reach |= translate(c, reach, e) | (1ULL << e);
-        } else {
-            uint64_t gain;
-            if (table_append(&dp, c, e, &gain) < 0)
-                goto done;
-            reach |= gain;
-        }
-        path[len++] = e;
+        s->path[len++] = e;
         start = e;
     }
-    PyObject *witness = int_tuple(path, len);
+    PyObject *witness = int_tuple(s->path, len);
     if (witness != NULL)
         result = Py_BuildValue("iNi", len, witness, len);
 done:
-    if (!c->abelian)
-        PyMem_Free(dp.vals);
+    search_free(s);
     return result;
 }
 
@@ -480,8 +706,8 @@ typedef struct {
     long long room[MAX_ORDER];  /* counts[0] + ... + counts[j] */
     long long stride[MAX_ORDER];
     int dig[MAX_ORDER];
-    uint64_t *vals;
-    uint64_t until, result;
+    uint64_t *vals;             /* words per state */
+    uint64_t until[MAX_WORDS], result[MAX_WORDS];
 } Reach;
 
 /* Fill every state of one layer whose digits above j are already set:
@@ -491,13 +717,17 @@ static int
 fill_layer(Reach *r, int j, long long left, long long idx)
 {
     if (j < 0) {
-        uint64_t m = 0;
+        int W = r->ctx->words;
+        uint64_t *m = r->vals + idx * W, hit = 0;
         for (int i = 0; i < r->k; i++)
             if (r->dig[i])
-                m |= translate(r->ctx, r->vals[idx - r->stride[i]], r->elems[i]);
-        r->vals[idx] = m;
-        r->result |= m;
-        return (m & r->until) != 0;
+                translate_or(r->ctx, W, r->vals + (idx - r->stride[i]) * W,
+                             r->elems[i], m);
+        for (int w = 0; w < W; w++) {
+            r->result[w] |= m[w];
+            hit |= m[w] & r->until[w];
+        }
+        return hit != 0;
     }
     long long below = j > 0 ? r->room[j - 1] : 0;
     for (int d = left > below ? (int)(left - below) : 0; d <= r->counts[j] && d <= left; d++) {
@@ -519,14 +749,9 @@ reachable(PyObject *self, PyObject *args, PyObject *kwargs)
                                      &ctx_obj, &elems_obj, &counts_obj,
                                      &until_obj, &state_cap))
         return NULL;
-    Reach r = {.ctx = get_context(ctx_obj)};
-    if (r.ctx == NULL)
+    const Context *c = get_context(ctx_obj);
+    if (c == NULL)
         return NULL;
-    if (until_obj != NULL) {
-        r.until = PyLong_AsUnsignedLongLong(until_obj);
-        if (r.until == (uint64_t)-1 && PyErr_Occurred())
-            return NULL;
-    }
     Py_ssize_t k = PySequence_Size(elems_obj);
     if (k < 0)
         return NULL;
@@ -534,34 +759,50 @@ reachable(PyObject *self, PyObject *args, PyObject *kwargs)
         PyErr_Format(PyExc_ValueError, "at most %d distinct elements", MAX_ORDER);
         return NULL;
     }
-    r.k = (int)k;
-    if (read_indices(elems_obj, k, r.ctx->n, r.elems, "elems") < 0
-            || read_indices(counts_obj, k, INT_MAX, r.counts, "counts") < 0)
-        return NULL;
-
-    /* The full table holds prod (c_j + 1) states; refuse it up front. */
-    long long states = 1, total = 0;
-    for (int j = 0; j < r.k; j++) {
-        r.stride[j] = states;
-        if (states > state_cap / (r.counts[j] + 1)) {
-            PyErr_Format(LimitExceeded,
-                         "reachability DP exceeds the state cap %lld", state_cap);
-            return NULL;
-        }
-        states *= r.counts[j] + 1;
-        total += r.counts[j];
-        r.room[j] = total;
-    }
-    r.vals = PyMem_New(uint64_t, states);
-    if (r.vals == NULL)
+    Reach *r = PyMem_Malloc(sizeof(Reach));
+    if (r == NULL)
         return PyErr_NoMemory();
-    r.vals[0] = 1ULL << r.ctx->identity;
+    r->ctx = c;
+    r->k = (int)k;
+    r->vals = NULL;
+    memset(r->until, 0, sizeof r->until);
+    memset(r->result, 0, sizeof r->result);
+    PyObject *result = NULL;
+    if ((until_obj != NULL && read_mask(until_obj, c, r->until) < 0)
+            || read_indices(elems_obj, k, c->n, r->elems, "elems") < 0
+            || read_indices(counts_obj, k, INT_MAX, r->counts, "counts") < 0)
+        goto done;
+
+    /* The full table holds prod (c_j + 1) states of one bitset each;
+     * refuse it up front (states saturates at max_states + 1). */
+    long long max_states = state_cap / c->words, states = 1, total = 0;
+    for (int j = 0; j < r->k && states <= max_states; j++) {
+        long long factor = r->counts[j] + 1LL;
+        r->stride[j] = states;
+        states = states > max_states / factor ? max_states + 1 : states * factor;
+        total += r->counts[j];
+        r->room[j] = total;
+    }
+    if (states > max_states) {
+        PyErr_Format(LimitExceeded,
+                     "reachability DP exceeds the state cap %lld", state_cap);
+        goto done;
+    }
+    r->vals = PyMem_Calloc((size_t)states * c->words, sizeof(uint64_t));
+    if (r->vals == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    set_bit(r->vals, c->identity, c->words);
     int hit = 0;
     for (long long layer = 1; layer <= total && !hit; layer++)
-        hit = fill_layer(&r, r.k - 1, layer, 0);
-    PyMem_Free(r.vals);
-    return Py_BuildValue("NO", PyLong_FromUnsignedLongLong(r.result),
-                         hit ? Py_True : Py_False);
+        hit = fill_layer(r, r->k - 1, layer, 0);
+    result = Py_BuildValue("NO", mask_to_int(r->result, c->words),
+                           hit ? Py_True : Py_False);
+done:
+    PyMem_Free(r->vals);
+    PyMem_Free(r);
+    return result;
 }
 
 /* ------------------------------------------------------------------------ */
@@ -570,7 +811,8 @@ static PyMethodDef kernel_methods[] = {
     {"build_context", (PyCFunction)(void (*)(void))build_context,
      METH_VARARGS | METH_KEYWORDS,
      "build_context(n, mul_flat, inv, identity, abelian)\n--\n\n"
-     "Translate tables for one group of order <= 64."},
+     "Product tables for one group of order <= 4096; mul_flat (n*n) and inv\n"
+     "(n) are native int16 bytes."},
     {"greedy", greedy, METH_O,
      "greedy(ctx)\n--\n\n"
      "Leftmost canonical descent; returns (length, witness, nodes)."},
@@ -582,14 +824,14 @@ static PyMethodDef kernel_methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "reachable(ctx, elems, counts, until_mask=0, state_cap=100000000)\n--\n\n"
      "Products of nonempty sub-multisets as (mask, hit).  A state space\n"
-     "above state_cap is refused up front with LimitExceeded."},
+     "above state_cap words is refused up front with LimitExceeded."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "zerosum._kernel",
-    .m_doc = "Compiled search kernel for groups of order <= 64; mirrors "
+    .m_doc = "Compiled search kernel for groups of order <= 4096; mirrors "
              "zerosum._pykernel.",
     .m_size = -1,
     .m_methods = kernel_methods,

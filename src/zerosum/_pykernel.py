@@ -2,7 +2,8 @@
 
 Bitsets are Python ints with bit i standing for element index i.  The central
 primitive is ``translate(mask, e)`` = { r*e : r in mask }, applied byte by
-byte through precomputed tables.
+byte through per-element tables, each built on the first translate by its
+element.
 
 Two search lanes share one traversal contract (the compiled kernel in
 ``_kernel.c`` implements the same contract, so node counts agree):
@@ -13,6 +14,10 @@ Two search lanes share one traversal contract (the compiled kernel in
   product set of every sub-multiset of the path, in a dense list indexed in
   mixed radix (the layout of the compiled kernel's ``Table``); appending an
   element adds one block of states at the end, and undoing truncates it.
+
+State caps count 64-bit words, as in the compiled kernel, where each DP state
+holds one bitset of ``words`` = ceil(n / 64) words: a cap of N admits
+N // words states.
 
 The DFS is a loop over an explicit stack with one frame per path element
 (the element, its reach set, an iterator over the children not yet
@@ -25,6 +30,8 @@ starts with e, and rotations preserve product 1.
 """
 
 from __future__ import annotations
+
+import math
 
 LANE = "pure"
 
@@ -42,19 +49,19 @@ class LimitExceeded(Exception):
 class Context:
     """Immutable per-group data consumed by the kernel functions."""
 
-    __slots__ = ("n", "identity", "abelian", "mul", "inv", "chunks", "tables")
+    __slots__ = ("n", "identity", "abelian", "words", "mul", "inv", "chunks",
+                 "tables")
 
     def __init__(self, n, mul_flat, inv, identity, abelian):
         self.n = n
         self.identity = identity
         self.abelian = abelian
-        self.mul = list(mul_flat)
-        self.inv = list(inv)
+        self.words = (n + 63) // 64
+        self.mul = memoryview(mul_flat).cast("h").tolist()
+        self.inv = memoryview(inv).cast("h").tolist()
         self.chunks = (n + 7) // 8
-        if n <= _TABLE_ORDER_LIMIT:
-            self.tables = [self._byte_tables(e) for e in range(n)]
-        else:
-            self.tables = None
+        # tables[e] is built by the first translate by e.
+        self.tables = [None] * n if n <= _TABLE_ORDER_LIMIT else None
 
     def _byte_tables(self, e):
         n, mul = self.n, self.mul
@@ -71,6 +78,8 @@ class Context:
 
 
 def build_context(n, mul_flat, inv, identity, abelian):
+    """Context of a group of order n; ``mul_flat`` (n*n entries, row-major
+    products) and ``inv`` (n entries) are native int16 bytes."""
     return Context(n, mul_flat, inv, identity, abelian)
 
 
@@ -84,8 +93,11 @@ def translate(ctx, mask, e):
             out |= 1 << mul[(low.bit_length() - 1) * n + e]
             mask ^= low
         return out
+    tabs = ctx.tables[e]
+    if tabs is None:
+        tabs = ctx.tables[e] = ctx._byte_tables(e)
     out = 0
-    for pos, tab in enumerate(ctx.tables[e]):
+    for pos, tab in enumerate(tabs):
         byte = (mask >> (pos * 8)) & 0xFF
         if byte:
             out |= tab[byte]
@@ -103,12 +115,17 @@ def reachable(ctx, elems, counts, until_mask=0, state_cap=DEFAULT_STATE_CAP):
     multiplicities).  States are generated layer by layer (by sub-multiset
     size); only two layers are alive at a time.  If ``until_mask`` is nonzero
     the DP stops the moment any of its bits is reached, returning
-    (partial mask, True).
+    (partial mask, True).  A state space above ``state_cap`` words is
+    refused up front, as in the compiled kernel.
     """
+    if until_mask < 0 or until_mask >> ctx.n:
+        raise ValueError(
+            f"until_mask must be a bitset of the {ctx.n} group elements")
+    if math.prod(c + 1 for c in counts) * ctx.words > state_cap:
+        raise LimitExceeded(f"reachability DP exceeds the state cap {state_cap}")
     k = len(elems)
     total = sum(counts)
     layer = {(0,) * k: 1 << ctx.identity}
-    states_seen = 1
     result = 0
     for _ in range(total):
         nxt = {}
@@ -117,15 +134,7 @@ def reachable(ctx, elems, counts, until_mask=0, state_cap=DEFAULT_STATE_CAP):
                 if state[i] < counts[i]:
                     child = state[:i] + (state[i] + 1,) + state[i + 1:]
                     t = translate(ctx, mask, elems[i])
-                    prev = nxt.get(child)
-                    if prev is None:
-                        states_seen += 1
-                        if states_seen > state_cap:
-                            raise LimitExceeded(
-                                f"reachability DP exceeds the state cap {state_cap}")
-                        new = t
-                    else:
-                        new = prev | t
+                    new = nxt.get(child, 0) | t
                     nxt[child] = new
                     if until_mask & new:
                         return result | new, True
@@ -149,14 +158,15 @@ class _Table:
     truncates that block.
     """
 
-    __slots__ = ("vals", "support", "counts", "stride", "cap")
+    __slots__ = ("vals", "support", "counts", "stride", "cap", "words")
 
-    def __init__(self, identity, cap):
-        self.vals = [1 << identity]
+    def __init__(self, ctx, cap):
+        self.vals = [1 << ctx.identity]
         self.support = []
         self.counts = []
         self.stride = []
         self.cap = cap
+        self.words = ctx.words
 
     def append(self, ctx, e):
         """Add one copy of e (>= every support element); return the union of
@@ -175,7 +185,7 @@ class _Table:
             stride.append(len(vals))
         pos = len(support) - 1
         block, base = stride[pos], len(vals)
-        if base + block > self.cap:
+        if (base + block) * self.words > self.cap:
             raise LimitExceeded(f"search DP exceeds the state cap {self.cap}")
         counts[pos] += 1
         lower = list(zip(stride[:pos], support[:pos]))
@@ -214,7 +224,7 @@ def greedy(ctx):
     large as the greedy choice.
     """
     n, inv = ctx.n, ctx.inv
-    table = None if ctx.abelian else _Table(ctx.identity, DEFAULT_STATE_CAP)
+    table = None if ctx.abelian else _Table(ctx, DEFAULT_STATE_CAP)
     reach = 0
     path = []
     start = 1
@@ -264,7 +274,7 @@ def search(ctx, mode, target, floor_len, budget, state_cap=DEFAULT_STATE_CAP):
         nodes = 0
         root_best = floor_len
         root_witness = None
-        table = None if ctx.abelian else _Table(ctx.identity, state_cap)
+        table = None if ctx.abelian else _Table(ctx, state_cap)
         # One frame per path element below the node being visited: (the
         # element, the reach set after it, an iterator over its feasible
         # children f >= it).

@@ -1,10 +1,10 @@
 """Product reachability and canonical search, dispatched to a kernel lane.
 
 The compiled lane (``zerosum._kernel``, hand-written C built by ``setup.py``)
-is used when the extension was built and the group has order <= 64, so that
-bitsets fit a machine word; otherwise the pure-Python twin
-(``zerosum._pykernel``) takes over.  Both lanes follow one traversal
-contract, so every result (node counts included) is identical across lanes.
+runs every group (orders up to ``groups.TABLE_LIMIT`` = 4096) when the
+extension was built; otherwise the pure-Python twin (``zerosum._pykernel``)
+takes over.  Both lanes follow one traversal contract, so every result (node
+counts included) is identical across lanes.
 
 Set ``ZEROSUM_PURE_KERNEL=1`` to force the pure lane.
 """
@@ -26,6 +26,8 @@ except ImportError:
     _compiled = None
 
 DISTINCT_LIMIT = 24
+# DP states hold one bitset of ceil(order / 64) 64-bit words each; the limit
+# counts words (800 MB), in the guard and in both kernels.
 STATE_LIMIT = 100_000_000
 ORACLE_LENGTH_LIMIT = 8
 
@@ -55,17 +57,14 @@ def default_kernel_name() -> str:
 
 def _kernel_for(group: Group):
     """The kernel module that runs ``group``: the one lane-selection point."""
-    if default_kernel_name() == "compiled" and group.order <= _compiled.MAX_ORDER:
-        return _compiled
-    return _pykernel
+    return _compiled if default_kernel_name() == "compiled" else _pykernel
 
 
 def _context(group: Group, kern):
     ctx = group._contexts.get(kern.LANE)
     if ctx is None:
-        flat = [int(v) for v in group.table.ravel()]
-        inv = [int(v) for v in group.inv_table]
-        ctx = kern.build_context(group.order, flat, inv, group.identity,
+        ctx = kern.build_context(group.order, group.table.tobytes(),
+                                 group.inv_table.tobytes(), group.identity,
                                  group.is_abelian)
         group._contexts[kern.LANE] = ctx
     return ctx
@@ -105,21 +104,23 @@ def _counts_of(seq: GSequence):
     return elems, [cnt[e] for e in elems]
 
 
-def _guard(seq: GSequence):
+def _guard(group: Group, seq: GSequence):
     elems = set(seq.items)
     if len(elems) > DISTINCT_LIMIT:
         raise EngineLimitError(
             f"sequence has {len(elems)} distinct elements, above the limit "
             f"{DISTINCT_LIMIT}")
-    estimate = math.prod(c + 1 for c in seq.counts().values())
+    words = (group.order + 63) // 64
+    estimate = math.prod(c + 1 for c in seq.counts().values()) * words
     if estimate > STATE_LIMIT:
         raise EngineLimitError(
-            f"sub-multiset state space ~{estimate} exceeds the limit {STATE_LIMIT}")
+            f"sub-multiset state space ~{estimate} words exceeds the limit "
+            f"{STATE_LIMIT}")
 
 
 def _run_reachable(group: Group, seq: GSequence, until_mask: int):
     seq._check_group(group)
-    _guard(seq)
+    _guard(group, seq)
     kern = _kernel_for(group)
     ctx = _context(group, kern)
     elems, counts = _counts_of(seq)

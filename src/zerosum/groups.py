@@ -324,8 +324,13 @@ class Group:
                 and np.array_equal(np.sort(t, axis=0), np.tile(full[:, None], (1, n)))):
             raise GroupError("multiplication table rows/columns are not permutations")
         if n <= ASSOC_EXHAUSTIVE_LIMIT:
-            if not np.array_equal(t[t, :], t[:, t]):
-                raise GroupError("associativity (ab)c = a(bc) fails")
+            # Every triple, a block of rows a at a time: (ab)c = t[t[a, b], c]
+            # against a(bc) = t[a, t[b, c]], 2 MB of int16 per side and block.
+            rows = max(1, (1 << 20) // (n * n))
+            for lo in range(0, n, rows):
+                blk = t[lo:lo + rows]
+                if not np.array_equal(t[blk], blk[:, t]):
+                    raise GroupError("associativity (ab)c = a(bc) fails")
         else:
             rng = random.Random(rng_seed)
             for _ in range(ASSOC_SAMPLE):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 
 from zerosum.groups import (
+    Group,
     GroupError,
     GroupSpec,
     build_group,
@@ -101,6 +104,21 @@ def test_element_orders():
 def test_associativity_independent_check(spec):
     t = grp(spec).table
     assert np.array_equal(t[t, :], t[:, t])
+
+
+def test_verify_rejects_non_associative_loop():
+    """A Latin square with identity (a loop) that is not a group fails the
+    exhaustive associativity check, which runs in blocks of rows at n = 128."""
+    n, h = 128, 64
+    t = (np.add.outer(np.arange(n), np.arange(n)) % n).astype(np.int16)
+    # Swapping an intercalate of the cyclic table keeps every row and column
+    # a permutation and index 0 the identity.
+    for r in (5, 5 + h):
+        t[r, 7], t[r, 7 + h] = t[r, 7 + h], t[r, 7]
+    assert not np.array_equal(t[t, :], t[:, t])
+    fake = types.SimpleNamespace(order=n, table=t)
+    with pytest.raises(GroupError, match="associativity"):
+        Group._verify(fake, 0)
 
 
 @pytest.mark.parametrize("spec", ["C:10", "D:6", "Q:4", "M:5,4,2", "CxC:2,2,3"])

@@ -8,12 +8,15 @@ compared.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zerosum.engine as engine
 from zerosum import _pykernel
-from zerosum.engine import STATE_LIMIT
+from zerosum.engine import STATE_LIMIT, EngineLimitError
 from zerosum.sequences import GSequence
 
 from conftest import KERNEL_SKIP_REASON, grp
@@ -32,6 +35,10 @@ PARITY_SPECS = ["C:12", "C:31", "CxC:2,8", "CxC:4,4", "CxC:2,2,3",
 # thousand nodes/s on D:32 and Q:16, so they take small per-root budgets.
 WORD_SPECS = ["C:64", "CxC:8,8", "D:32", "Q:16"]
 WORD_BUDGETS = (1, 5, 50)
+# Orders 65 .. 155: bitsets of two or three words, with a partial last word.
+MULTIWORD_SPECS = ["C:65", "C:130", "D:50", "Q:20", "M:31,5,2"]
+# Bits either side of the first and second word boundaries.
+BOUNDARY_BITS = (63, 64, 127, 128)
 
 
 def on_both(g, call):
@@ -69,34 +76,115 @@ def test_enum_parity(spec):
 
 
 def test_greedy_parity():
-    for spec in PARITY_SPECS + WORD_SPECS:
+    for spec in PARITY_SPECS + WORD_SPECS + MULTIWORD_SPECS:
         a, b = on_both(grp(spec), lambda k, c: k.greedy(c))
         assert a == b, spec
 
 
+def assert_reachable_parity(g, items, until_masks):
+    elems, counts = engine._counts_of(GSequence.from_indices(g, items))
+    a, b = on_both(g, lambda k, c: k.reachable(c, elems, counts, 0, STATE_LIMIT))
+    assert a == b
+    for until in until_masks:
+        # An early exit returns a partial mask that depends on the lane's
+        # state order; only the hit flag is part of the contract.
+        a, b = on_both(g, lambda k, c: k.reachable(c, elems, counts, until,
+                                                   STATE_LIMIT))
+        assert a[1] == b[1]
+        if not a[1]:
+            assert a == b
+
+
 def test_reachable_parity_random():
     rng = random.Random(99)
-    for spec in ["D:6", "Q:4", "M:5,2,4", "C:20", "CxC:3,6"] + WORD_SPECS:
+    for spec in (["D:6", "Q:4", "M:5,2,4", "C:20", "CxC:3,6"] + WORD_SPECS
+                 + MULTIWORD_SPECS):
         g = grp(spec)
+        untils = [1 << g.identity] + [1 << b for b in BOUNDARY_BITS if b < g.order]
         for _ in range(150):
-            s = GSequence.from_indices(
-                g, [rng.randrange(g.order) for _ in range(rng.randint(1, 8))])
-            elems, counts = engine._counts_of(s)
-            a, b = on_both(g, lambda k, c: k.reachable(c, elems, counts, 0,
-                                                       STATE_LIMIT))
-            assert a == b
-            # An early exit returns a partial mask that depends on the
-            # lane's state order; only the hit flag is part of the contract.
-            one = 1 << g.identity
-            a, b = on_both(g, lambda k, c: k.reachable(c, elems, counts, one,
-                                                       STATE_LIMIT))
-            assert a[1] == b[1]
-            if not a[1]:
-                assert a == b
+            items = [rng.randrange(g.order) for _ in range(rng.randint(1, 8))]
+            assert_reachable_parity(g, items, untils)
+
+
+@st.composite
+def group_and_multiset(draw):
+    """A group of order <= 200, a multiset of it and one target element."""
+    spec = draw(st.one_of(
+        st.integers(1, 200).map(lambda n: f"C:{n}"),
+        st.integers(2, 100).map(lambda n: f"D:{n}"),
+        st.integers(2, 50).map(lambda n: f"Q:{n}"),
+        st.sampled_from(["M:5,4,2", "M:7,2,6", "M:11,5,3", "M:13,4,5",
+                         "M:31,5,2"]),
+        st.tuples(st.integers(2, 14), st.integers(2, 14))
+        .filter(lambda t: t[0] * t[1] <= 200)
+        .map(lambda t: f"CxC:{t[0]},{t[1]}")))
+    g = grp(spec)
+    items = draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=8))
+    return g, items, draw(st.integers(0, g.order - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(group_and_multiset())
+def test_reachable_parity_property(case):
+    g, items, target = case
+    assert_reachable_parity(g, items, [1 << g.identity, 1 << target])
+
+
+@pytest.mark.parametrize("spec", ["Q:5", "C:64", "C:65", "C:130"])
+def test_until_mask_out_of_range_raises(spec):
+    g = grp(spec)
+    for kern in LANES:
+        ctx = engine._context(g, kern)
+        top = 1 << (g.order - 1)
+        assert kern.reachable(ctx, [1], [1], top, STATE_LIMIT) == (1 << 1, False)
+        for bad in (-1, top << 1, top << 64):
+            with pytest.raises(ValueError, match="until_mask"):
+                kern.reachable(ctx, [1], [1], bad, STATE_LIMIT)
+
+
+def test_state_cap_counts_words(monkeypatch):
+    """24 distinct elements of CxC:32,32 make 2^24 states of 16 words each:
+    below STATE_LIMIT as states, above it as words.  Both lanes and the
+    engine refuse before allocating the table."""
+    g = grp("CxC:32,32")
+    elems = list(range(1, 25))
+    seq = GSequence.from_indices(g, elems)
+
+    def no_context(group, kern):
+        raise AssertionError("the guard must refuse before building a context")
+
+    for lane in ("1", "0"):
+        monkeypatch.setenv("ZEROSUM_PURE_KERNEL", lane)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_context", no_context)
+            with pytest.raises(EngineLimitError, match="state space"):
+                engine.reachable_products(g, seq)
+    for kern in LANES:
+        ctx = engine._context(g, kern)
+        tracemalloc.start()
+        try:
+            with pytest.raises(_pykernel.LimitExceeded):
+                kern.reachable(ctx, elems, [1] * 24, 0, STATE_LIMIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (kern.LANE, peak)
+
+
+def test_search_state_cap_counts_words():
+    """Under a per-root budget of 5, D:50 (two-word bitsets) needs 32 DP
+    states: a cap of 63 words refuses it on both lanes, 64 admits it."""
+    g = grp("D:50")
+    for kern in LANES:
+        with pytest.raises(_pykernel.LimitExceeded):
+            kern.search(engine._context(g, kern), "max", 0, 0, 5, 63)
+    a, b = on_both(g, lambda k, c: k.search(c, "max", 0, 0, 5, 64))
+    assert a == b
 
 
 def test_budget_abort_parity():
-    cases = [("D:9", (1, 5, 50, 500))] + [(s, WORD_BUDGETS) for s in WORD_SPECS]
+    cases = [("D:9", (1, 5, 50, 500))] + [
+        (s, WORD_BUDGETS) for s in WORD_SPECS + MULTIWORD_SPECS]
     for spec, budgets in cases:
         g = grp(spec)
         for budget in budgets:
@@ -104,9 +192,10 @@ def test_budget_abort_parity():
             assert a == b, (spec, budget)
 
 
-def test_large_groups_route_to_pure():
-    g = grp("C:100")  # beyond the compiled kernel's 64-bit bitsets
-    assert engine._kernel_for(g) is _pykernel
+def test_large_groups_run_compiled(monkeypatch):
+    g = grp("C:100")  # bitsets of two words
+    monkeypatch.delenv("ZEROSUM_PURE_KERNEL", raising=False)
+    assert engine._kernel_for(g) is _kernel
     res = engine.max_free_search(g, budget=10 ** 6)
     assert res["max_len"] == 99 and res["complete"]
 
@@ -121,7 +210,8 @@ def test_pure_kernel_env_forces_pure_lane(monkeypatch):
 
 
 def test_enum_parity_under_budget_aborts():
-    cases = [("Q:4", (3, 25, 300))] + [(s, WORD_BUDGETS) for s in WORD_SPECS]
+    cases = [("Q:4", (3, 25, 300))] + [
+        (s, WORD_BUDGETS) for s in WORD_SPECS + MULTIWORD_SPECS]
     for spec, budgets in cases:
         g = grp(spec)
         for budget in budgets:
