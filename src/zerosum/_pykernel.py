@@ -47,7 +47,11 @@ class LimitExceeded(Exception):
 
 
 class Context:
-    """Immutable per-group data consumed by the kernel functions."""
+    """Per-group data consumed by the kernel functions.
+
+    Immutable except for the byte tables: ``tables[e]`` is filled on the
+    first translate by e.
+    """
 
     __slots__ = ("n", "identity", "abelian", "words", "mul", "inv", "chunks",
                  "tables")
