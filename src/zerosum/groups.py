@@ -3,18 +3,23 @@
 Five families are supported: cyclic C_n, dihedral D_{2n}, dicyclic Q_{4n},
 metacyclic C_q x| C_m (q prime, ord_q(s) = m) and direct products of cyclic
 groups.  Elements are integers 0..order-1; index 0 is always the identity.
-For the families with a distinguished cyclic subgroup H = <y>, the powers of
-y occupy indices 0..|H|-1 in exponent order and the coset x*H (then x^2*H,
-...) follows, so serialized output is stable across runs.
 
-Multiplication is defined by closed-form exponent arithmetic per family; a
-full Cayley table is built from it once and then verified (identity, inverses,
+D, Q and M are one presentation <x, y | y^h = 1, x^m = y^k, yx = xy^s>
+with (h, m, k, s) = (n, 2, 0, n-1) for D:n, (2n, 2, n, 2n-1) for Q:n and
+(q, m, 0, s) for M:q,m,s.  Index i*h + j stands for x^i*y^j, so the powers
+of y occupy indices 0..h-1 and the cosets x<y>, x^2<y>, ... follow;
+serialized output is stable across runs.
+
+Multiplication is closed-form exponent arithmetic per family, written so that
+it works on index arrays as well as on single indices.  A full Cayley table is
+built from it once, in blocks of rows, and then verified (identity, inverses,
 associativity, defining relations).  The verified table is what every other
 module consumes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import string
@@ -32,6 +37,9 @@ ASSOC_SAMPLE = 100_000
 # Largest group for which a Cayley table is built (and hence the largest
 # group this toolkit constructs at all).
 TABLE_LIMIT = 4096
+
+# Table entries computed per block of rows while a table is built.
+_BUILD_BLOCK = 1 << 16
 
 _KINDS = ("C", "D", "Q", "M", "CxC")
 
@@ -76,31 +84,32 @@ class GroupSpec:
             raise GroupError(f"unknown group kind {self.kind!r}")
         if any(p <= 0 for p in self.params):
             raise GroupError(f"group parameters must be positive, got {self.params}")
-        if self.kind == "C":
-            if len(self.params) != 1:
-                raise GroupError("cyclic spec takes exactly one parameter")
-        elif self.kind in ("D", "Q"):
+        if self.kind in ("C", "D", "Q"):
             if len(self.params) != 1:
                 raise GroupError(f"{self.kind} spec takes exactly one parameter")
-            if self.params[0] < 2:
+            if self.kind != "C" and self.params[0] < 2:
                 raise GroupError(
                     f"{'dihedral' if self.kind == 'D' else 'dicyclic'} groups require n >= 2, "
                     f"got n={self.params[0]}")
         elif self.kind == "M":
             if len(self.params) != 3:
                 raise GroupError("metacyclic spec takes parameters q,m,s")
+            if self.params[1] < 2:
+                raise GroupError(f"metacyclic parameter m={self.params[1]} must be >= 2")
+        elif not self.params:
+            raise GroupError("product-of-cyclics spec needs at least one factor")
+        # Before the number theory below, which is linear in q.
+        if self.order > TABLE_LIMIT:
+            raise GroupError(
+                f"group order {self.order} exceeds the table limit {TABLE_LIMIT}")
+        if self.kind == "M":
             q, m, s = self.params
             if not _is_prime(q):
                 raise GroupError(f"metacyclic parameter q={q} must be prime")
-            if m < 2:
-                raise GroupError(f"metacyclic parameter m={m} must be >= 2")
             if _ord_mod(s, q) != m:
                 raise GroupError(
                     f"metacyclic relation ord_q(s) = m violated: "
                     f"ord_{q}({s}) = {_ord_mod(s, q)} != {m}")
-        elif self.kind == "CxC":
-            if not self.params:
-                raise GroupError("product-of-cyclics spec needs at least one factor")
 
     # -- constructors -------------------------------------------------
 
@@ -126,14 +135,9 @@ class GroupSpec:
 
     @property
     def order(self) -> int:
-        if self.kind == "C":
-            return self.params[0]
-        if self.kind == "D":
-            return 2 * self.params[0]
-        if self.kind == "Q":
-            return 4 * self.params[0]
-        if self.kind == "M":
-            return self.params[0] * self.params[1]
+        if self.kind in ("D", "Q", "M"):
+            h, m, _, _ = _presentation(self)
+            return h * m
         return math.prod(self.params)
 
     def __str__(self) -> str:
@@ -161,97 +165,62 @@ def parse_group_spec(text: str) -> GroupSpec:
 # Per-family structure: names, closed-form multiplication, generators.
 # ---------------------------------------------------------------------------
 
+def _presentation(spec: GroupSpec) -> tuple[int, int, int, int]:
+    """(h, m, k, s) of <x, y | y^h = 1, x^m = y^k, yx = xy^s> for D, Q and M."""
+    if spec.kind == "M":
+        q, m, s = spec.params
+        return q, m, 0, s % q
+    n = spec.params[0]
+    return (n, 2, 0, n - 1) if spec.kind == "D" else (2 * n, 2, n, 2 * n - 1)
+
+
 def _power_word(gen: str, k: int) -> str:
     return gen if k == 1 else f"{gen}^{k}"
 
 
+def _names(letters: str, ns) -> list[str]:
+    """Words of every exponent vector over ``ns`` in mixed-radix order."""
+    return ["*".join(_power_word(g, e) for g, e in zip(letters, exps) if e) or "1"
+            for exps in itertools.product(*map(range, ns))]
+
+
 def _family_data(spec: GroupSpec):
-    """Return (names, mul_formula, generators, h_size) for the family."""
+    """Return (names, mul, generators, h_size) for the family.
+
+    ``mul`` takes indices or broadcastable index arrays alike, so one
+    function fills the table and answers the scalar ``mul_formula``.
+    """
     kind, params = spec.kind, spec.params
 
     if kind == "C":
         n = params[0]
-        names = ["1"] + [_power_word("y", k) for k in range(1, n)]
+        return _names("y", params), lambda a, b: (a + b) % n, {"y": 1 % n}, None
 
-        def mul(a, b, n=n):
-            return (a + b) % n
+    if kind in ("D", "Q", "M"):
+        h, m, k, s = _presentation(spec)
+        spow = np.array([pow(s, c, h) for c in range(m)])
 
-        return names, mul, {"y": 1 % n}, None
+        def mul(a, b):
+            # x^i1 y^j1 * x^i2 y^j2 = x^(i1+i2) y^(j1 s^i2 + j2), and x^m = y^k.
+            i1, j1 = np.divmod(a, h)
+            i2, j2 = np.divmod(b, h)
+            carry, i = np.divmod(i1 + i2, m)
+            return i * h + (j1 * spow[i2] + j2 + k * carry) % h
 
-    if kind in ("D", "Q"):
-        n = params[0]
-        h = n if kind == "D" else 2 * n
-        names = ["1"] + [_power_word("y", k) for k in range(1, h)]
-        names += ["x"] + [f"x*{_power_word('y', k)}" for k in range(1, h)]
-
-        if kind == "D":
-            def mul(a, b, h=h):
-                e1, k1 = divmod(a, h)
-                e2, k2 = divmod(b, h)
-                k = (k2 - k1 if e2 else k1 + k2) % h
-                return (e1 ^ e2) * h + k
-        else:
-            def mul(a, b, h=h, n=n):
-                e1, k1 = divmod(a, h)
-                e2, k2 = divmod(b, h)
-                k = k2 - k1 if e2 else k1 + k2
-                if e1 and e2:
-                    k += n  # x^2 = y^n
-                return (e1 ^ e2) * h + k % h
-
-        return names, mul, {"x": h, "y": 1}, h
-
-    if kind == "M":
-        q, m, s = params
-        names = []
-        for i in range(m):
-            for j in range(q):
-                if i == 0 and j == 0:
-                    names.append("1")
-                elif i == 0:
-                    names.append(_power_word("y", j))
-                elif j == 0:
-                    names.append(_power_word("x", i))
-                else:
-                    names.append(f"{_power_word('x', i)}*{_power_word('y', j)}")
-        spow = [pow(s, c, q) for c in range(m)]
-
-        def mul(a, b, q=q, m=m, spow=spow):
-            i1, j1 = divmod(a, q)
-            i2, j2 = divmod(b, q)
-            return ((i1 + i2) % m) * q + (j1 * spow[i2] + j2) % q
-
-        return names, mul, {"x": q, "y": 1}, q
+        return _names("xy", (m, h)), mul, {"x": h, "y": 1}, h
 
     # CxC: mixed-radix indexing, componentwise addition.
     ns = params
     if len(ns) > len(string.ascii_lowercase):
         raise GroupError("too many cyclic factors")
     letters = string.ascii_lowercase[:len(ns)]
-    strides = []
-    acc = 1
-    for n_i in reversed(ns):
-        strides.append(acc)
-        acc *= n_i
-    strides.reverse()
+    strides = [math.prod(ns[i + 1:]) for i in range(len(ns))]
 
-    def coords(a):
-        return [(a // st) % n_i for st, n_i in zip(strides, ns)]
-
-    names = []
-    for a in range(math.prod(ns)):
-        parts = [_power_word(letters[i], c)
-                 for i, c in enumerate(coords(a)) if c]
-        names.append("*".join(parts) if parts else "1")
-
-    def mul(a, b, ns=ns, strides=strides):
-        out = 0
-        for st, n_i in zip(strides, ns):
-            out += (((a // st) + (b // st)) % n_i) * st
-        return out
+    def mul(a, b):
+        return sum((a // st + b // st) % n_i * st for st, n_i in zip(strides, ns))
 
     gens = {letters[i]: strides[i] for i in range(len(ns)) if ns[i] > 1}
-    return names, mul, gens, None
+    return _names(letters, ns), mul, gens, None
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +237,6 @@ class Group:
         self.spec = spec
         self.key = str(spec)
         self.order = spec.order
-        if self.order > TABLE_LIMIT:
-            raise GroupError(
-                f"group order {self.order} exceeds the table limit {TABLE_LIMIT}")
         names, mul_formula, generators, h_size = _family_data(spec)
         self.names: tuple[str, ...] = tuple(names)
         self.generators: dict[str, int] = generators
@@ -279,34 +245,34 @@ class Group:
         self._mul_formula = mul_formula
 
         n = self.order
+        idx = np.arange(n)
         table = np.empty((n, n), dtype=np.int16)
-        for a in range(n):
-            row = table[a]
-            for b in range(n):
-                row[b] = mul_formula(a, b)
+        rows = max(1, _BUILD_BLOCK // n)
+        for lo in range(0, n, rows):
+            table[lo:lo + rows] = mul_formula(idx[lo:lo + rows, None], idx)
         self.table = table
         self.table.setflags(write=False)
 
         self._verify(rng_seed)
 
-        inv = np.empty(n, dtype=np.int16)
-        for a in range(n):
-            hits = np.nonzero(table[a] == 0)[0]
-            if len(hits) != 1 or table[hits[0], a] != 0:
-                raise GroupError(f"element {self.names[a]} has no two-sided inverse")
-            inv[a] = hits[0]
+        # Rows are permutations, so each holds exactly one 0.
+        inv = np.argmax(table == 0, axis=1).astype(np.int16)
+        bad = np.nonzero((table[idx, inv] != 0) | (table[inv, idx] != 0))[0]
+        if bad.size:
+            raise GroupError(f"element {self.names[bad[0]]} has no two-sided inverse")
         self.inv_table = inv
         self.inv_table.setflags(write=False)
 
-        orders = []
-        for a in range(n):
-            k, acc = 1, a
-            while acc != 0:
-                acc = int(table[acc, a])
-                k += 1
-            orders.append(k)
-        self.element_orders: tuple[int, ...] = tuple(orders)
-        self.exponent: int = math.lcm(*orders)
+        # Step every element whose powers have not yet returned to 1.
+        orders = np.ones(n, dtype=np.int64)
+        live = acc = idx[1:]
+        while live.size:
+            orders[live] += 1
+            acc = table[acc, live]
+            keep = acc != 0
+            live, acc = live[keep], acc[keep]
+        self.element_orders: tuple[int, ...] = tuple(orders.tolist())
+        self.exponent: int = math.lcm(*self.element_orders)
         self.is_abelian: bool = bool(np.array_equal(table, table.T))
         self._contexts: dict[str, object] = {}
 
@@ -332,43 +298,22 @@ class Group:
                 if not np.array_equal(t[blk], blk[:, t]):
                     raise GroupError("associativity (ab)c = a(bc) fails")
         else:
-            rng = random.Random(rng_seed)
-            for _ in range(ASSOC_SAMPLE):
-                a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-                if t[t[a, b], c] != t[a, t[b, c]]:
-                    raise GroupError("associativity (ab)c = a(bc) fails (spot check)")
+            raw = random.Random(rng_seed).randbytes(3 * 4 * ASSOC_SAMPLE)
+            a, b, c = np.frombuffer(raw, dtype="<u4").reshape(3, -1) % n
+            if not np.array_equal(t[t[a, b], c], t[a, t[b, c]]):
+                raise GroupError("associativity (ab)c = a(bc) fails (spot check)")
         self._verify_relations()
 
     def _verify_relations(self):
-        kind, params, t = self.spec.kind, self.spec.params, self.table
-        mul = lambda a, b: int(t[a, b])
-        if kind == "D":
-            n = params[0]
-            x, y = n, 1
-            if mul(x, x) != 0:
-                raise GroupError("dihedral relation x^2 = 1 violated")
-            if self._pow(y, n) != 0:
-                raise GroupError("dihedral relation y^n = 1 violated")
-            if mul(y, x) != mul(x, self._pow(y, n - 1)):
-                raise GroupError("dihedral relation yx = xy^-1 violated")
-        elif kind == "Q":
-            n = params[0]
-            x, y = 2 * n, 1
-            if mul(x, x) != self._pow(y, n):
-                raise GroupError("dicyclic relation x^2 = y^n violated")
-            if self._pow(y, 2 * n) != 0:
-                raise GroupError("dicyclic relation y^2n = 1 violated")
-            if mul(y, x) != mul(x, self._pow(y, 2 * n - 1)):
-                raise GroupError("dicyclic relation yx = xy^-1 violated")
-        elif kind == "M":
-            q, m, s = params
-            x, y = q, 1
-            if self._pow(x, m) != 0:
-                raise GroupError("metacyclic relation x^m = 1 violated")
-            if self._pow(y, q) != 0:
-                raise GroupError("metacyclic relation y^q = 1 violated")
-            if mul(y, x) != mul(x, self._pow(y, s)):
-                raise GroupError("metacyclic relation yx = xy^s violated")
+        if self.spec.kind not in ("D", "Q", "M"):
+            return
+        h, m, k, s = _presentation(self.spec)
+        x, y, t = h, 1, self.table
+        for lhs, rhs, rel in ((self._pow(y, h), 0, f"y^{h} = 1"),
+                              (self._pow(x, m), self._pow(y, k), f"x^{m} = y^{k}"),
+                              (t[y, x], t[x, self._pow(y, s)], f"yx = xy^{s}")):
+            if lhs != rhs:
+                raise GroupError(f"{self.spec} relation {rel} violated")
 
     # -- arithmetic ----------------------------------------------------
 
@@ -377,7 +322,7 @@ class Group:
 
     def mul_formula(self, a: int, b: int) -> int:
         """Closed-form product, bypassing the table (exposed for cross-checks)."""
-        return self._mul_formula(a, b)
+        return int(self._mul_formula(a, b))
 
     def inverse(self, a: int) -> int:
         return int(self.inv_table[a])
@@ -487,12 +432,11 @@ def quotient_map(n: int) -> QuotientMap:
         raise GroupError("quotient map requires n >= 2")
     q = build_group(GroupSpec.dicyclic(n))
     d = build_group(GroupSpec.dihedral(n))
-    h = 2 * n
-    mapping = tuple((a // h) * n + (a % h) % n for a in q.elements())
-    for a in q.elements():
-        for b in q.elements():
-            if mapping[q.mul(a, b)] != d.mul(mapping[a], mapping[b]):
-                raise GroupError("quotient map is not a homomorphism")
+    idx = np.arange(q.order)
+    mapping = (idx // (2 * n)) * n + idx % n
+    if not np.array_equal(mapping[q.table], d.table[np.ix_(mapping, mapping)]):
+        raise GroupError("quotient map is not a homomorphism")
+    mapping = tuple(mapping.tolist())
     if set(mapping) != set(d.elements()):
         raise GroupError("quotient map is not surjective")
     ker = tuple(a for a in q.elements() if mapping[a] == 0)

@@ -166,6 +166,18 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("group", "info", "--group", "M:1000000007,2,3"),
+    ("verify", "--target", "metacyclic", "--param", "q=1000000007",
+     "--param", "m=2", "--param", "s=3", "--no-cache"),
+])
+def test_huge_metacyclic_spec_hits_table_limit(argv, capsys):
+    # Refused by order before the primality and ord_q(s) checks, which are
+    # linear in q and would run for minutes here.
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "table limit" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--limit", "-1"), ("--budget", "0"),
                                          ("--budget", "-5"), ("--limit", "x")])
 def test_out_of_range_flag_values_exit_2(flag, value, capsys):

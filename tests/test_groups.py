@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import types
 
 import numpy as np
 import pytest
 
 from zerosum.groups import (
+    DEFAULT_SEED,
     Group,
     GroupError,
     GroupSpec,
@@ -121,6 +123,59 @@ def test_verify_rejects_non_associative_loop():
         Group._verify(fake, 0)
 
 
+def test_sampled_check_rejects_non_associative_loop():
+    """Above ASSOC_EXHAUSTIVE_LIMIT the seeded spot check of 10^5 triples
+    must still catch a loop that is not a group."""
+    n, h = 300, 150
+    t = (np.add.outer(np.arange(n), np.arange(n)) % n).astype(np.int16)
+    for c in range(7, 11):
+        for r in (5, 5 + h):
+            t[r, c], t[r, c + h] = t[r, c + h], t[r, c]
+    assert t[t[5, 7], 100] != t[5, t[7, 100]]
+    fake = types.SimpleNamespace(order=n, table=t)
+    with pytest.raises(GroupError, match="spot check"):
+        Group._verify(fake, DEFAULT_SEED)
+
+
+@pytest.mark.parametrize("spec, wrong", [("D:4", "Q:2"), ("Q:2", "D:4"),
+                                         ("M:5,4,2", "C:20")])
+def test_relations_reject_table_of_another_group(spec, wrong):
+    # The wrong table is a verified group of the same order and index range,
+    # so only the defining relations can tell the two apart.
+    fake = object.__new__(Group)
+    fake.spec, fake.table = parse_group_spec(spec), grp(wrong).table
+    with pytest.raises(GroupError, match="relation"):
+        fake._verify_relations()
+    fake.table = grp(spec).table
+    fake._verify_relations()
+
+
+@pytest.mark.parametrize("spec", ["C:300", "D:150", "Q:75", "M:31,5,2", "M:3,2,2",
+                                  "CxC:16,16", "CxC:2,3,4"])
+def test_inverses_and_orders_match_brute_force(spec):
+    g = build_group(spec)
+    for a in g.elements():
+        assert [b for b in g.elements() if g.mul(a, b) == 0 == g.mul(b, a)] \
+            == [g.inverse(a)]
+        k, acc = 1, a
+        while acc != 0:
+            acc, k = g.mul(acc, a), k + 1
+        assert g.element_order(a) == k
+    assert g.exponent == math.lcm(*g.element_orders)
+
+
+@pytest.mark.parametrize("spec, names", [
+    ("D:4", {0: "1", 3: "y^3", 4: "x", 7: "x*y^3"}),
+    ("Q:3", {1: "y", 5: "y^5", 6: "x", 11: "x*y^5"}),
+    ("M:5,4,2", {4: "y^4", 5: "x", 10: "x^2", 13: "x^2*y^3", 19: "x^3*y^4"}),
+])
+def test_element_names_pinned(spec, names):
+    g = grp(spec)
+    for a, name in names.items():
+        assert g.name(a) == name
+        assert g.element_from_word(name) == a
+
+
 @pytest.mark.parametrize("spec", ["C:10", "D:6", "Q:4", "M:5,4,2", "CxC:2,2,3"])
 def test_closed_form_matches_table(spec):
     g = grp(spec)
@@ -203,6 +258,8 @@ def test_metacyclic_validation():
     # yx = xy^s
     x, y = g.element_from_word("x"), g.element_from_word("y")
     assert g.mul(y, x) == g.mul(x, g.power(y, 2))
+    # s counts modulo q, also in the relation check
+    assert np.array_equal(build_group("M:5,4,1000000002").table, g.table)
 
 
 def test_spec_grammar_errors_cite_token():
