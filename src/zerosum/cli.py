@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -29,7 +30,14 @@ from .extremal import (
     enumerate_extremal,
     verify_theorem,
 )
-from .groups import DEFAULT_SEED, Group, GroupError, build_group, quaternion_names
+from .groups import (
+    DEFAULT_SEED,
+    Group,
+    GroupError,
+    build_group,
+    parse_group_spec,
+    quaternion_names,
+)
 from .sequences import GSequence, SequenceError
 
 SCHEMA_VERSION = cache_mod.SCHEMA_VERSION
@@ -42,8 +50,17 @@ EXIT_INTERNAL = 4
 
 log = logging.getLogger(__name__)
 
-VERIFY_TARGETS = ("dihedral", "dicyclic", "metacyclic", "cyclic", "weighted",
-                  "cyclic-structure", "minzero")
+# verify targets and the --param keys each takes, in group-spec order
+VERIFY_PARAMS = {
+    "dihedral": ("n",),
+    "dicyclic": ("n",),
+    "metacyclic": ("q", "m", "s"),
+    "cyclic": ("n",),
+    "weighted": ("n",),
+    "cyclic-structure": ("n",),
+    "minzero": ("group",),
+}
+VERIFY_TARGETS = tuple(VERIFY_PARAMS)
 
 CSV_HEADER = ["group", "davenport", "extremal_count", "verdict", "missing",
               "extra", "nodes", "millis"]
@@ -89,7 +106,9 @@ def _common_flags(parser, *, budget=True, cache=True):
                             help="bypass the result cache")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use (not at import)."""
     p = argparse.ArgumentParser(
         prog="zerosum",
         description="Exact zero-sum computations in small finite groups.")
@@ -258,13 +277,15 @@ def cmd_reach(args) -> int:
 
 def cmd_davenport(args) -> int:
     cfg = _config(args)
-    g = build_group(args.group, rng_seed=cfg.rng_seed)
+    spec = parse_group_spec(args.group)
+    key = str(spec)  # == Group.key; a cache hit builds no group
 
     def compute():
+        g = build_group(spec, rng_seed=cfg.rng_seed)
         res = max_free_length(g, budget=cfg.budget)
         if not res.complete:
             raise BudgetExhaustedError(
-                f"node budget exhausted: D({g.key}) unknown above length "
+                f"node budget exhausted: D({key}) unknown above length "
                 f"{res.max_free_length}",
                 best_length=res.max_free_length, nodes=res.nodes_expanded)
         return {
@@ -276,11 +297,11 @@ def cmd_davenport(args) -> int:
             "millis": round(res.elapsed * 1000.0, 3),
         }
 
-    shown = _cached(cfg, "davenport", g.key, compute)
+    shown = _cached(cfg, "davenport", key, compute)
     if cfg.output_format == "json":
         _emit(shown)
         return EXIT_OK
-    print(f"D({g.key}) = {shown['davenport']}  "
+    print(f"D({key}) = {shown['davenport']}  "
           f"(max free length {shown['max_free_length']}, witness "
           f"{shown['witness']}, nodes {shown['nodes']}, {shown['millis']} ms)")
     return EXIT_OK
@@ -288,9 +309,11 @@ def cmd_davenport(args) -> int:
 
 def cmd_extremal(args) -> int:
     cfg = _config(args)
-    g = build_group(args.group, rng_seed=cfg.rng_seed)
+    spec = parse_group_spec(args.group)
+    key = str(spec)  # == Group.key; a cache hit builds no group
 
     def compute():
+        g = build_group(spec, rng_seed=cfg.rng_seed)
         enum = enumerate_extremal(g, budget=cfg.budget)
         return {
             "group": g.key,
@@ -302,13 +325,13 @@ def cmd_extremal(args) -> int:
             "millis": round(enum.elapsed * 1000.0, 3),
         }
 
-    shown = _cached(cfg, "extremal", g.key, compute)
+    shown = _cached(cfg, "extremal", key, compute)
     if cfg.output_format == "json":
         if args.limit is not None:
             shown["sequences"] = shown["sequences"][:args.limit]
         _emit(shown)
         return EXIT_OK
-    print(f"{g.key}: D = {shown['davenport']}, {shown['count']} extremal "
+    print(f"{key}: D = {shown['davenport']}, {shown['count']} extremal "
           f"free sequences of length {shown['length']}")
     seqs = shown["sequences"]
     if args.limit is not None:
@@ -320,47 +343,53 @@ def cmd_extremal(args) -> int:
     return EXIT_OK
 
 
-def _parse_params(pairs) -> dict:
-    out = {}
+def _verify_params(target: str, pairs) -> dict:
+    """The ``--param KEY=VALUE`` pairs of ``target`` in canonical form:
+    integers, and a parsed ``GroupSpec`` for ``group``.
+
+    A key the target does not take, or one it needs and did not get, is an
+    ``EngineError``.
+    """
+    keys = VERIFY_PARAMS[target]
+    raw = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
+        key = key.strip()
         if not sep or not key:
             raise EngineError(f"malformed --param {pair!r}; expected KEY=VALUE")
-        out[key.strip()] = value.strip()
-    return out
+        if key not in keys:
+            raise EngineError(f"verify --target {target} takes no --param {key}=...; "
+                              f"it takes {', '.join(keys)}")
+        raw[key] = value.strip()
+    params = {}
+    for key in keys:
+        if key not in raw:
+            raise EngineError(f"verify --target {target} needs --param {key}=...")
+        if key == "group":
+            params[key] = parse_group_spec(raw[key])
+            continue
+        try:
+            params[key] = int(raw[key])
+        except ValueError:
+            raise EngineError(f"--param {key}={raw[key]!r} is not an integer") from None
+    return params
 
 
-def _int_param(params: dict, key: str) -> int:
-    if key not in params:
-        raise EngineError(f"verify target needs --param {key}=...")
-    try:
-        return int(params[key])
-    except ValueError:
-        raise EngineError(f"--param {key}={params[key]!r} is not an integer") from None
-
-
-# verify targets diffed by verify_theorem: group kind and its parameters
-_THEOREM_GROUPS = {
-    "dihedral": ("D", ("n",)),
-    "dicyclic": ("Q", ("n",)),
-    "cyclic": ("C", ("n",)),
-    "metacyclic": ("M", ("q", "m", "s")),
-}
+# verify targets diffed by verify_theorem, and their group kind
+_THEOREM_KINDS = {"dihedral": "D", "dicyclic": "Q", "cyclic": "C", "metacyclic": "M"}
 
 
 def _run_verify(target: str, params: dict, cfg: RunConfig):
-    if target in _THEOREM_GROUPS:
-        kind, keys = _THEOREM_GROUPS[target]
-        spec = kind + ":" + ",".join(str(_int_param(params, k)) for k in keys)
+    if target in _THEOREM_KINDS:
+        spec = _THEOREM_KINDS[target] + ":" + ",".join(
+            str(params[k]) for k in VERIFY_PARAMS[target])
         group = build_group(spec, rng_seed=cfg.rng_seed)
         return verify_theorem(group, budget=cfg.budget)
     if target == "weighted":
-        return check_weighted_lemma(_int_param(params, "n"))
+        return check_weighted_lemma(params["n"])
     if target == "cyclic-structure":
-        return check_cyclic_structure(_int_param(params, "n"), budget=cfg.budget)
+        return check_cyclic_structure(params["n"], budget=cfg.budget)
     if target == "minzero":
-        if "group" not in params:
-            raise EngineError("verify --target minzero needs --param group=<spec>")
         group = build_group(params["group"], rng_seed=cfg.rng_seed)
         return check_minimal_zero_sum_order(group, budget=cfg.budget)
     raise EngineError(f"unknown verify target {target!r}")
@@ -368,7 +397,8 @@ def _run_verify(target: str, params: dict, cfg: RunConfig):
 
 def cmd_verify(args) -> int:
     cfg = _config(args)
-    params = _parse_params(args.param)
+    params = _verify_params(args.target, args.param)
+    # canonical, so n=05 and n=5 share one record
     key = args.target + ":" + ",".join(f"{k}={params[k]}" for k in sorted(params))
     shown = _cached(cfg, "verify", key,
                     lambda: _run_verify(args.target, params, cfg).to_payload())

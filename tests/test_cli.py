@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import zerosum.cli as cli
 from zerosum import cache
-from zerosum.cli import CSV_HEADER, main
+from zerosum.cli import CSV_HEADER, build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DAVENPORT_KEYS = {"schema_version", "group", "davenport", "max_free_length",
                   "witness", "nodes", "millis"}
@@ -333,3 +339,118 @@ def test_json_outputs_validate_against_shipped_schema(tmp_path, capsys):
     # the cache record envelope itself
     rec = json.loads(cache.record_path(tmp_path, "davenport", "D:6").read_text())
     validate("cache_record", rec)
+
+
+def _without_millis(text):
+    """Command output with every (timing-dependent) ``millis`` value dropped."""
+    try:
+        data = json.loads(text)
+    except ValueError:
+        return text
+    for obj in [data, *data.get("rows", [])]:
+        obj.pop("millis", None)
+    return data
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    runs = [
+        ("group", "info", "--group", "Q:2", "--json"),
+        ("free", "check", "--group", "D:5", "--seq", "[y,y,y,y,x*y^2]"),
+        ("reach", "--group", "Q:3", "--seq", "[y, y, y]", "--targets", "[1, y^3]"),
+        ("davenport", "--group", "D:5", "--json", "--cache-dir", "{cache}"),
+        ("extremal", "--limit", "2", "--cache-dir", "{cache}"),  # no --group
+        ("extremal", "--group", "D:4", "--json", "--limit", "2",
+         "--cache-dir", "{cache}"),
+        ("verify", "--target", "dihedral", "--param", "n=4", "--json",
+         "--cache-dir", "{cache}"),
+        ("verify", "--target", "dihedral", "--cache-dir", "{cache}"),  # no n=
+        ("davenport", "--group", "D:5", "--json", "--cache-dir", "{cache}"),
+        ("report", "--format", "json", "--cache-dir", "{cache}"),
+    ]
+
+    def outputs(cache_dir, fresh):
+        got = []
+        for argv in runs:
+            if fresh:
+                build_parser.cache_clear()
+            try:
+                code = main([a.replace("{cache}", str(cache_dir)) for a in argv])
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            out = capsys.readouterr()
+            got.append((code, _without_millis(out.out),
+                        out.err.replace(str(cache_dir), "{cache}")))
+        return got
+
+    assert build_parser() is build_parser()
+    reused = outputs(tmp_path / "reused", fresh=False)
+    assert build_parser() is build_parser()
+    fresh = outputs(tmp_path / "fresh", fresh=True)
+    assert reused == fresh
+    codes = [code for code, _, _ in reused]
+    assert codes == [0, 0, 0, 0, ("SystemExit", 2), 0, 0, 2, 0, 0]
+    assert "cache hit for davenport D:5" in reused[-2][2]
+
+
+def test_warm_hits_build_no_group(tmp_path, capsys, monkeypatch):
+    cold = {}
+    for command in ("davenport", "extremal"):
+        code, out, _ = run(capsys, command, "--group", "D:5", "--json",
+                           "--cache-dir", str(tmp_path))
+        assert code == 0
+        cold[command] = json.loads(out)
+
+    def no_build(*args, **kwargs):
+        raise RuntimeError("build_group called")
+
+    monkeypatch.setattr(cli, "build_group", no_build)
+    for command, first in cold.items():
+        for spec in ("D:5", " D:05"):  # the key is the canonical spec
+            code, out, err = run(capsys, command, "--group", spec, "--json",
+                                 "--cache-dir", str(tmp_path))
+            assert code == 0
+            assert err == f"cache hit for {command} D:5\n"
+            assert json.loads(out) == dict(first, nodes=0, millis=0.0)
+    # the patch is in effect: a cold call goes through it and fails
+    code, _, err = run(capsys, "davenport", "--group", "D:6", "--json",
+                       "--cache-dir", str(tmp_path))
+    assert code == 4 and "build_group called" in err
+
+
+def test_verify_cache_keys_are_canonical(tmp_path, capsys):
+    verify = ("verify", "--json", "--cache-dir", str(tmp_path), "--target")
+    code, out, _ = run(capsys, *verify, "dihedral", "--param", "n=5")
+    assert code == 0
+    nodes = json.loads(out)["nodes"]
+    assert nodes > 0
+    code, out, err = run(capsys, *verify, "dihedral", "--param", "n=05")
+    assert code == 0 and "cache hit for verify dihedral:n=5" in err
+    code, _, err = run(capsys, *verify, "dihedral", "--param", "n=5",
+                       "--param", "extra=1")
+    assert code == 2 and "extra" in err
+    code, out, _ = run(capsys, "report", "--format", "json",
+                       "--cache-dir", str(tmp_path))
+    rows = json.loads(out)["rows"]
+    assert [(r["group"], r["nodes"]) for r in rows] == [("D:5", nodes)]
+
+    # canonical input keeps its old key, so existing caches keep hitting
+    code, _, _ = run(capsys, *verify, "metacyclic", "--param", "s=2",
+                     "--param", "q=03", "--param", "m=2")
+    assert code == 0
+    assert cache.lookup(tmp_path, "verify", "metacyclic:m=2,q=3,s=2") is not None
+    code, _, _ = run(capsys, *verify, "minzero", "--param", "group=CxC:2,4")
+    assert code == 0
+    code, _, err = run(capsys, *verify, "minzero", "--param", "group= CxC:02, 4")
+    assert code == 0 and "cache hit for verify minzero:group=CxC:2,4" in err
+    code, _, err = run(capsys, *verify, "minzero", "--param", "group=X:4")
+    assert code == 2 and "X" in err
+
+
+def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), ZEROSUM_PURE_KERNEL="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "zerosum.cli", "davenport", "--group", "D:5",
+         "--json", "--no-cache"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert '"davenport": 6' in proc.stdout
