@@ -17,14 +17,17 @@
  * benchmark's run_s (0.23 -> 0.49 s, 2-vCPU Xeon).  The DFS body is written
  * once over the word count and the compiler specializes it for one word.
  *
- * The sub-multiset DP (non-abelian search lane and stand-alone reachability)
- * keeps its table in a dense array indexed in mixed radix: digit j is the
- * count of the j-th distinct element, with stride prod_{i<j} (c_i + 1).
- * Canonical paths append elements in non-decreasing order, so only the last
- * digit ever grows; appending a copy of e adds one block of states at the
- * end of the array, and undoing it truncates the array again.  Each state
- * holds one bitset, so state caps are counted in words: a cap of N admits
- * N / words states.
+ * A path is extended one copy at a time (extend).  On abelian groups the
+ * reach set of the path is one bitset; otherwise extend runs the
+ * sub-multiset DP, whose table is a dense array indexed in mixed radix:
+ * digit j is the count of the j-th distinct element, with stride
+ * prod_{i<j} (c_i + 1).  Canonical paths append elements in non-decreasing
+ * order, so only the last digit ever grows; appending a copy of e adds one
+ * block of states at the end of the array, and undoing it truncates the
+ * array again.  Each state holds one bitset, so state caps are counted in
+ * words: a cap of N admits N / words states.  Stand-alone reachability
+ * appends a multiset's copies in increasing element order through the same
+ * extend, so each lane has one sub-multiset DP.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -432,7 +435,8 @@ typedef struct {
     int witness[MAX_ORDER];
     /* Slot d (words each) of reach holds the reach set of the path's first
      * d elements, slot d of cand the feasible children of that path; the
-     * DFS recurses up to n - 1 deep, so these live here, not on the stack. */
+     * DFS recurses up to n - 1 deep, so these live here, not on the stack.
+     * Stand-alone reachability uses two slots in turn. */
     uint64_t *reach, *cand;
     PyObject *found;
     Table dp;                   /* non-abelian lane only */
@@ -449,8 +453,9 @@ search_free(Search *s)
     PyMem_Free(s);
 }
 
+/* A search with `slots` empty reach and cand slots. */
 static Search *
-search_new(const Context *c, long long state_cap)
+search_new(const Context *c, long long state_cap, int slots)
 {
     Search *s = PyMem_Malloc(sizeof(Search));
     if (s == NULL)
@@ -458,14 +463,14 @@ search_new(const Context *c, long long state_cap)
     s->ctx = c;
     s->found = NULL;
     s->dp.vals = NULL;
-    size_t slots = ((size_t)c->n + 1) * c->words;
-    s->reach = PyMem_Calloc(2 * slots, sizeof(uint64_t));
+    size_t words = (size_t)slots * c->words;
+    s->reach = PyMem_Calloc(2 * words, sizeof(uint64_t));
     if (s->reach == NULL) {
         PyErr_NoMemory();
         search_free(s);
         return NULL;
     }
-    s->cand = s->reach + slots;
+    s->cand = s->reach + words;
     if (!c->abelian && table_init(&s->dp, c, state_cap) < 0) {
         search_free(s);
         return NULL;
@@ -618,7 +623,7 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
     if (overflow)
         budget = overflow > 0 ? LLONG_MAX : LLONG_MIN;
 
-    Search *s = search_new(c, state_cap);
+    Search *s = search_new(c, state_cap, c->n + 1);
     if (s == NULL)
         return NULL;
     s->enumerate = strcmp(mode, "max") != 0;
@@ -668,7 +673,7 @@ greedy(PyObject *self, PyObject *ctx_obj)
     const Context *c = get_context(ctx_obj);
     if (c == NULL)
         return NULL;
-    Search *s = search_new(c, DEFAULT_STATE_CAP);
+    Search *s = search_new(c, DEFAULT_STATE_CAP, c->n + 1);
     if (s == NULL)
         return NULL;
     int W = c->words, len = 0, start = 1;
@@ -697,48 +702,8 @@ done:
 }
 
 /* ------------------------------------------------------------------------
- * Stand-alone reachability: layered DP over sub-multiset count vectors
+ * Stand-alone reachability: the multiset's copies appended by extend
  * ------------------------------------------------------------------------ */
-
-typedef struct {
-    const Context *ctx;
-    int k;
-    int elems[MAX_ORDER];
-    int counts[MAX_ORDER];
-    long long room[MAX_ORDER];  /* counts[0] + ... + counts[j] */
-    long long stride[MAX_ORDER];
-    int dig[MAX_ORDER];
-    uint64_t *vals;             /* words per state */
-    uint64_t until[MAX_WORDS], result[MAX_WORDS];
-} Reach;
-
-/* Fill every state of one layer whose digits above j are already set:
- * digit j takes each value that leaves the digits below it able to hold
- * the remaining `left`.  Returns 1 at the first state meeting `until`. */
-static int
-fill_layer(Reach *r, int j, long long left, long long idx)
-{
-    if (j < 0) {
-        int W = r->ctx->words;
-        uint64_t *m = r->vals + idx * W, hit = 0;
-        for (int i = 0; i < r->k; i++)
-            if (r->dig[i])
-                translate_or(r->ctx, W, r->vals + (idx - r->stride[i]) * W,
-                             r->elems[i], m);
-        for (int w = 0; w < W; w++) {
-            r->result[w] |= m[w];
-            hit |= m[w] & r->until[w];
-        }
-        return hit != 0;
-    }
-    long long below = j > 0 ? r->room[j - 1] : 0;
-    for (int d = left > below ? (int)(left - below) : 0; d <= r->counts[j] && d <= left; d++) {
-        r->dig[j] = d;
-        if (fill_layer(r, j - 1, left - d, idx + d * r->stride[j]))
-            return 1;
-    }
-    return 0;
-}
 
 static PyObject *
 reachable(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -761,49 +726,60 @@ reachable(PyObject *self, PyObject *args, PyObject *kwargs)
         PyErr_Format(PyExc_ValueError, "at most %d distinct elements", MAX_ORDER);
         return NULL;
     }
-    Reach *r = PyMem_Malloc(sizeof(Reach));
-    if (r == NULL)
-        return PyErr_NoMemory();
-    r->ctx = c;
-    r->k = (int)k;
-    r->vals = NULL;
-    memset(r->until, 0, sizeof r->until);
-    memset(r->result, 0, sizeof r->result);
+    uint64_t until[MAX_WORDS] = {0};
+    if (until_obj != NULL && read_mask(until_obj, c, until) < 0)
+        return NULL;
+    /* elems[j] and counts[j] side by side; copies[e] totals the counts of
+     * element e */
+    int *elems = PyMem_New(int, 2 * k + 1);
+    long long *copies = PyMem_Calloc(c->n, sizeof *copies);
+    Search *s = NULL;
     PyObject *result = NULL;
-    if ((until_obj != NULL && read_mask(until_obj, c, r->until) < 0)
-            || read_indices(elems_obj, k, c->n, r->elems, "elems") < 0
-            || read_indices(counts_obj, k, INT_MAX, r->counts, "counts") < 0)
+    if (elems == NULL || copies == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int *counts = elems + k;
+    if (read_indices(elems_obj, k, c->n, elems, "elems") < 0
+            || read_indices(counts_obj, k, INT_MAX, counts, "counts") < 0)
         goto done;
 
     /* The full table holds prod (c_j + 1) states of one bitset each;
      * refuse it up front (states saturates at max_states + 1). */
-    long long max_states = state_cap / c->words, states = 1, total = 0;
-    for (int j = 0; j < r->k && states <= max_states; j++) {
-        long long factor = r->counts[j] + 1LL;
-        r->stride[j] = states;
+    long long max_states = state_cap / c->words, states = 1;
+    for (int j = 0; j < k && states <= max_states; j++) {
+        long long factor = counts[j] + 1LL;
         states = states > max_states / factor ? max_states + 1 : states * factor;
-        total += r->counts[j];
-        r->room[j] = total;
     }
     if (states > max_states) {
         PyErr_Format(LimitExceeded,
                      "reachability DP exceeds the state cap %lld", state_cap);
         goto done;
     }
-    r->vals = PyMem_Calloc((size_t)states * c->words, sizeof(uint64_t));
-    if (r->vals == NULL) {
-        PyErr_NoMemory();
+    for (int j = 0; j < k; j++)
+        copies[elems[j]] += counts[j];
+    s = search_new(c, state_cap, 2);
+    if (s == NULL)
         goto done;
+    /* Canonical order: every copy of e before any larger element.  The
+     * path alternates between the two reach slots; slot 0 starts empty. */
+    int W = c->words, slot = 0, hit = 0;
+    for (int e = 0; e < c->n && !hit; e++) {
+        for (long long i = 0; i < copies[e] && !hit; i++, slot ^= 1) {
+            uint64_t *reach = s->reach + (size_t)slot * W;
+            uint64_t *child = s->reach + (size_t)(slot ^ 1) * W;
+            if (extend(s, e, reach, child, W) < 0)
+                goto done;
+            for (int w = 0; w < W; w++)
+                hit |= (child[w] & until[w]) != 0;
+        }
     }
-    set_bit(r->vals, c->identity, c->words);
-    int hit = 0;
-    for (long long layer = 1; layer <= total && !hit; layer++)
-        hit = fill_layer(r, r->k - 1, layer, 0);
-    result = Py_BuildValue("NO", mask_to_int(r->result, c->words),
+    result = Py_BuildValue("NO", mask_to_int(s->reach + (size_t)slot * W, W),
                            hit ? Py_True : Py_False);
 done:
-    PyMem_Free(r->vals);
-    PyMem_Free(r);
+    search_free(s);
+    PyMem_Free(copies);
+    PyMem_Free(elems);
     return result;
 }
 
@@ -814,7 +790,7 @@ static PyMethodDef kernel_methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "build_context(n, mul_flat, inv, identity, abelian)\n--\n\n"
      "Product tables for one group of order <= 4096; mul_flat (n*n) and inv\n"
-     "(n) are native int16 bytes."},
+     "(n) are C-contiguous buffers of native int16."},
     {"greedy", greedy, METH_O,
      "greedy(ctx)\n--\n\n"
      "Leftmost canonical descent; returns (length, witness, nodes)."},
@@ -825,7 +801,9 @@ static PyMethodDef kernel_methods[] = {
     {"reachable", (PyCFunction)(void (*)(void))reachable,
      METH_VARARGS | METH_KEYWORDS,
      "reachable(ctx, elems, counts, until_mask=0, state_cap=100000000)\n--\n\n"
-     "Products of nonempty sub-multisets as (mask, hit).  A state space\n"
+     "Products of nonempty sub-multisets as (mask, hit): the copies are\n"
+     "appended in increasing element order with the search's own step, which\n"
+     "stops after the first append that reaches until_mask.  A state space\n"
      "above state_cap words is refused up front with LimitExceeded."},
     {NULL, NULL, 0, NULL},
 };

@@ -5,15 +5,19 @@ primitive is ``translate(mask, e)`` = { r*e : r in mask }, applied byte by
 byte through per-element tables, each built on the first translate by its
 element.
 
-Two search lanes share one traversal contract (the compiled kernel in
+A path grows one copy at a time through ``_extend``, the one step that
+``greedy``, ``search`` and ``reachable`` share (the compiled kernel in
 ``_kernel.c`` implements the same contract, so node counts agree):
 
-* abelian lane: the reachable set of a multiset is closed under a single
-  right-append update, so a DFS node is just one bitset.
-* general lane: a DFS node keeps the full sub-multiset DP table, the
-  product set of every sub-multiset of the path, in a dense list indexed in
-  mixed radix (the layout of the compiled kernel's ``Table``); appending an
+* abelian groups: the reachable set of a multiset is closed under a single
+  right-append update, so a path is just one bitset.
+* other groups: a path keeps the full sub-multiset DP table, the product
+  set of every sub-multiset of the path, in a dense list indexed in mixed
+  radix (the layout of the compiled kernel's ``Table``); appending an
   element adds one block of states at the end, and undoing truncates it.
+
+``reachable`` appends a multiset's copies in increasing element order, so
+it runs on the same step and the same table as the search.
 
 State caps count 64-bit words, as in the compiled kernel, where each DP state
 holds one bitset of ``words`` = ceil(n / 64) words: a cap of N admits
@@ -61,8 +65,8 @@ class Context:
         self.identity = identity
         self.abelian = abelian
         self.words = (n + 63) // 64
-        self.mul = memoryview(mul_flat).cast("h").tolist()
-        self.inv = memoryview(inv).cast("h").tolist()
+        self.mul = memoryview(mul_flat).cast("B").cast("h").tolist()
+        self.inv = memoryview(inv).cast("B").cast("h").tolist()
         self.chunks = (n + 7) // 8
         # tables[e] is built by the first translate by e.
         self.tables = [None] * n if n <= _TABLE_ORDER_LIMIT else None
@@ -83,7 +87,8 @@ class Context:
 
 def build_context(n, mul_flat, inv, identity, abelian):
     """Context of a group of order n; ``mul_flat`` (n*n entries, row-major
-    products) and ``inv`` (n entries) are native int16 bytes."""
+    products) and ``inv`` (n entries) are C-contiguous buffers of native
+    int16, such as the group's own tables."""
     return Context(n, mul_flat, inv, identity, abelian)
 
 
@@ -106,46 +111,6 @@ def translate(ctx, mask, e):
         if byte:
             out |= tab[byte]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Stand-alone reachability (layered DP over sub-multiset count vectors)
-# ---------------------------------------------------------------------------
-
-def reachable(ctx, elems, counts, until_mask=0, state_cap=DEFAULT_STATE_CAP):
-    """Exact set of products of nonempty sub-multisets, in any order.
-
-    ``elems``/``counts`` describe the multiset (distinct elements with their
-    multiplicities).  States are generated layer by layer (by sub-multiset
-    size); only two layers are alive at a time.  If ``until_mask`` is nonzero
-    the DP stops the moment any of its bits is reached, returning
-    (partial mask, True).  A state space above ``state_cap`` words is
-    refused up front, as in the compiled kernel.
-    """
-    if until_mask < 0 or until_mask >> ctx.n:
-        raise ValueError(
-            f"until_mask must be a bitset of the {ctx.n} group elements")
-    if math.prod(c + 1 for c in counts) * ctx.words > state_cap:
-        raise LimitExceeded(f"reachability DP exceeds the state cap {state_cap}")
-    k = len(elems)
-    total = sum(counts)
-    layer = {(0,) * k: 1 << ctx.identity}
-    result = 0
-    for _ in range(total):
-        nxt = {}
-        for state, mask in layer.items():
-            for i in range(k):
-                if state[i] < counts[i]:
-                    child = state[:i] + (state[i] + 1,) + state[i + 1:]
-                    t = translate(ctx, mask, elems[i])
-                    new = nxt.get(child, 0) | t
-                    nxt[child] = new
-                    if until_mask & new:
-                        return result | new, True
-        layer = nxt
-        for mask in layer.values():
-            result |= mask
-    return result, False
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +184,40 @@ class _Table:
             self.stride.pop()
 
 
+def _extend(ctx, table, reach, e):
+    """The reach set of a path after appending e (>= every path element):
+    one bitset update on abelian groups (``table`` is None), otherwise the
+    union with the new states of the path's DP table."""
+    if table is None:
+        return reach | translate(ctx, reach, e) | (1 << e)
+    return reach | table.append(ctx, e)
+
+
+def reachable(ctx, elems, counts, until_mask=0, state_cap=DEFAULT_STATE_CAP):
+    """Exact set of products of nonempty sub-multisets, in any order.
+
+    ``elems``/``counts`` describe the multiset (elements with their
+    multiplicities, in any order).  Its copies are appended in increasing
+    element order by ``_extend``.  If ``until_mask`` is nonzero the DP stops
+    after the first append that reaches any of its bits, returning
+    (partial mask, True).  A state space above ``state_cap`` words is
+    refused up front, as in the compiled kernel.
+    """
+    if until_mask < 0 or until_mask >> ctx.n:
+        raise ValueError(
+            f"until_mask must be a bitset of the {ctx.n} group elements")
+    if math.prod(c + 1 for c in counts) * ctx.words > state_cap:
+        raise LimitExceeded(f"reachability DP exceeds the state cap {state_cap}")
+    table = None if ctx.abelian else _Table(ctx, state_cap)
+    reach = 0
+    for e, count in sorted(zip(elems, counts)):
+        for _ in range(count):
+            reach = _extend(ctx, table, reach, e)
+            if reach & until_mask:
+                return reach, True
+    return reach, False
+
+
 def greedy(ctx):
     """Leftmost canonical descent: always append the least feasible element.
 
@@ -238,10 +237,7 @@ def greedy(ctx):
             e += 1
         if e >= n:
             return len(path), tuple(path), len(path)
-        if ctx.abelian:
-            reach |= translate(ctx, reach, e) | (1 << e)
-        else:
-            reach |= table.append(ctx, e)
+        reach = _extend(ctx, table, reach, e)
         path.append(e)
         start = e
 
@@ -294,10 +290,7 @@ def search(ctx, mode, target, floor_len, budget, state_cap=DEFAULT_STATE_CAP):
             if enum and newlen == target:
                 found.append((*[fr[0] for fr in stack], e))
             else:
-                if table is None:
-                    child = reach | translate(ctx, reach, e) | (1 << e)
-                else:
-                    child = reach | table.append(ctx, e)
+                child = _extend(ctx, table, reach, e)
                 potential = newlen + (n - 1 - child.bit_count())
                 if not enum:
                     if newlen > root_best:

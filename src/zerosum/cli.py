@@ -442,7 +442,8 @@ def _report_rows(records) -> list[dict]:
                 r["davenport"] = p["davenport"]
         elif rec.kind == "verify":
             r = row(p["group"])
-            if r["extremal_count"] == "":
+            # only a theorem diff enumerates the extremal set
+            if r["extremal_count"] == "" and p["target"] in _THEOREM_KINDS:
                 r["extremal_count"] = p["enumerated_count"]
             if r["davenport"] == "" and "davenport" in p.get("details", {}):
                 r["davenport"] = p["details"]["davenport"]

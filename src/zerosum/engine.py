@@ -63,9 +63,10 @@ def _kernel_for(group: Group):
 def _context(group: Group, kern):
     ctx = group._contexts.get(kern.LANE)
     if ctx is None:
-        ctx = kern.build_context(group.order, group.table.tobytes(),
-                                 group.inv_table.tobytes(), group.identity,
-                                 group.is_abelian)
+        # The kernels read the int16 tables through the buffer protocol;
+        # a bytes copy would only add an n*n*2-byte transient per context.
+        ctx = kern.build_context(group.order, group.table, group.inv_table,
+                                 group.identity, group.is_abelian)
         group._contexts[kern.LANE] = ctx
     return ctx
 
@@ -99,19 +100,19 @@ class ReachableSet:
 
 
 def _counts_of(seq: GSequence):
+    """Distinct elements and their counts; the kernels take any order."""
     cnt = seq.counts()
-    elems = sorted(cnt)
-    return elems, [cnt[e] for e in elems]
+    return list(cnt), list(cnt.values())
 
 
-def _guard(group: Group, seq: GSequence):
-    elems = set(seq.items)
+def _guard(group: Group, elems, counts):
+    """Refuse a multiset (from ``_counts_of``) before any context is built."""
     if len(elems) > DISTINCT_LIMIT:
         raise EngineLimitError(
             f"sequence has {len(elems)} distinct elements, above the limit "
             f"{DISTINCT_LIMIT}")
     words = (group.order + 63) // 64
-    estimate = math.prod(c + 1 for c in seq.counts().values()) * words
+    estimate = math.prod(c + 1 for c in counts) * words
     if estimate > STATE_LIMIT:
         raise EngineLimitError(
             f"sub-multiset state space ~{estimate} words exceeds the limit "
@@ -120,10 +121,10 @@ def _guard(group: Group, seq: GSequence):
 
 def _run_reachable(group: Group, seq: GSequence, until_mask: int):
     seq._check_group(group)
-    _guard(group, seq)
+    elems, counts = _counts_of(seq)
+    _guard(group, elems, counts)
     kern = _kernel_for(group)
     ctx = _context(group, kern)
-    elems, counts = _counts_of(seq)
     try:
         return kern.reachable(ctx, elems, counts, until_mask, STATE_LIMIT)
     except LimitExceeded as exc:

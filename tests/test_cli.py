@@ -273,6 +273,27 @@ def test_report_empty_and_rows(tmp_path, capsys):
     assert [r["group"] for r in rows] == ["D:4", "D:5", "D:6"]
 
 
+def test_report_extremal_count_from_extremal_sets_only(tmp_path, capsys):
+    """minzero and weighted records count other multisets: they leave
+    extremal_count empty, which an extremal record then fills."""
+    def rows():
+        _, out, _ = run(capsys, "report", "--format", "json",
+                        "--cache-dir", str(tmp_path))
+        return {r["group"]: r for r in json.loads(out)["rows"]}
+
+    run(capsys, "verify", "--target", "minzero", "--param", "group=CxC:2,4",
+        "--cache-dir", str(tmp_path))
+    run(capsys, "verify", "--target", "weighted", "--param", "n=5",
+        "--cache-dir", str(tmp_path))
+    got = rows()
+    assert set(got) == {"CxC:2,4", "C:5"}
+    assert got["CxC:2,4"]["extremal_count"] == ""
+    assert got["C:5"]["extremal_count"] == ""
+
+    run(capsys, "extremal", "--group", "CxC:2,4", "--cache-dir", str(tmp_path))
+    assert rows()["CxC:2,4"]["extremal_count"] == 24
+
+
 def test_extremal_command(tmp_path, capsys):
     code, out, _ = run(capsys, "extremal", "--group", "D:2", "--json",
                        "--cache-dir", str(tmp_path))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,54 @@ def group_and_multiset(draw):
 def test_reachable_parity_property(case):
     g, items, target = case
     assert_reachable_parity(g, items, [1 << g.identity, 1 << target])
+
+
+def merged(elems, counts):
+    """The multiset ``elems``/``counts`` as sorted distinct elements with
+    nonzero counts."""
+    total = Counter()
+    for e, c in zip(elems, counts):
+        total[e] += c
+    keep = sorted(e for e in total if total[e])
+    return keep, [total[e] for e in keep]
+
+
+@pytest.mark.parametrize("spec", ["CxC:2,4", "D:4"])
+def test_reachable_input_shapes(spec):
+    """Unsorted, repeated and zero-count entries give exactly the mask and
+    hit of the merged, sorted multiset, early exits included; no entries
+    give (0, False)."""
+    g = grp(spec)
+    shapes = [([5, 3, 5], [1, 2, 1]), ([6, 3, 1], [1, 0, 2]),
+              ([7, 2, 7, 2], [0, 1, 2, 1]), ([4], [0])]
+    untils = [0] + [1 << t for t in range(g.order)]
+    for kern in LANES:
+        ctx = engine._context(g, kern)
+        for until in untils:
+            assert kern.reachable(ctx, [], [], until, STATE_LIMIT) == (0, False)
+        for elems, counts in shapes:
+            m_elems, m_counts = merged(elems, counts)
+            items = [e for e, c in zip(m_elems, m_counts) for _ in range(c)]
+            if items:
+                oracle = engine.oracle_reachable(
+                    g, GSequence.from_indices(g, items)).mask
+                assert kern.reachable(ctx, m_elems, m_counts, 0,
+                                      STATE_LIMIT) == (oracle, False)
+            for until in untils:
+                got = kern.reachable(ctx, elems, counts, until, STATE_LIMIT)
+                want = kern.reachable(ctx, m_elems, m_counts, until, STATE_LIMIT)
+                assert got == want, (kern.LANE, elems, counts, until)
+
+
+@pytest.mark.parametrize("spec, elems, counts",
+                         [("D:3", [1, 3], [7, 7]), ("C:5", [1], [12])])
+def test_reachable_longer_than_group_order(spec, elems, counts):
+    """A multiset longer than the group order reaches the whole group."""
+    g = grp(spec)
+    for kern in LANES:
+        ctx = engine._context(g, kern)
+        assert kern.reachable(ctx, elems, counts, 0, STATE_LIMIT) == (
+            (1 << g.order) - 1, False)
 
 
 @pytest.mark.parametrize("spec", ["Q:5", "C:64", "C:65", "C:130"])
