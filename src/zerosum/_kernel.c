@@ -27,7 +27,11 @@
  * array again.  Each state holds one bitset, so state caps are counted in
  * words: a cap of N admits N / words states.  Stand-alone reachability
  * appends a multiset's copies in increasing element order through the same
- * extend, so each lane has one sub-multiset DP.
+ * extend, so each lane has one sub-multiset DP.  It stops after the first
+ * append whose reach set meets until_mask or is the whole group: from then
+ * on no append changes the answer, and a multiset of k distinct elements
+ * that fills the group early never builds the rest of its 2^k states.  The
+ * state cap still applies to the whole multiset, up front.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -762,16 +766,19 @@ reachable(PyObject *self, PyObject *args, PyObject *kwargs)
     if (s == NULL)
         goto done;
     /* Canonical order: every copy of e before any larger element.  The
-     * path alternates between the two reach slots; slot 0 starts empty. */
-    int W = c->words, slot = 0, hit = 0;
-    for (int e = 0; e < c->n && !hit; e++) {
-        for (long long i = 0; i < copies[e] && !hit; i++, slot ^= 1) {
+     * path alternates between the two reach slots; slot 0 starts empty.
+     * Once the reach set is the whole group no append can change it or the
+     * hit flag, so the loop stops there as it does on a hit. */
+    int W = c->words, slot = 0, hit = 0, full = 0;
+    for (int e = 0; e < c->n && !hit && !full; e++) {
+        for (long long i = 0; i < copies[e] && !hit && !full; i++, slot ^= 1) {
             uint64_t *reach = s->reach + (size_t)slot * W;
             uint64_t *child = s->reach + (size_t)(slot ^ 1) * W;
             if (extend(s, e, reach, child, W) < 0)
                 goto done;
             for (int w = 0; w < W; w++)
                 hit |= (child[w] & until[w]) != 0;
+            full = popcount(child, W) == c->n;
         }
     }
     result = Py_BuildValue("NO", mask_to_int(s->reach + (size_t)slot * W, W),
@@ -803,8 +810,9 @@ static PyMethodDef kernel_methods[] = {
      "reachable(ctx, elems, counts, until_mask=0, state_cap=100000000)\n--\n\n"
      "Products of nonempty sub-multisets as (mask, hit): the copies are\n"
      "appended in increasing element order with the search's own step, which\n"
-     "stops after the first append that reaches until_mask.  A state space\n"
-     "above state_cap words is refused up front with LimitExceeded."},
+     "stops after the first append that reaches until_mask or fills the\n"
+     "whole group (the full mask is then exact).  A state space above\n"
+     "state_cap words is refused up front with LimitExceeded."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -17,7 +17,9 @@ A path grows one copy at a time through ``_extend``, the one step that
   element adds one block of states at the end, and undoing truncates it.
 
 ``reachable`` appends a multiset's copies in increasing element order, so
-it runs on the same step and the same table as the search.
+it runs on the same step and the same table as the search.  It stops as soon
+as its answer is decided: at a hit on ``until_mask`` or once the reach set
+is the whole group.
 
 State caps count 64-bit words, as in the compiled kernel, where each DP state
 holds one bitset of ``words`` = ceil(n / 64) words: a cap of N admits
@@ -200,21 +202,31 @@ def reachable(ctx, elems, counts, until_mask=0, state_cap=DEFAULT_STATE_CAP):
     multiplicities, in any order).  Its copies are appended in increasing
     element order by ``_extend``.  If ``until_mask`` is nonzero the DP stops
     after the first append that reaches any of its bits, returning
-    (partial mask, True).  A state space above ``state_cap`` words is
-    refused up front, as in the compiled kernel.
+    (partial mask, True).  It also stops once the reach set is the whole
+    group, which no later append can change: the full mask is then exact.  A
+    state space above ``state_cap`` words is refused up front, for the whole
+    multiset, as in the compiled kernel.
     """
     if until_mask < 0 or until_mask >> ctx.n:
         raise ValueError(
             f"until_mask must be a bitset of the {ctx.n} group elements")
+    # Checked up front, as in the compiled kernel: an early exit may never
+    # reach an element.
+    for e in elems:
+        if not 0 <= e < ctx.n:
+            raise ValueError(f"elems entry {e} out of range")
     if math.prod(c + 1 for c in counts) * ctx.words > state_cap:
         raise LimitExceeded(f"reachability DP exceeds the state cap {state_cap}")
     table = None if ctx.abelian else _Table(ctx, state_cap)
+    full = (1 << ctx.n) - 1
     reach = 0
     for e, count in sorted(zip(elems, counts)):
         for _ in range(count):
             reach = _extend(ctx, table, reach, e)
             if reach & until_mask:
                 return reach, True
+            if reach == full:
+                return reach, False
     return reach, False
 
 

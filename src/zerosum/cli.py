@@ -256,7 +256,7 @@ def cmd_free_check(args) -> int:
 
 def cmd_reach(args) -> int:
     cfg = _config(args)
-    from .engine import has_product_in, reachable_products
+    from .engine import reachable_products, target_mask
     g = build_group(args.group, rng_seed=cfg.rng_seed)
     seq = GSequence.from_text(g, args.seq)
     rs = reachable_products(g, seq)
@@ -264,7 +264,7 @@ def cmd_reach(args) -> int:
     hit = None
     if args.targets:
         targets = GSequence.from_text(g, args.targets)
-        hit = has_product_in(g, seq, set(targets.items))
+        hit = bool(rs.mask & target_mask(g, targets.items))
     if cfg.output_format == "json":
         _emit({"schema_version": SCHEMA_VERSION, "group": g.key,
                "seq": seq.format(g), "reachable": names, "hits_targets": hit})

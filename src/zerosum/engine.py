@@ -151,16 +151,21 @@ def is_product1_free(group: Group, seq: GSequence) -> bool:
     return not hit
 
 
-def has_product_in(group: Group, seq: GSequence, targets) -> bool:
-    """True iff some nonempty subsequence multiplies into ``targets``."""
-    targets = list(targets)
-    if not targets:
-        raise EngineError("has_product_in requires a nonempty target set")
+def target_mask(group: Group, targets) -> int:
+    """A nonempty collection of element indices of ``group`` as a bitset."""
     mask = 0
     for t in targets:
         if not 0 <= t < group.order:
             raise EngineError(f"target index {t} out of range for {group.key}")
         mask |= 1 << t
+    if not mask:
+        raise EngineError("has_product_in requires a nonempty target set")
+    return mask
+
+
+def has_product_in(group: Group, seq: GSequence, targets) -> bool:
+    """True iff some nonempty subsequence multiplies into ``targets``."""
+    mask = target_mask(group, targets)
     if seq.length == 0:
         return False
     _, hit = _run_reachable(group, seq, mask)

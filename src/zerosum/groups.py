@@ -239,6 +239,8 @@ class Group:
         self.order = spec.order
         names, mul_formula, generators, h_size = _family_data(spec)
         self.names: tuple[str, ...] = tuple(names)
+        # The inverse of ``names``: canonical words resolve by lookup.
+        self._index: dict[str, int] = {w: i for i, w in enumerate(self.names)}
         self.generators: dict[str, int] = generators
         self.h_size = h_size
         self.identity = 0
@@ -363,12 +365,17 @@ class Group:
         return "H" if a < self.h_size else "N"
 
     def element_from_word(self, word: str) -> int:
-        """Resolve a word like ``x*y^3`` (or ``1``) to an element index."""
+        """Resolve a word like ``x*y^3`` (or ``1``) to an element index.
+
+        A canonical word (an entry of ``names``) is looked up; any other
+        product of generator powers is multiplied out.
+        """
         word = word.replace(" ", "")
+        idx = self._index.get(word)
+        if idx is not None:
+            return idx
         if not word:
             raise GroupError("empty element word")
-        if word == "1":
-            return 0
         acc = 0
         for token in word.split("*"):
             gen, sep, exp = token.partition("^")

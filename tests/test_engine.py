@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import combinations_with_replacement
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerosum.engine import (
     EngineError,
@@ -93,6 +97,39 @@ def test_oracle_equivalence_random():
         for _ in range(40):
             s = rand_seq(g, rng)
             assert reachable_products(g, s).mask == oracle_reachable(g, s).mask
+
+
+# Small groups in which a multiset of length <= 8 often reaches every
+# element, so the kernels' full-group exit is exercised.
+DENSE_SPECS = ["Q:2", "D:3", "D:4", "CxC:2,2", "M:3,2,2"]
+LANES = ("1", "0")  # ZEROSUM_PURE_KERNEL: the pure, then the default lane
+
+
+@st.composite
+def dense_multiset(draw, min_size):
+    g = grp(draw(st.sampled_from(DENSE_SPECS)))
+    items = draw(st.lists(st.integers(0, g.order - 1), min_size=min_size,
+                          max_size=8))
+    return g, GSequence.from_indices(g, items)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dense_multiset(min_size=1))
+def test_reachable_matches_oracle_property(case):
+    g, s = case
+    want = oracle_reachable(g, s).mask
+    for lane in LANES:
+        with mock.patch.dict(os.environ, {"ZEROSUM_PURE_KERNEL": lane}):
+            assert reachable_products(g, s).mask == want, lane
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dense_multiset(min_size=0))
+def test_freeness_invariant_under_inversion_property(case):
+    g, s = case
+    for lane in LANES:
+        with mock.patch.dict(os.environ, {"ZEROSUM_PURE_KERNEL": lane}):
+            assert is_product1_free(g, s) == is_product1_free(g, s.inverted(g))
 
 
 def test_short_circuit_soundness():

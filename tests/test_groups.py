@@ -286,6 +286,49 @@ def test_element_word_errors_cite_token():
     assert g.element_from_word(" x * y^2 ") == g.element_from_word("x*y^2")
 
 
+def multiply_out(g, word):
+    """A word's element by exponent arithmetic alone."""
+    acc = g.identity
+    for token in word.replace(" ", "").split("*"):
+        gen, _, exp = token.partition("^")
+        acc = g.mul(acc, g.power(g.generators[gen], int(exp or 1)))
+    return acc
+
+
+@pytest.mark.parametrize("spec", ["C:1", "C:9", "D:4", "Q:3", "M:5,4,2",
+                                  "CxC:2,1,3"])
+def test_canonical_words_resolve_to_their_index(spec):
+    g = grp(spec)
+    for a, name in enumerate(g.names):
+        assert g.element_from_word(name) == a
+        if name != "1":
+            assert multiply_out(g, name) == a
+
+
+@pytest.mark.parametrize("spec, word", [
+    ("D:4", "y^-1"), ("D:4", "y*y"), ("D:4", " x * y ^ 2 "), ("D:4", "y^4"),
+    ("D:4", "y^3*x"), ("Q:3", "x^3"), ("Q:3", "x^-1*y^7"), ("C:9", "y^0"),
+    ("M:5,4,2", "y*x^2"), ("CxC:2,1,3", "c^-1*a^3")])
+def test_noncanonical_words_multiply_out(spec, word):
+    g = grp(spec)
+    assert g.element_from_word(word) == multiply_out(g, word)
+
+
+@pytest.mark.parametrize("word, message", [
+    ("z^3", "unknown generator 'z' in word 'z^3'"),
+    ("x*z", "unknown generator 'z' in word 'x*z'"),
+    ("y^two", "invalid exponent 'two' in word 'y^two'"),
+    ("y^", "invalid exponent '' in word 'y^'"),
+    ("y**x", "unknown generator '' in word 'y**x'"),
+    (" ", "empty element word"),
+    ("", "empty element word"),
+])
+def test_element_word_errors_unchanged(word, message):
+    with pytest.raises(GroupError) as info:
+        grp("Q:3").element_from_word(word)
+    assert str(info.value) == message
+
+
 def test_group_spec_roundtrip_and_order():
     for text, order in [("C:12", 12), ("D:7", 14), ("Q:4", 16),
                         ("M:7,3,2", 21), ("CxC:2,3,4", 24)]:

@@ -7,9 +7,11 @@ compared.
 
 from __future__ import annotations
 
+import os
 import random
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,98 @@ def test_reachable_longer_than_group_order(spec, elems, counts):
         ctx = engine._context(g, kern)
         assert kern.reachable(ctx, elems, counts, 0, STATE_LIMIT) == (
             (1 << g.order) - 1, False)
+
+
+# Twelve distinct elements of Q:6 (order 24); in increasing index order the
+# first seven already reach the whole group.
+Q6_FILLING = ("y, y^2, y^3, x, x*y, x*y^2, x*y^3, x*y^4, x*y^5, y^4, y^5, "
+              "y^6")
+
+
+def filling_multiset(g, words, fill_at):
+    """The sorted indices of ``words``, checked to reach the whole group
+    after exactly ``fill_at`` of them, on both lanes."""
+    elems = sorted(g.element_from_word(w) for w in words.split(","))
+    full = (1 << g.order) - 1
+    for kern in LANES:
+        ctx = engine._context(g, kern)
+        for k, filled in ((fill_at - 1, False), (fill_at, True)):
+            mask, _ = kern.reachable(ctx, elems[:k], [1] * k, 0, STATE_LIMIT)
+            assert (mask == full) == filled, (kern.LANE, k)
+    return elems
+
+
+def test_reachable_stops_once_the_group_is_full():
+    """With until_mask 0, a multiset that fills the group partway returns
+    the full mask and no hit on both lanes, whatever follows."""
+    g = grp("Q:6")
+    elems = filling_multiset(g, Q6_FILLING, 7)
+    full = (1 << g.order) - 1
+    for counts in ([1] * 12, [2] * 12, [1] * 6 + [5] * 6):
+        a, b = on_both(g, lambda k, c: k.reachable(c, elems, counts, 0,
+                                                   STATE_LIMIT))
+        assert a == b == (full, False)
+        assert engine.reachable_products(
+            g, GSequence.from_indices(g, [e for e, n in zip(elems, counts)
+                                          for _ in range(n)])).mask == full
+    # The pure lane builds an element's byte tables on its first translate:
+    # on a fresh context, the elements after the filling one never get any.
+    ctx = _pykernel.build_context(g.order, g.table, g.inv_table, g.identity,
+                                  g.is_abelian)
+    _pykernel.reachable(ctx, elems, [1] * 12, 0, STATE_LIMIT)
+    assert [ctx.tables[e] is None for e in elems] == [False] * 7 + [True] * 5
+
+
+def test_reachable_hit_flag_with_a_full_group():
+    """A nonzero until_mask still sets the hit flag, for every target and
+    for a full-group target set."""
+    g = grp("Q:6")
+    elems = filling_multiset(g, Q6_FILLING, 7)
+    counts = [1] * len(elems)
+    for until in [1 << t for t in range(g.order)] + [(1 << g.order) - 1]:
+        a, b = on_both(g, lambda k, c: k.reachable(c, elems, counts, until,
+                                                   STATE_LIMIT))
+        assert a[1] is b[1] is True, until
+
+
+def test_reachable_refuses_above_the_cap_even_when_a_prefix_fills():
+    """The state cap applies to the whole multiset, up front: 24 distinct
+    elements of D:200 (7-word bitsets) need 2^24 * 7 words, above
+    STATE_LIMIT, although the first nine reach the whole group.  The same
+    holds at the edge of a small cap."""
+    g = grp("D:200")
+    words = ",".join([f"y^{1 << i}" for i in range(8)] + ["x"]
+                     + [f"x*y^{k}" for k in range(1, 16)])
+    elems = filling_multiset(g, words, 9)
+    full = (1 << g.order) - 1
+    for kern in LANES:
+        ctx = engine._context(g, kern)
+        with pytest.raises(_pykernel.LimitExceeded):
+            kern.reachable(ctx, elems, [1] * 24, 0, STATE_LIMIT)
+        # Ten elements: 2^10 states of 7 words each.
+        with pytest.raises(_pykernel.LimitExceeded):
+            kern.reachable(ctx, elems[:10], [1] * 10, 0, 1024 * 7 - 1)
+        assert kern.reachable(ctx, elems[:10], [1] * 10, 0, 1024 * 7) == (
+            full, False)
+    seq = GSequence.from_indices(g, elems)
+    for lane in ("1", "0"):
+        with mock.patch.dict(os.environ, {"ZEROSUM_PURE_KERNEL": lane}):
+            with pytest.raises(EngineLimitError, match="state space"):
+                engine.reachable_products(g, seq)
+            with pytest.raises(EngineLimitError, match="state space"):
+                engine.is_product1_free(g, seq)
+
+
+def test_reachable_checks_every_element_up_front():
+    """An element out of range is refused even after a prefix that fills
+    the group."""
+    g = grp("D:4")
+    for kern in LANES:
+        ctx = engine._context(g, kern)
+        assert kern.reachable(ctx, [1, 4, 5], [1, 1, 1], 0, STATE_LIMIT) == (
+            (1 << g.order) - 1, False)
+        with pytest.raises(ValueError, match="elems entry 8 out of range"):
+            kern.reachable(ctx, [1, 4, 5, 8], [1, 1, 1, 1], 0, STATE_LIMIT)
 
 
 @pytest.mark.parametrize("spec", ["Q:5", "C:64", "C:65", "C:130"])
