@@ -32,6 +32,12 @@
  * on no append changes the answer, and a multiset of k distinct elements
  * that fills the group early never builds the rest of its 2^k states.  The
  * state cap still applies to the whole multiset, up front.
+ *
+ * search walks one branch per root (first element), 1 .. n-1 unless the
+ * caller names the roots.  The engine's max-length search names the
+ * Aut(G)-orbit minima (groups.Group.orbit_roots): an automorphism moves any
+ * free multiset onto one whose least element is an orbit minimum, so the
+ * other roots hold nothing longer and no lexicographically smaller witness.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -600,22 +606,56 @@ visitw(Search *s, int e, int length)
     return visit_body(s, e, s->reach + (size_t)length * W, length, W);
 }
 
-/* Canonical DFS, one branch per root (first element) 1 .. n-1.  Each root
- * has its own node budget and prunes against max(floor_len, its own best),
- * never against other roots, so each root's node count and budget use depend
- * on that root alone. */
+/* The roots of a search into out[] (room for n - 1 entries): 1 .. n-1 when
+ * obj is None, else obj's entries, which must be strictly increasing
+ * indices in 1 .. n-1.  Returns their number, or -1 with an exception. */
+static int
+read_roots(PyObject *obj, int n, int *out)
+{
+    int len = 0;
+    if (obj == Py_None) {
+        for (int r = 1; r < n; r++)
+            out[len++] = r;
+        return len;
+    }
+    PyObject *fast = PySequence_Fast(obj, "roots must be a sequence");
+    if (fast == NULL)
+        return -1;
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(fast); i++) {
+        long v = PyLong_AsLong(PySequence_Fast_GET_ITEM(fast, i));
+        if (v == -1 && PyErr_Occurred())
+            len = -1;
+        else if (v < 1 || v >= n) {
+            PyErr_Format(PyExc_ValueError, "roots entry %ld out of range", v);
+            len = -1;
+        } else if (len > 0 && v <= out[len - 1]) {
+            PyErr_SetString(PyExc_ValueError, "roots must be strictly increasing");
+            len = -1;
+        }
+        if (len < 0)
+            break;
+        out[len++] = (int)v;
+    }
+    Py_DECREF(fast);
+    return len;
+}
+
+/* Canonical DFS, one branch per root (first element) 1 .. n-1, or per entry
+ * of roots.  Each root has its own node budget and prunes against
+ * max(floor_len, its own best), never against other roots, so each root's
+ * node count and budget use depend on that root alone. */
 static PyObject *
 search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"ctx", "mode", "target", "floor_len", "budget",
-                             "state_cap", NULL};
-    PyObject *ctx_obj, *budget_obj;
+                             "state_cap", "roots", NULL};
+    PyObject *ctx_obj, *budget_obj, *roots_obj = Py_None;
     const char *mode;
     int target, floor_len;
     long long state_cap = DEFAULT_STATE_CAP;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OsiiO|L:search", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OsiiO|LO:search", kwlist,
                                      &ctx_obj, &mode, &target, &floor_len,
-                                     &budget_obj, &state_cap))
+                                     &budget_obj, &state_cap, &roots_obj))
         return NULL;
     const Context *c = get_context(ctx_obj);
     if (c == NULL)
@@ -626,10 +666,15 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
         return NULL;
     if (overflow)
         budget = overflow > 0 ? LLONG_MAX : LLONG_MIN;
-
-    Search *s = search_new(c, state_cap, c->n + 1);
-    if (s == NULL)
+    int *roots = PyMem_New(int, c->n);
+    if (roots == NULL)
+        return PyErr_NoMemory();
+    int nroots = read_roots(roots_obj, c->n, roots);
+    Search *s = nroots < 0 ? NULL : search_new(c, state_cap, c->n + 1);
+    if (s == NULL) {
+        PyMem_Free(roots);
         return NULL;
+    }
     s->enumerate = strcmp(mode, "max") != 0;
     s->target = target;
     s->budget = budget;
@@ -640,7 +685,8 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
     if (s->found == NULL)
         goto done;
 
-    for (int root = 1; root < c->n; root++) {
+    for (int i = 0; i < nroots; i++) {
+        int root = roots[i];
         s->nodes = 0;
         s->root_best = floor_len;
         if (!c->abelian)
@@ -666,6 +712,7 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
 done:
     Py_XDECREF(witness);
     search_free(s);
+    PyMem_Free(roots);
     return result;
 }
 
@@ -802,9 +849,11 @@ static PyMethodDef kernel_methods[] = {
      "greedy(ctx)\n--\n\n"
      "Leftmost canonical descent; returns (length, witness, nodes)."},
     {"search", (PyCFunction)(void (*)(void))search, METH_VARARGS | METH_KEYWORDS,
-     "search(ctx, mode, target, floor_len, budget, state_cap=100000000)\n--\n\n"
-     "Canonical DFS, one branch per root 1 .. n-1; same contract as the pure\n"
-     "lane."},
+     "search(ctx, mode, target, floor_len, budget, state_cap=100000000,\n"
+     "       roots=None)\n--\n\n"
+     "Canonical DFS, one branch per root 1 .. n-1, or per entry of roots\n"
+     "(strictly increasing indices in 1 .. n-1; the max-length search passes\n"
+     "the Aut(G)-orbit minima); same contract as the pure lane."},
     {"reachable", (PyCFunction)(void (*)(void))reachable,
      METH_VARARGS | METH_KEYWORDS,
      "reachable(ctx, elems, counts, until_mask=0, state_cap=100000000)\n--\n\n"

@@ -47,6 +47,9 @@ _TABLE_ORDER_LIMIT = 512
 
 DEFAULT_STATE_CAP = 100_000_000
 
+# The compiled kernel reads counts as C ints below this bound.
+_INT_MAX = 2 ** 31 - 1
+
 
 class LimitExceeded(Exception):
     """Raised when a search or DP would exceed its configured state cap."""
@@ -210,11 +213,16 @@ def reachable(ctx, elems, counts, until_mask=0, state_cap=DEFAULT_STATE_CAP):
     if until_mask < 0 or until_mask >> ctx.n:
         raise ValueError(
             f"until_mask must be a bitset of the {ctx.n} group elements")
-    # Checked up front, as in the compiled kernel: an early exit may never
-    # reach an element.
+    # Checked up front with the compiled kernel's messages: an early exit
+    # may never reach an element.
     for e in elems:
         if not 0 <= e < ctx.n:
             raise ValueError(f"elems entry {e} out of range")
+    if len(counts) != len(elems):
+        raise ValueError(f"counts must have {len(elems)} entries")
+    for c in counts:
+        if not 0 <= c < _INT_MAX:
+            raise ValueError(f"counts entry {c} out of range")
     if math.prod(c + 1 for c in counts) * ctx.words > state_cap:
         raise LimitExceeded(f"reachability DP exceeds the state cap {state_cap}")
     table = None if ctx.abelian else _Table(ctx, state_cap)
@@ -261,8 +269,29 @@ def _feasible(reach, start, n, inv):
             yield f
 
 
-def search(ctx, mode, target, floor_len, budget, state_cap=DEFAULT_STATE_CAP):
-    """Canonical DFS, one branch per first element (root) 1 .. n-1.
+def _check_roots(n, roots):
+    """``roots`` as a list of strictly increasing indices in 1 .. n-1."""
+    roots = list(roots)
+    prev = 0
+    for r in roots:
+        if not 0 < r < n:
+            raise ValueError(f"roots entry {r} out of range")
+        if r <= prev:
+            raise ValueError("roots must be strictly increasing")
+        prev = r
+    return roots
+
+
+def search(ctx, mode, target, floor_len, budget, state_cap=DEFAULT_STATE_CAP,
+           roots=None):
+    """Canonical DFS, one branch per first element (root) 1 .. n-1, or per
+    entry of ``roots`` (strictly increasing indices in 1 .. n-1) when given.
+
+    The engine's max-length search passes the group's Aut(G)-orbit minima
+    as ``roots``: an automorphism moves every free multiset onto one whose
+    least element is an orbit minimum, so the other roots can find nothing
+    longer and no lexicographically smaller witness.  Enumeration walks
+    every root.
 
     mode 'max': find the longest free multiset.  Pruning within each root
     measures against max(floor_len, best found in that root), never against
@@ -282,7 +311,7 @@ def search(ctx, mode, target, floor_len, budget, state_cap=DEFAULT_STATE_CAP):
     total_nodes = 0
     complete = True
 
-    for root in range(1, n):
+    for root in range(1, n) if roots is None else _check_roots(n, roots):
         nodes = 0
         root_best = floor_len
         root_witness = None

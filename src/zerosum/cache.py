@@ -4,6 +4,12 @@ Records are newline-terminated single-line JSON keyed by
 ``{kind}-{group_spec}-v{schema_version}``; the payload hash is recomputed on
 read and any mismatch (or schema bump) invalidates the record with a warning,
 never an error.  Writes go through a temp file and an atomic rename.
+
+A record also carries the ``algorithm_version`` of the search that computed
+its payload, and a lookup matches it like the rest of the key.  A record
+from another version is outdated: ignored with a warning, then recomputed
+and overwritten in place, since the file name does not change with it.
+Records written before the field existed count as version 1.
 """
 
 from __future__ import annotations
@@ -17,6 +23,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 SCHEMA_VERSION = 1
+# Bumped whenever a traversal change alters what a payload holds (its node
+# counts included).  2: the max-length search walks Aut(G)-orbit-minimal
+# roots only.
+ALGORITHM_VERSION = 2
 ENV_CACHE_DIR = "ZEROSUM_CACHE_DIR"
 
 
@@ -31,6 +41,7 @@ class CacheRecord:
     kind: str
     payload: dict
     content_hash: str
+    algorithm_version: int = ALGORITHM_VERSION
 
 
 def payload_hash(payload: dict) -> str:
@@ -74,6 +85,7 @@ def store(cache_dir: Path, record: CacheRecord) -> Path:
                          record.schema_version)
     line = json.dumps({
         "schema_version": record.schema_version,
+        "algorithm_version": record.algorithm_version,
         "group_spec": record.group_spec,
         "kind": record.kind,
         "content_hash": record.content_hash,
@@ -93,7 +105,8 @@ def store(cache_dir: Path, record: CacheRecord) -> Path:
 
 def _read_valid(path: Path) -> CacheRecord | None:
     """The record stored at ``path``, or None with a warning if it is
-    unreadable, from another schema version or fails its hash check."""
+    unreadable, from another schema or algorithm version or fails its hash
+    check."""
     try:
         with open(path) as fh:
             raw = json.loads(fh.readline())
@@ -107,6 +120,12 @@ def _read_valid(path: Path) -> CacheRecord | None:
         warnings.warn(f"cache record {path} has schema "
                       f"{raw.get('schema_version')}, expected {SCHEMA_VERSION}; "
                       f"ignored", CacheWarning)
+        return None
+    algorithm = raw.get("algorithm_version", 1)
+    if algorithm != ALGORITHM_VERSION:
+        warnings.warn(f"cache record {path} is outdated: algorithm version "
+                      f"{algorithm}, expected {ALGORITHM_VERSION}; ignored",
+                      CacheWarning)
         return None
     payload = raw.get("payload")
     if not isinstance(payload, dict) or raw.get("content_hash") != payload_hash(payload):

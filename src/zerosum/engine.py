@@ -4,7 +4,9 @@ The compiled lane (``zerosum._kernel``, hand-written C built by ``setup.py``)
 runs every group (orders up to ``groups.TABLE_LIMIT`` = 4096) when the
 extension was built; otherwise the pure-Python twin (``zerosum._pykernel``)
 takes over.  Both lanes follow one traversal contract, so every result (node
-counts included) is identical across lanes.
+counts included) is identical across lanes.  The max-length search walks only
+the Aut(G)-orbit-minimal roots (``Group.orbit_roots``); enumeration walks
+every root.
 
 Set ``ZEROSUM_PURE_KERNEL=1`` to force the pure lane.
 """
@@ -206,13 +208,22 @@ def oracle_reachable(group: Group, seq: GSequence) -> ReachableSet:
 def max_free_search(group: Group, *, budget: int) -> dict:
     """Longest product-1-free multiset via greedy floor + per-root DFS.
 
+    The DFS walks only the roots in ``group.orbit_roots``, the Aut(G)-orbit
+    minima.  Given a free multiset S, pick s in S whose orbit minimum m is
+    least and an automorphism phi with phi(s) = m: phi(S) is free, as long
+    as S, and its least element is m.  So the root m finds a multiset as
+    long as S, and the lexicographically least longest multiset starts at
+    an orbit minimum: length and witness are those of a search over every
+    root; only the node count is smaller.
+
     Returns keys: complete, max_len, witness (index tuple), nodes.
     """
     kern = _kernel_for(group)
     ctx = _context(group, kern)
     try:
         g_len, g_wit, g_nodes = kern.greedy(ctx)
-        res = kern.search(ctx, "max", 0, g_len, budget, STATE_LIMIT)
+        res = kern.search(ctx, "max", 0, g_len, budget, STATE_LIMIT,
+                          group.orbit_roots)
     except LimitExceeded as exc:
         raise EngineLimitError(str(exc)) from None
     witness = res["witness"] if res["best_len"] > g_len else g_wit

@@ -15,10 +15,15 @@ it works on index arrays as well as on single indices.  A full Cayley table is
 built from it once, in blocks of rows, and then verified (identity, inverses,
 associativity, defining relations).  The verified table is what every other
 module consumes.
+
+Automorphisms found among a few candidate maps, each checked against the
+table, give the orbit-minimal roots of the max-length search
+(``Group.orbit_roots``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -348,6 +353,17 @@ class Group:
             k >>= 1
         return acc
 
+    @functools.cached_property
+    def orbit_roots(self) -> tuple[int, ...]:
+        """The non-identity elements that are least in their orbit under the
+        automorphisms found by :func:`automorphisms`, in increasing order.
+
+        The max-length search needs only these roots: an automorphism moves
+        any free multiset onto one that starts at an orbit minimum.  Computed
+        on first use, never while the group is built.
+        """
+        return orbit_minima(self.order, automorphisms(self))
+
     def element_order(self, a: int) -> int:
         return self.element_orders[a]
 
@@ -411,6 +427,138 @@ def center(group: Group) -> list[int]:
     """Elements commuting with everything (by table scan)."""
     t = group.table
     return [a for a in group.elements() if np.array_equal(t[a, :], t[:, a])]
+
+
+# ---------------------------------------------------------------------------
+# Automorphisms and the orbit-minimal roots of the max-length search
+# ---------------------------------------------------------------------------
+
+def _unit_generators(h: int) -> list[int]:
+    """A generating set of the units mod h: each member is the least unit
+    outside the subgroup that the members before it generate."""
+    units = [u for u in range(1, h) if math.gcd(u, h) == 1]
+    sub, gens = {1 % h}, []
+    for u in units:
+        if len(sub) == len(units):
+            break
+        if u in sub:
+            continue
+        gens.append(u)
+        grown, p = set(sub), u
+        while p not in sub:
+            grown.update(a * p % h for a in sub)
+            p = p * u % h
+        sub = grown
+    return gens
+
+
+def _basis(spec: GroupSpec) -> list[tuple[int, int]]:
+    """(generator, order) pairs of the normal form: element a is the product,
+    in this order, of generator^(a // generator % order), each generator's
+    index being its stride in the index coding."""
+    if spec.kind in ("D", "Q", "M"):
+        h, m, _, _ = _presentation(spec)
+        return [(h, m), (1, h)]
+    ns = spec.params
+    return [(math.prod(ns[i + 1:]), n_i) for i, n_i in enumerate(ns) if n_i > 1]
+
+
+def _candidate_maps(group: Group):
+    """Maps that may be automorphisms of ``group``, as index arrays:
+    conjugation by each generator; for C and CxC, scalings of each factor by
+    a generating set of its units, one transvection x_i <- x_i +
+    (n_i / gcd(n_i, n_j)) x_j per ordered pair of factors and swaps of equal
+    factors; for D, Q and M, y -> y^a over a generating set of the units mod
+    h, and x -> xy.
+
+    Each map but conjugation is given by the images of the basis generators
+    and extended through the normal form; :func:`automorphisms` keeps only
+    the maps its table check accepts.
+    """
+    spec, n, t = group.spec, group.order, group.table
+    basis = _basis(spec)
+    digits = [np.arange(n) // g % order for g, order in basis]
+
+    def moving(images):
+        """The map sending each basis generator g to images.get(g, g)."""
+        phi = np.zeros(n, dtype=t.dtype)
+        for (g, order), d in zip(basis, digits):
+            col, pows = t[:, images.get(g, g)].tolist(), [0]
+            for _ in range(order - 1):
+                pows.append(col[pows[-1]])
+            phi = t[phi, np.array(pows)[d]]
+        return phi
+
+    if not group.is_abelian:
+        for g in group.generators.values():
+            yield t[t[group.inv_table[g]], g]
+    if spec.kind in ("C", "CxC"):
+        for g, order in basis:
+            for u in _unit_generators(order):
+                yield moving({g: u * g})
+        for (gi, ni), (gj, nj) in itertools.permutations(basis, 2):
+            # Coordinate i gains c times coordinate j: g_j -> g_j + c*g_i,
+            # well defined because n_j * c is a multiple of n_i.
+            c = ni // math.gcd(ni, nj)
+            if c < ni:
+                yield moving({gj: gj + c * gi})
+            if ni == nj and gi < gj:
+                yield moving({gi: gj, gj: gi})
+    else:
+        (x, _), (y, h) = basis
+        for a in _unit_generators(h):
+            yield moving({y: a * y})
+        yield moving({x: x + y})
+
+
+def automorphisms(group: Group, candidates=None) -> np.ndarray:
+    """The ``candidates`` (index arrays; default :func:`_candidate_maps`)
+    that are automorphisms, as the rows of one array.
+
+    A candidate is kept iff it is a bijection with phi(a*s) = phi(a)*phi(s)
+    for every element a and every generator s, which makes it a
+    homomorphism because the generators generate.  A wrong candidate is
+    dropped, so it can only leave the orbits finer (more roots), never
+    wrong.
+    """
+    n, t = group.order, group.table
+    if candidates is None:
+        candidates = _candidate_maps(group)
+    # The tables' dtype: an int16 sort is already paged in by _verify, an
+    # intp one would add about 0.1 MB of resident code.
+    maps = np.array(list(candidates), dtype=t.dtype).reshape(-1, n)
+    maps = maps[(np.sort(maps, axis=1) == np.arange(n)).all(axis=1)]
+    gens = list(group.generators.values())
+    hom = maps[:, t[:, gens]] == t[maps[:, :, None], maps[:, None, gens]]
+    return maps[hom.all(axis=(1, 2))]
+
+
+def orbit_minima(n: int, maps) -> tuple[int, ...]:
+    """The elements 1 .. n-1 that are least in their orbit under the group
+    generated by the permutations ``maps`` (the rows of an index array).
+
+    Elements are taken in increasing order, and each one not yet seen
+    starts a new orbit, which is then marked by following the maps.  The
+    images under the maps suffice: for permutations of a finite set they
+    generate the group.
+    """
+    maps = [phi.tolist() for phi in maps]
+    seen = [False] * n
+    roots = []
+    for a in range(1, n):
+        if seen[a]:
+            continue
+        roots.append(a)
+        seen[a] = True
+        stack = [a]
+        while stack:
+            b = stack.pop()
+            for phi in maps:
+                c = phi[b]
+                if not seen[c]:
+                    seen[c] = True
+                    stack.append(c)
+    return tuple(roots)
 
 
 # ---------------------------------------------------------------------------

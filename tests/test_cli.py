@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,42 @@ def test_schema_version_bump_invalidates(tmp_path):
     assert path.exists()
     # the old-version record has a different key, so a current lookup misses
     assert cache.lookup(tmp_path, "davenport", "C:4") is None
+
+
+@pytest.mark.parametrize("stale", [cache.ALGORITHM_VERSION - 1, None])
+def test_outdated_algorithm_version_is_recomputed(tmp_path, capsys, stale):
+    """A record from another algorithm version (None: written before records
+    carried one) is ignored with a warning, recomputed and overwritten;
+    the fresh record is a hit, and report skips an outdated one."""
+    payload = {"group": "D:5", "davenport": 99, "max_free_length": 98,
+               "witness": "[y]", "nodes": 1, "millis": 0.1}
+    path = cache.store(tmp_path, cache.CacheRecord(
+        cache.SCHEMA_VERSION, "D:5", "davenport", payload,
+        cache.payload_hash(payload), cache.ALGORITHM_VERSION - 1))
+    if stale is None:
+        raw = json.loads(path.read_text())
+        del raw["algorithm_version"]
+        path.write_text(json.dumps(raw) + "\n")
+    with pytest.warns(cache.CacheWarning, match="outdated"):
+        assert cache.lookup(tmp_path, "davenport", "D:5") is None
+    with pytest.warns(cache.CacheWarning, match="outdated"):
+        code, out, _ = run(capsys, "report", "--format", "json",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0 and out.strip() == "no results in cache"
+    with pytest.warns(cache.CacheWarning, match="outdated"):
+        code, out, err = run(capsys, "davenport", "--group", "D:5", "--json",
+                             "--cache-dir", str(tmp_path))
+    assert code == 0 and "cache hit" not in err
+    first = json.loads(out)
+    assert first["davenport"] == 6 and first["nodes"] > 0
+    assert json.loads(path.read_text())["algorithm_version"] == (
+        cache.ALGORITHM_VERSION)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", cache.CacheWarning)
+        code, out, err = run(capsys, "davenport", "--group", "D:5", "--json",
+                             "--cache-dir", str(tmp_path))
+    assert code == 0 and "cache hit" in err
+    assert json.loads(out) == dict(first, nodes=0, millis=0.0)
 
 
 def test_free_check_examples(tmp_path, capsys):

@@ -3,18 +3,24 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
+from zerosum.davenport import known_constant_roster
 from zerosum.groups import (
     DEFAULT_SEED,
     Group,
     GroupError,
     GroupSpec,
+    _basis,
+    _candidate_maps,
+    automorphisms,
     build_group,
     center,
+    orbit_minima,
     parse_group_spec,
     quaternion_names,
     quotient_map,
@@ -349,3 +355,123 @@ def test_spot_check_branch_for_large_groups():
     g = build_group("C:300")
     assert g.order == 300
     assert g.mul(299, 1) == 0
+
+
+# ---------------------------------------------------------------------------
+# Automorphisms and orbit-minimal roots
+# ---------------------------------------------------------------------------
+
+ROSTER = [spec for spec, _, _ in known_constant_roster()]
+# The candidate maps miss automorphisms of these two groups only, such as
+# the swap of x and y, so their roots are finer than Aut(G)'s orbits.
+FINER_ROOTS = {"D:2", "Q:2"}
+BRUTE_FORCE_LIMIT = 10 ** 5
+
+
+def hom_by_loop(g, phi):
+    """The automorphism check, one product at a time."""
+    if sorted(phi) != list(g.elements()):
+        return False
+    return all(phi[g.mul(a, s)] == g.mul(phi[a], phi[s])
+               for a in g.elements() for s in g.generators.values())
+
+
+def brute_force_orbit_roots(g, chunk=4096):
+    """Orbit minima under all of Aut(G): every assignment of same-order
+    images to the basis generators, extended through the normal form and
+    kept when it is an automorphism; None above BRUTE_FORCE_LIMIT
+    assignments."""
+    n, t = g.order, g.table
+    basis = _basis(g.spec)
+    if not basis:
+        return ()
+    images = [np.flatnonzero(np.array(g.element_orders) == g.element_orders[gen])
+              for gen, _ in basis]
+    if math.prod(len(c) for c in images) > BRUTE_FORCE_LIMIT:
+        return None
+    idx = np.arange(n)
+    grid = np.indices([len(c) for c in images]).reshape(len(images), -1)
+    least = idx.copy()
+    for lo in range(0, grid.shape[1], chunk):
+        pick = grid[:, lo:lo + chunk]
+        phi = np.zeros((pick.shape[1], n), dtype=np.intp)
+        for (gen, radix), cand, sel in zip(basis, images, pick):
+            pows = np.zeros((pick.shape[1], radix), dtype=np.intp)
+            for e in range(1, radix):
+                pows[:, e] = t[pows[:, e - 1], cand[sel]]
+            phi = t[phi, pows[:, idx // gen % radix]]
+        ok = (np.sort(phi, axis=1) == idx).all(axis=1)
+        for s in g.generators.values():
+            ok &= (phi[:, t[:, s]] == t[phi, phi[:, s][:, None]]).all(axis=1)
+        least = np.minimum(least, phi[ok].min(axis=0, initial=n))
+    return tuple(a for a in range(1, n) if least[a] == a)
+
+
+@pytest.mark.parametrize("spec", ["C:1", "C:24", "CxC:2,2,2", "CxC:2,4,4",
+                                  "CxC:6,6", "CxC:2,1,3", "D:2", "D:8", "Q:2",
+                                  "Q:6", "M:7,3,2", "M:5,4,2"])
+def test_kept_maps_are_automorphisms(spec):
+    """Every candidate of these groups is kept, and each passes the check
+    one product at a time."""
+    g = grp(spec)
+    candidates = [phi.tolist() for phi in _candidate_maps(g)]
+    kept = automorphisms(g, candidates).tolist()
+    assert kept == candidates
+    for phi in kept:
+        assert hom_by_loop(g, phi)
+
+
+def test_non_automorphism_candidates_are_dropped():
+    g = grp("D:4")
+    identity = list(g.elements())
+    squares = [g.power(a, 2) for a in g.elements()]    # not a bijection
+    swap = identity[:]
+    swap[1], swap[2] = 2, 1                             # y <-> y^2
+    shift = [(a + 1) % g.order for a in g.elements()]  # moves 1
+    outside = [a + 1 for a in g.elements()]             # leaves the group
+    wrong = [squares, swap, shift, outside]
+    assert not any(hom_by_loop(g, phi) for phi in wrong)
+    assert automorphisms(g, wrong).tolist() == []
+    assert automorphisms(g, wrong + [identity] + wrong).tolist() == [identity]
+    # With nothing kept every element is its own orbit: every root stays.
+    assert orbit_minima(g.order, automorphisms(g, wrong)) == tuple(
+        range(1, g.order))
+
+
+def test_orbit_roots_match_brute_force():
+    """Every roster group small enough for brute force, and a few more; on
+    D:2 and Q:2 the roots may only be a superset."""
+    checked = 0
+    for spec in ROSTER + ["CxC:2,3,4", "CxC:2,2,6", "CxC:1,4,1", "D:12",
+                          "Q:8", "M:13,4,5"]:
+        g = grp(spec)
+        want = brute_force_orbit_roots(g)
+        if want is None:
+            continue
+        checked += 1
+        if spec in FINER_ROOTS:
+            assert set(want) < set(g.orbit_roots), spec
+        else:
+            assert g.orbit_roots == want, spec
+    assert checked == len(ROSTER) + 5  # all but CxC:2,2,2,2,2
+
+
+def test_orbit_roots_are_computed_on_first_use():
+    g = build_group("D:5")
+    assert "orbit_roots" not in vars(g)
+    assert g.orbit_roots == (1, 5)
+    assert "orbit_roots" in vars(g)
+
+
+@pytest.mark.parametrize("spec", ["C:4096", "D:2048", "Q:1024", "CxC:64,64"])
+def test_orbit_roots_of_large_groups_stay_small(spec):
+    """No n*n Python list or int64 copy of the table: under 5 MB traced."""
+    g = build_group(spec)
+    tracemalloc.start()
+    try:
+        roots = g.orbit_roots
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20, peak
+    assert roots[:3] == (1, 2, 4)

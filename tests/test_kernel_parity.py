@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import zerosum.engine as engine
 from zerosum import _pykernel
+from zerosum.davenport import known_constant_roster
 from zerosum.engine import STATE_LIMIT, EngineLimitError
 from zerosum.sequences import GSequence
 
@@ -261,6 +262,19 @@ def test_reachable_refuses_above_the_cap_even_when_a_prefix_fills():
                 engine.is_product1_free(g, seq)
 
 
+@pytest.mark.parametrize("counts, message", [
+    ([1, -1], "counts entry -1 out of range"),
+    ([1], "counts must have 2 entries"),
+    ([1, 1, 1], "counts must have 2 entries")])
+def test_reachable_checks_counts_as_c_does(counts, message):
+    g = grp("D:4")
+    for kern in LANES:
+        with pytest.raises(ValueError) as info:
+            kern.reachable(engine._context(g, kern), [1, 4], counts, 0,
+                           STATE_LIMIT)
+        assert str(info.value) == message, kern.LANE
+
+
 def test_reachable_checks_every_element_up_front():
     """An element out of range is refused even after a prefix that fills
     the group."""
@@ -370,3 +384,81 @@ def test_parity_fuzz_mixed_workload():
         length = rng.randint(1, max(1, max_len(g, 10 ** 6)))
         a, b = on_both(g, lambda k, c: enum_search(k, c, length, 10 ** 6))
         assert a == b
+
+
+def roots_search(kern, ctx, budget, roots):
+    """Greedy floor, then the max-length DFS over ``roots`` above it."""
+    floor = kern.greedy(ctx)
+    return kern.search(ctx, "max", 0, floor[0], budget, STATE_LIMIT, roots)
+
+
+def test_search_roots_parity():
+    """The orbit roots, and every other root, under small per-root
+    budgets: identical results on both lanes."""
+    for spec in PARITY_SPECS + MULTIWORD_SPECS:
+        g = grp(spec)
+        others = tuple(r for r in range(1, g.order) if r not in g.orbit_roots)
+        for roots in (g.orbit_roots, others):
+            for budget in WORD_BUDGETS:
+                a, b = on_both(g, lambda k, c: roots_search(k, c, budget, roots))
+                assert a == b, (spec, roots, budget)
+
+
+def test_search_roots_none_means_every_root():
+    g = grp("D:7")
+    every = tuple(range(1, g.order))
+    for kern in LANES:
+        ctx = engine._context(g, kern)
+        assert (kern.search(ctx, "max", 0, 0, 10 ** 6, STATE_LIMIT, every)
+                == kern.search(ctx, "max", 0, 0, 10 ** 6, STATE_LIMIT, None)
+                == kern.search(ctx, "max", 0, 0, 10 ** 6, STATE_LIMIT))
+        assert kern.search(ctx, "max", 0, 3, 10 ** 6, STATE_LIMIT, []) == {
+            "complete": True, "best_len": 3, "witness": None, "found": [],
+            "nodes": 0}
+
+
+@pytest.mark.parametrize("roots, message", [
+    ([0, 3], "roots entry 0 out of range"),
+    ([3, 10], "roots entry 10 out of range"),
+    ([-1], "roots entry -1 out of range"),
+    ([2, 5, 5], "roots must be strictly increasing"),
+    ([4, 2], "roots must be strictly increasing")])
+def test_search_roots_refused_alike(roots, message):
+    g = grp("D:5")
+    for kern in LANES:
+        with pytest.raises(ValueError) as info:
+            kern.search(engine._context(g, kern), "max", 0, 0, 10, STATE_LIMIT,
+                        roots)
+        assert str(info.value) == message, kern.LANE
+
+
+def test_orbit_roots_keep_length_witness_and_completeness():
+    """From floor 0, the orbit roots give the max length, witness and
+    completeness of every root on each roster group of order <= 16."""
+    small = [spec for spec, _, _ in known_constant_roster()
+             if grp(spec).order <= 16]
+    assert len(small) == 38
+    for spec in small:
+        g = grp(spec)
+        for kern in LANES:
+            ctx = engine._context(g, kern)
+            full = kern.search(ctx, "max", 0, 0, 10 ** 7, STATE_LIMIT)
+            part = kern.search(ctx, "max", 0, 0, 10 ** 7, STATE_LIMIT,
+                               g.orbit_roots)
+            assert full["complete"] and part["complete"], spec
+            assert (part["best_len"], part["witness"]) == (
+                full["best_len"], full["witness"]), (spec, kern.LANE)
+            assert part["nodes"] <= full["nodes"]
+
+
+def test_engine_max_search_walks_the_orbit_roots():
+    g = grp("D:9")
+    assert g.orbit_roots == (1, 3, 9)
+    res = engine.max_free_search(g, budget=10 ** 7)
+    for kern in LANES:
+        ctx = engine._context(g, kern)
+        floor = kern.greedy(ctx)
+        part = roots_search(kern, ctx, 10 ** 7, g.orbit_roots)
+        full = roots_search(kern, ctx, 10 ** 7, None)
+        assert res["nodes"] == floor[2] + part["nodes"] < floor[2] + full["nodes"]
+        assert res["max_len"] == full["best_len"] == 9
