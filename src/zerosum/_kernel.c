@@ -25,13 +25,15 @@
  * order, so only the last digit ever grows; appending a copy of e adds one
  * block of states at the end of the array, and undoing it truncates the
  * array again.  Each state holds one bitset, so state caps are counted in
- * words: a cap of N admits N / words states.  Stand-alone reachability
- * appends a multiset's copies in increasing element order through the same
- * extend, so each lane has one sub-multiset DP.  It stops after the first
- * append whose reach set meets until_mask or is the whole group: from then
- * on no append changes the answer, and a multiset of k distinct elements
- * that fills the group early never builds the rest of its 2^k states.  The
- * state cap still applies to the whole multiset, up front.
+ * words: a cap of N admits N / words states.  Every entry point takes the
+ * cap from its caller (engine.STATE_LIMIT); the kernel holds no default.
+ * Stand-alone reachability appends a multiset's copies in increasing
+ * element order through the same extend, so each lane has one sub-multiset
+ * DP.  It stops after the first append whose reach set meets until_mask or
+ * is the whole group: from then on no append changes the answer, and a
+ * multiset of k distinct elements that fills the group early never builds
+ * the rest of its 2^k states.  The state cap still applies to the whole
+ * multiset, up front.
  *
  * search walks one branch per root (first element), 1 .. n-1 unless the
  * caller names the roots.  The engine's max-length search names the
@@ -47,7 +49,6 @@
 
 #define MAX_ORDER 4096
 #define MAX_WORDS (MAX_ORDER / 64)
-#define DEFAULT_STATE_CAP 100000000LL
 #define CONTEXT_NAME "zerosum._kernel.Context"
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
 
@@ -652,8 +653,8 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
     PyObject *ctx_obj, *budget_obj, *roots_obj = Py_None;
     const char *mode;
     int target, floor_len;
-    long long state_cap = DEFAULT_STATE_CAP;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OsiiO|LO:search", kwlist,
+    long long state_cap;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OsiiOL|O:search", kwlist,
                                      &ctx_obj, &mode, &target, &floor_len,
                                      &budget_obj, &state_cap, &roots_obj))
         return NULL;
@@ -719,12 +720,18 @@ done:
 /* Leftmost canonical descent: always append the least feasible element.
  * Returns (length, witness tuple, nodes); see the pure lane. */
 static PyObject *
-greedy(PyObject *self, PyObject *ctx_obj)
+greedy(PyObject *self, PyObject *args, PyObject *kwargs)
 {
+    static char *kwlist[] = {"ctx", "state_cap", NULL};
+    PyObject *ctx_obj;
+    long long state_cap;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OL:greedy", kwlist,
+                                     &ctx_obj, &state_cap))
+        return NULL;
     const Context *c = get_context(ctx_obj);
     if (c == NULL)
         return NULL;
-    Search *s = search_new(c, DEFAULT_STATE_CAP, c->n + 1);
+    Search *s = search_new(c, state_cap, c->n + 1);
     if (s == NULL)
         return NULL;
     int W = c->words, len = 0, start = 1;
@@ -761,9 +768,9 @@ reachable(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"ctx", "elems", "counts", "until_mask",
                              "state_cap", NULL};
-    PyObject *ctx_obj, *elems_obj, *counts_obj, *until_obj = NULL;
-    long long state_cap = DEFAULT_STATE_CAP;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO|OL:reachable", kwlist,
+    PyObject *ctx_obj, *elems_obj, *counts_obj, *until_obj;
+    long long state_cap;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOL:reachable", kwlist,
                                      &ctx_obj, &elems_obj, &counts_obj,
                                      &until_obj, &state_cap))
         return NULL;
@@ -777,8 +784,8 @@ reachable(PyObject *self, PyObject *args, PyObject *kwargs)
         PyErr_Format(PyExc_ValueError, "at most %d distinct elements", MAX_ORDER);
         return NULL;
     }
-    uint64_t until[MAX_WORDS] = {0};
-    if (until_obj != NULL && read_mask(until_obj, c, until) < 0)
+    uint64_t until[MAX_WORDS];
+    if (read_mask(until_obj, c, until) < 0)
         return NULL;
     /* elems[j] and counts[j] side by side; copies[e] totals the counts of
      * element e */
@@ -845,18 +852,18 @@ static PyMethodDef kernel_methods[] = {
      "build_context(n, mul_flat, inv, identity, abelian)\n--\n\n"
      "Product tables for one group of order <= 4096; mul_flat (n*n) and inv\n"
      "(n) are C-contiguous buffers of native int16."},
-    {"greedy", greedy, METH_O,
-     "greedy(ctx)\n--\n\n"
+    {"greedy", (PyCFunction)(void (*)(void))greedy, METH_VARARGS | METH_KEYWORDS,
+     "greedy(ctx, state_cap)\n--\n\n"
      "Leftmost canonical descent; returns (length, witness, nodes)."},
     {"search", (PyCFunction)(void (*)(void))search, METH_VARARGS | METH_KEYWORDS,
-     "search(ctx, mode, target, floor_len, budget, state_cap=100000000,\n"
-     "       roots=None)\n--\n\n"
+     "search(ctx, mode, target, floor_len, budget, state_cap, roots=None)\n"
+     "--\n\n"
      "Canonical DFS, one branch per root 1 .. n-1, or per entry of roots\n"
      "(strictly increasing indices in 1 .. n-1; the max-length search passes\n"
      "the Aut(G)-orbit minima); same contract as the pure lane."},
     {"reachable", (PyCFunction)(void (*)(void))reachable,
      METH_VARARGS | METH_KEYWORDS,
-     "reachable(ctx, elems, counts, until_mask=0, state_cap=100000000)\n--\n\n"
+     "reachable(ctx, elems, counts, until_mask, state_cap)\n--\n\n"
      "Products of nonempty sub-multisets as (mask, hit): the copies are\n"
      "appended in increasing element order with the search's own step, which\n"
      "stops after the first append that reaches until_mask or fills the\n"

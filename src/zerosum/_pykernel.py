@@ -23,7 +23,8 @@ is the whole group.
 
 State caps count 64-bit words, as in the compiled kernel, where each DP state
 holds one bitset of ``words`` = ceil(n / 64) words: a cap of N admits
-N // words states.
+N // words states.  Every entry point takes the cap from its caller
+(``engine.STATE_LIMIT``); the kernels hold no default of their own.
 
 The DFS is a loop over an explicit stack with one frame per path element
 (the element, its reach set, an iterator over the children not yet
@@ -44,8 +45,6 @@ LANE = "pure"
 # Chunked translate tables get too large past this order; beyond it a
 # bit-by-bit loop is used (only plausible for one-off reachability queries).
 _TABLE_ORDER_LIMIT = 512
-
-DEFAULT_STATE_CAP = 100_000_000
 
 # The compiled kernel reads counts as C ints below this bound.
 _INT_MAX = 2 ** 31 - 1
@@ -198,7 +197,7 @@ def _extend(ctx, table, reach, e):
     return reach | table.append(ctx, e)
 
 
-def reachable(ctx, elems, counts, until_mask=0, state_cap=DEFAULT_STATE_CAP):
+def reachable(ctx, elems, counts, until_mask, state_cap):
     """Exact set of products of nonempty sub-multisets, in any order.
 
     ``elems``/``counts`` describe the multiset (elements with their
@@ -238,7 +237,7 @@ def reachable(ctx, elems, counts, until_mask=0, state_cap=DEFAULT_STATE_CAP):
     return reach, False
 
 
-def greedy(ctx):
+def greedy(ctx, state_cap):
     """Leftmost canonical descent: always append the least feasible element.
 
     Returns (length, witness tuple, nodes).  The witness is the
@@ -247,7 +246,7 @@ def greedy(ctx):
     large as the greedy choice.
     """
     n, inv = ctx.n, ctx.inv
-    table = None if ctx.abelian else _Table(ctx, DEFAULT_STATE_CAP)
+    table = None if ctx.abelian else _Table(ctx, state_cap)
     reach = 0
     path = []
     start = 1
@@ -282,8 +281,7 @@ def _check_roots(n, roots):
     return roots
 
 
-def search(ctx, mode, target, floor_len, budget, state_cap=DEFAULT_STATE_CAP,
-           roots=None):
+def search(ctx, mode, target, floor_len, budget, state_cap, roots=None):
     """Canonical DFS, one branch per first element (root) 1 .. n-1, or per
     entry of ``roots`` (strictly increasing indices in 1 .. n-1) when given.
 

@@ -16,7 +16,6 @@ import io
 import json
 import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import cache as cache_mod
@@ -64,17 +63,6 @@ VERIFY_TARGETS = tuple(VERIFY_PARAMS)
 
 CSV_HEADER = ["group", "davenport", "extremal_count", "verdict", "missing",
               "extra", "nodes", "millis"]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    group_spec: str | None
-    budget: int
-    output_format: str
-    cache_dir: Path
-    rng_seed: int
-    use_cache: bool
 
 
 def _int_at_least(low: int):
@@ -160,36 +148,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config(args) -> RunConfig:
-    cache_dir = getattr(args, "cache_dir", None) or cache_mod.default_cache_dir()
-    return RunConfig(
-        command=args.command,
-        group_spec=getattr(args, "group", None),
-        budget=getattr(args, "budget", DEFAULT_NODE_BUDGET),
-        output_format="json" if getattr(args, "json", False) else "table",
-        cache_dir=Path(cache_dir),
-        rng_seed=getattr(args, "rng_seed", DEFAULT_SEED),
-        use_cache=not getattr(args, "no_cache", False),
-    )
-
-
 def _emit(obj):
     print(json.dumps(obj, sort_keys=True))
 
 
-def _cached(cfg: RunConfig, kind: str, key: str, compute) -> dict:
-    """The payload for ``kind``/``key``: read from the cache, else computed
-    by ``compute()`` and stored.
+def _cached(args, kind: str, key: str, compute) -> dict:
+    """The payload for ``kind``/``key``: read from the cache that ``args``
+    names (``--cache-dir``, ``--no-cache``), else computed by ``compute()``
+    and stored.
 
     The returned copy carries ``schema_version``.  A cache hit reports 0
     nodes and 0 ms, since this run expanded nothing.
     """
-    payload = cache_mod.lookup(cfg.cache_dir, kind, key) if cfg.use_cache else None
+    cache_dir = args.cache_dir or cache_mod.default_cache_dir()
+    payload = None if args.no_cache else cache_mod.lookup(cache_dir, kind, key)
     hit = payload is not None
     if not hit:
         payload = compute()
-        if cfg.use_cache:
-            cache_mod.store(cfg.cache_dir, cache_mod.make_record(kind, key, payload))
+        if not args.no_cache:
+            cache_mod.store(cache_dir, cache_mod.make_record(kind, key, payload))
     shown = dict(payload, schema_version=SCHEMA_VERSION)
     if hit:
         shown.update(nodes=0, millis=0.0)
@@ -202,13 +179,12 @@ def _cached(cfg: RunConfig, kind: str, key: str, compute) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_group_info(args) -> int:
-    cfg = _config(args)
-    g = build_group(args.group, rng_seed=cfg.rng_seed)
+    g = build_group(args.group, rng_seed=args.rng_seed)
     qnames = None
     if g.spec.kind == "Q" and g.spec.params[0] == 2:
         qmap = quaternion_names(g)
         qnames = [qmap[i] for i in g.elements()]
-    if cfg.output_format == "json":
+    if args.json:
         _emit({
             "schema_version": SCHEMA_VERSION,
             "group": g.key,
@@ -238,12 +214,11 @@ def _load_sequences(g: Group, args) -> list[GSequence]:
 
 
 def cmd_free_check(args) -> int:
-    cfg = _config(args)
     from .engine import is_product1_free
-    g = build_group(args.group, rng_seed=cfg.rng_seed)
+    g = build_group(args.group, rng_seed=args.rng_seed)
     seqs = _load_sequences(g, args)
     results = [{"seq": s.format(g), "free": is_product1_free(g, s)} for s in seqs]
-    if cfg.output_format == "json":
+    if args.json:
         _emit({"schema_version": SCHEMA_VERSION, "group": g.key,
                "results": results})
     elif len(results) == 1:
@@ -255,9 +230,8 @@ def cmd_free_check(args) -> int:
 
 
 def cmd_reach(args) -> int:
-    cfg = _config(args)
     from .engine import reachable_products, target_mask
-    g = build_group(args.group, rng_seed=cfg.rng_seed)
+    g = build_group(args.group, rng_seed=args.rng_seed)
     seq = GSequence.from_text(g, args.seq)
     rs = reachable_products(g, seq)
     names = [g.names[i] for i in sorted(rs)]
@@ -265,7 +239,7 @@ def cmd_reach(args) -> int:
     if args.targets:
         targets = GSequence.from_text(g, args.targets)
         hit = bool(rs.mask & target_mask(g, targets.items))
-    if cfg.output_format == "json":
+    if args.json:
         _emit({"schema_version": SCHEMA_VERSION, "group": g.key,
                "seq": seq.format(g), "reachable": names, "hits_targets": hit})
         return EXIT_OK
@@ -276,13 +250,12 @@ def cmd_reach(args) -> int:
 
 
 def cmd_davenport(args) -> int:
-    cfg = _config(args)
     spec = parse_group_spec(args.group)
     key = str(spec)  # == Group.key; a cache hit builds no group
 
     def compute():
-        g = build_group(spec, rng_seed=cfg.rng_seed)
-        res = max_free_length(g, budget=cfg.budget)
+        g = build_group(spec, rng_seed=args.rng_seed)
+        res = max_free_length(g, budget=args.budget)
         if not res.complete:
             raise BudgetExhaustedError(
                 f"node budget exhausted: D({key}) unknown above length "
@@ -297,8 +270,8 @@ def cmd_davenport(args) -> int:
             "millis": round(res.elapsed * 1000.0, 3),
         }
 
-    shown = _cached(cfg, "davenport", key, compute)
-    if cfg.output_format == "json":
+    shown = _cached(args, "davenport", key, compute)
+    if args.json:
         _emit(shown)
         return EXIT_OK
     print(f"D({key}) = {shown['davenport']}  "
@@ -308,13 +281,12 @@ def cmd_davenport(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    cfg = _config(args)
     spec = parse_group_spec(args.group)
     key = str(spec)  # == Group.key; a cache hit builds no group
 
     def compute():
-        g = build_group(spec, rng_seed=cfg.rng_seed)
-        enum = enumerate_extremal(g, budget=cfg.budget)
+        g = build_group(spec, rng_seed=args.rng_seed)
+        enum = enumerate_extremal(g, budget=args.budget)
         return {
             "group": g.key,
             "davenport": enum.davenport,
@@ -325,8 +297,8 @@ def cmd_extremal(args) -> int:
             "millis": round(enum.elapsed * 1000.0, 3),
         }
 
-    shown = _cached(cfg, "extremal", key, compute)
-    if cfg.output_format == "json":
+    shown = _cached(args, "extremal", key, compute)
+    if args.json:
         if args.limit is not None:
             shown["sequences"] = shown["sequences"][:args.limit]
         _emit(shown)
@@ -379,30 +351,29 @@ def _verify_params(target: str, pairs) -> dict:
 _THEOREM_KINDS = {"dihedral": "D", "dicyclic": "Q", "cyclic": "C", "metacyclic": "M"}
 
 
-def _run_verify(target: str, params: dict, cfg: RunConfig):
+def _run_verify(target: str, params: dict, args):
     if target in _THEOREM_KINDS:
         spec = _THEOREM_KINDS[target] + ":" + ",".join(
             str(params[k]) for k in VERIFY_PARAMS[target])
-        group = build_group(spec, rng_seed=cfg.rng_seed)
-        return verify_theorem(group, budget=cfg.budget)
+        group = build_group(spec, rng_seed=args.rng_seed)
+        return verify_theorem(group, budget=args.budget)
     if target == "weighted":
-        return check_weighted_lemma(params["n"])
+        return check_weighted_lemma(params["n"], budget=args.budget)
     if target == "cyclic-structure":
-        return check_cyclic_structure(params["n"], budget=cfg.budget)
+        return check_cyclic_structure(params["n"], budget=args.budget)
     if target == "minzero":
-        group = build_group(params["group"], rng_seed=cfg.rng_seed)
-        return check_minimal_zero_sum_order(group, budget=cfg.budget)
+        group = build_group(params["group"], rng_seed=args.rng_seed)
+        return check_minimal_zero_sum_order(group, budget=args.budget)
     raise EngineError(f"unknown verify target {target!r}")
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
     params = _verify_params(args.target, args.param)
     # canonical, so n=05 and n=5 share one record
     key = args.target + ":" + ",".join(f"{k}={params[k]}" for k in sorted(params))
-    shown = _cached(cfg, "verify", key,
-                    lambda: _run_verify(args.target, params, cfg).to_payload())
-    if cfg.output_format == "json":
+    shown = _cached(args, "verify", key,
+                    lambda: _run_verify(args.target, params, args).to_payload())
+    if args.json:
         _emit(shown)
     else:
         print(f"verify {shown['target']} {shown['group']}: {shown['verdict']}")

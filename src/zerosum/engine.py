@@ -29,7 +29,8 @@ except ImportError:
 
 DISTINCT_LIMIT = 24
 # DP states hold one bitset of ceil(order / 64) 64-bit words each; the limit
-# counts words (800 MB), in the guard and in both kernels.
+# counts words (800 MB).  It is the one state cap: the guard applies it, and
+# every kernel call takes it as an argument.
 STATE_LIMIT = 100_000_000
 ORACLE_LENGTH_LIMIT = 8
 
@@ -83,9 +84,6 @@ class ReachableSet:
 
     group_key: str
     mask: int
-
-    def members(self) -> frozenset[int]:
-        return frozenset(self)
 
     def __contains__(self, idx: int) -> bool:
         return bool((self.mask >> idx) & 1)
@@ -221,7 +219,7 @@ def max_free_search(group: Group, *, budget: int) -> dict:
     kern = _kernel_for(group)
     ctx = _context(group, kern)
     try:
-        g_len, g_wit, g_nodes = kern.greedy(ctx)
+        g_len, g_wit, g_nodes = kern.greedy(ctx, STATE_LIMIT)
         res = kern.search(ctx, "max", 0, g_len, budget, STATE_LIMIT,
                           group.orbit_roots)
     except LimitExceeded as exc:

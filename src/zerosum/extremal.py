@@ -40,10 +40,6 @@ class CharacterizationFamily:
     sequences: tuple[GSequence, ...]
     parameter_note: str
 
-    @property
-    def group_key(self) -> str:
-        return self.group.key
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -323,21 +319,29 @@ def signed_zero_subset_exists(n: int, values) -> bool:
     return False
 
 
-def check_weighted_lemma(n: int) -> VerificationReport:
+def check_weighted_lemma(n: int, *,
+                         budget: int = DEFAULT_NODE_BUDGET) -> VerificationReport:
     """Exhaustively confirm the +-1-weighted zero-sum bound s = floor(log2 n) + 1.
 
     Tuples are checked up to ordering (a multiset has a signed zero subset
     sum iff every ordering of it does).  A tightness probe at s - 1 reports
     the first counterexample tuple found, if any.
+
+    The C(n + s - 1, s) multisets are counted up front; more than ``budget``
+    of them raise ``BudgetExhaustedError`` before any is checked.
     """
     if n < 2:
         raise GroupError("weighted lemma check requires n >= 2")
     t0 = time.perf_counter()
     s = n.bit_length() - 1 + 1  # floor(log2 n) + 1
+    total = math.comb(n + s - 1, s)
+    if total > budget:
+        raise BudgetExhaustedError(
+            f"budget exhausted: the weighted lemma check for n={n} walks "
+            f"{total} multisets, above the budget {budget}",
+            best_length=0, nodes=0)
     violations = []
-    checked = 0
     for tup in combinations_with_replacement(range(n), s):
-        checked += 1
         if not signed_zero_subset_exists(n, tup):
             violations.append(str(tup))
     probe = None
@@ -350,13 +354,13 @@ def check_weighted_lemma(n: int) -> VerificationReport:
         "n": n,
         "s": s,
         "tuple_count": n ** s,
-        "multisets_checked": checked,
+        "multisets_checked": total,
         "tightness_probe_s": s - 1,
         "tightness_counterexample": probe,
     }
     return VerificationReport(
         target="weighted", group=f"C:{n}",
-        enumerated_count=checked, predicted_count=checked,
+        enumerated_count=total, predicted_count=total,
         missing=tuple(violations), extra=(),
         verdict=_verdict(violations, ()),
         details=details, nodes=0,

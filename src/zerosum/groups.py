@@ -116,28 +116,6 @@ class GroupSpec:
                     f"metacyclic relation ord_q(s) = m violated: "
                     f"ord_{q}({s}) = {_ord_mod(s, q)} != {m}")
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def cyclic(n: int) -> "GroupSpec":
-        return GroupSpec("C", (n,))
-
-    @staticmethod
-    def dihedral(n: int) -> "GroupSpec":
-        return GroupSpec("D", (n,))
-
-    @staticmethod
-    def dicyclic(n: int) -> "GroupSpec":
-        return GroupSpec("Q", (n,))
-
-    @staticmethod
-    def metacyclic(q: int, m: int, s: int) -> "GroupSpec":
-        return GroupSpec("M", (q, m, s))
-
-    @staticmethod
-    def product_of_cyclics(ns) -> "GroupSpec":
-        return GroupSpec("CxC", tuple(ns))
-
     @property
     def order(self) -> int:
         if self.kind in ("D", "Q", "M"):
@@ -190,7 +168,7 @@ def _names(letters: str, ns) -> list[str]:
 
 
 def _family_data(spec: GroupSpec):
-    """Return (names, mul, generators, h_size) for the family.
+    """Return (names, mul, generators) for the family.
 
     ``mul`` takes indices or broadcastable index arrays alike, so one
     function fills the table and answers the scalar ``mul_formula``.
@@ -199,7 +177,7 @@ def _family_data(spec: GroupSpec):
 
     if kind == "C":
         n = params[0]
-        return _names("y", params), lambda a, b: (a + b) % n, {"y": 1 % n}, None
+        return _names("y", params), lambda a, b: (a + b) % n, {"y": 1 % n}
 
     if kind in ("D", "Q", "M"):
         h, m, k, s = _presentation(spec)
@@ -212,7 +190,7 @@ def _family_data(spec: GroupSpec):
             carry, i = np.divmod(i1 + i2, m)
             return i * h + (j1 * spow[i2] + j2 + k * carry) % h
 
-        return _names("xy", (m, h)), mul, {"x": h, "y": 1}, h
+        return _names("xy", (m, h)), mul, {"x": h, "y": 1}
 
     # CxC: mixed-radix indexing, componentwise addition.
     ns = params
@@ -225,7 +203,7 @@ def _family_data(spec: GroupSpec):
         return sum((a // st + b // st) % n_i * st for st, n_i in zip(strides, ns))
 
     gens = {letters[i]: strides[i] for i in range(len(ns)) if ns[i] > 1}
-    return _names(letters, ns), mul, gens, None
+    return _names(letters, ns), mul, gens
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +220,11 @@ class Group:
         self.spec = spec
         self.key = str(spec)
         self.order = spec.order
-        names, mul_formula, generators, h_size = _family_data(spec)
+        names, mul_formula, generators = _family_data(spec)
         self.names: tuple[str, ...] = tuple(names)
         # The inverse of ``names``: canonical words resolve by lookup.
         self._index: dict[str, int] = {w: i for i, w in enumerate(self.names)}
         self.generators: dict[str, int] = generators
-        self.h_size = h_size
         self.identity = 0
         self._mul_formula = mul_formula
 
@@ -364,21 +341,8 @@ class Group:
         """
         return orbit_minima(self.order, automorphisms(self))
 
-    def element_order(self, a: int) -> int:
-        return self.element_orders[a]
-
     def elements(self) -> range:
         return range(self.order)
-
-    def name(self, a: int) -> str:
-        return self.names[a]
-
-    def coset_split(self, a: int) -> str:
-        """'H' if a lies in the cyclic subgroup <y>, 'N' for the x-coset."""
-        if self.spec.kind not in ("D", "Q"):
-            raise GroupError(
-                f"coset split requires a dihedral or dicyclic group, not {self.key}")
-        return "H" if a < self.h_size else "N"
 
     def element_from_word(self, word: str) -> int:
         """Resolve a word like ``x*y^3`` (or ``1``) to an element index.
@@ -421,12 +385,6 @@ def build_group(spec: GroupSpec | str, *, rng_seed: int = DEFAULT_SEED) -> Group
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     return Group(spec, rng_seed=rng_seed)
-
-
-def center(group: Group) -> list[int]:
-    """Elements commuting with everything (by table scan)."""
-    t = group.table
-    return [a for a in group.elements() if np.array_equal(t[a, :], t[:, a])]
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +543,8 @@ def quotient_map(n: int) -> QuotientMap:
     """The canonical map x |-> x, y |-> y modulo the central {1, y^n}."""
     if n < 2:
         raise GroupError("quotient map requires n >= 2")
-    q = build_group(GroupSpec.dicyclic(n))
-    d = build_group(GroupSpec.dihedral(n))
+    q = build_group(GroupSpec("Q", (n,)))
+    d = build_group(GroupSpec("D", (n,)))
     idx = np.arange(q.order)
     mapping = (idx // (2 * n)) * n + idx % n
     if not np.array_equal(mapping[q.table], d.table[np.ix_(mapping, mapping)]):
@@ -606,7 +564,7 @@ def quaternion_names(group: Group) -> dict[int, str]:
     The orientation is fixed by the convention i*j = k; 'e' is the identity
     and -e the unique central involution y^2 = x^2.
     """
-    if group.spec != GroupSpec.dicyclic(2):
+    if group.spec != GroupSpec("Q", (2,)):
         raise GroupError(f"quaternion names are defined for Q:2 only, not {group.key}")
     i = group.generators["x"]
     j = group.generators["y"]

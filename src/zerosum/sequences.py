@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .groups import Group
 
@@ -67,13 +66,7 @@ class GSequence:
             raise SequenceError(
                 f"sequence over {self.group_key} used with group {group.key}")
 
-    # -- the sequence calculus -------------------------------------------
-
-    def concat(self, other: "GSequence") -> "GSequence":
-        if other.group_key != self.group_key:
-            raise SequenceError(
-                f"cannot concatenate sequences over {self.group_key} and {other.group_key}")
-        return GSequence(self.group_key, tuple(sorted(self.items + other.items)))
+    # -- multiset difference ---------------------------------------------
 
     def remove(self, other: "GSequence") -> "GSequence":
         """Multiset difference; ``other`` must be contained in ``self``."""
@@ -86,38 +79,6 @@ class GSequence:
             raise SequenceError("sequence to remove is not contained in the original")
         return GSequence(self.group_key,
                          tuple(sorted(left.elements())))
-
-    def power(self, k: int) -> "GSequence":
-        if k < 0:
-            raise SequenceError(f"sequence power requires k >= 0, got {k}")
-        return GSequence(self.group_key, tuple(sorted(self.items * k)))
-
-    def h_part(self, group: Group) -> "GSequence":
-        self._check_group(group)
-        return GSequence(self.group_key,
-                         tuple(a for a in self.items if group.coset_split(a) == "H"))
-
-    def n_part(self, group: Group) -> "GSequence":
-        self._check_group(group)
-        return GSequence(self.group_key,
-                         tuple(a for a in self.items if group.coset_split(a) == "N"))
-
-    def inverted(self, group: Group) -> "GSequence":
-        """Pointwise inverse of every element (again in normal form)."""
-        self._check_group(group)
-        return GSequence.from_indices(group, (group.inverse(a) for a in self.items))
-
-    def sub_multisets(self) -> Iterator["GSequence"]:
-        """Every distinct nonempty sub-multiset, each exactly once."""
-        cnt = self.counts()
-        elems = sorted(cnt)
-        for picks in product(*(range(cnt[e] + 1) for e in elems)):
-            if not any(picks):
-                continue
-            items = []
-            for e, k in zip(elems, picks):
-                items.extend([e] * k)
-            yield GSequence(self.group_key, tuple(items))
 
     def __len__(self) -> int:
         return len(self.items)

@@ -282,6 +282,45 @@ def test_verify_weighted_and_minzero(tmp_path, capsys):
     assert code == 2 and "group=" in err
 
 
+# The weighted payloads of the unbudgeted check, millis aside.
+WEIGHTED_PAYLOADS = {
+    5: {"details": {"multisets_checked": 35, "n": 5, "s": 3,
+                    "tightness_counterexample": "(1, 2)",
+                    "tightness_probe_s": 2, "tuple_count": 125},
+        "enumerated_count": 35, "extra": [], "group": "C:5", "missing": [],
+        "nodes": 0, "predicted_count": 35, "schema_version": 1,
+        "target": "weighted", "verdict": "exact-match"},
+    8: {"details": {"multisets_checked": 330, "n": 8, "s": 4,
+                    "tightness_counterexample": "(1, 2, 4)",
+                    "tightness_probe_s": 3, "tuple_count": 4096},
+        "enumerated_count": 330, "extra": [], "group": "C:8", "missing": [],
+        "nodes": 0, "predicted_count": 330, "schema_version": 1,
+        "target": "weighted", "verdict": "exact-match"},
+}
+
+
+def test_verify_weighted_budget(capsys):
+    """The C(n + s - 1, s) multisets are counted before any is checked: n=64
+    (1,198,774,720 of them) exits 3 at once under the default budget, and a
+    budget just below n=8's 330 refuses it too."""
+    for n, payload in WEIGHTED_PAYLOADS.items():
+        code, out, _ = run(capsys, "verify", "--target", "weighted", "--param",
+                           f"n={n}", "--no-cache", "--json")
+        assert code == 0
+        data = json.loads(out)
+        data.pop("millis")
+        assert data == payload
+    code, _, err = run(capsys, "verify", "--target", "weighted", "--param",
+                       "n=64", "--no-cache")
+    assert code == 3 and "1198774720 multisets" in err
+    code, _, err = run(capsys, "verify", "--target", "weighted", "--param",
+                       "n=8", "--no-cache", "--budget", "329")
+    assert code == 3 and "budget 329" in err
+    code, _, _ = run(capsys, "verify", "--target", "weighted", "--param",
+                     "n=8", "--no-cache", "--budget", "330", "--json")
+    assert code == 0
+
+
 def test_report_empty_and_rows(tmp_path, capsys):
     code, out, _ = run(capsys, "report", "--cache-dir", str(tmp_path))
     assert code == 0 and "no results" in out

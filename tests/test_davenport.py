@@ -49,7 +49,7 @@ def test_witness_tightness_small_groups(spec):
     assert g.order <= 16
     res = max_free_length(g)
     for e in g.elements():
-        extended = res.witness.concat(GSequence.from_indices(g, [e]))
+        extended = GSequence.from_indices(g, res.witness.items + (e,))
         assert not is_product1_free(g, extended)
 
 

@@ -52,7 +52,7 @@ def on_both(g, call):
 
 def max_search(kern, ctx, budget):
     """Greedy floor, then the max-length DFS above it (as the engine runs)."""
-    floor = kern.greedy(ctx)
+    floor = kern.greedy(ctx, STATE_LIMIT)
     return floor, kern.search(ctx, "max", 0, floor[0], budget, STATE_LIMIT)
 
 
@@ -81,7 +81,7 @@ def test_enum_parity(spec):
 
 def test_greedy_parity():
     for spec in PARITY_SPECS + WORD_SPECS + MULTIWORD_SPECS:
-        a, b = on_both(grp(spec), lambda k, c: k.greedy(c))
+        a, b = on_both(grp(spec), lambda k, c: k.greedy(c, STATE_LIMIT))
         assert a == b, spec
 
 
@@ -339,6 +339,17 @@ def test_search_state_cap_counts_words():
     assert a == b
 
 
+def test_greedy_state_cap_counts_words():
+    """Greedy on D:50 walks (y)^49 (x): 100 DP states of two words each.  A
+    cap of 199 words refuses it on both lanes, 200 admits it."""
+    g = grp("D:50")
+    for kern in LANES:
+        with pytest.raises(_pykernel.LimitExceeded):
+            kern.greedy(engine._context(g, kern), 199)
+    a, b = on_both(g, lambda k, c: k.greedy(c, 200))
+    assert a == b and a[0] == 50
+
+
 def test_budget_abort_parity():
     cases = [("D:9", (1, 5, 50, 500))] + [
         (s, WORD_BUDGETS) for s in WORD_SPECS + MULTIWORD_SPECS]
@@ -388,7 +399,7 @@ def test_parity_fuzz_mixed_workload():
 
 def roots_search(kern, ctx, budget, roots):
     """Greedy floor, then the max-length DFS over ``roots`` above it."""
-    floor = kern.greedy(ctx)
+    floor = kern.greedy(ctx, STATE_LIMIT)
     return kern.search(ctx, "max", 0, floor[0], budget, STATE_LIMIT, roots)
 
 
@@ -457,7 +468,7 @@ def test_engine_max_search_walks_the_orbit_roots():
     res = engine.max_free_search(g, budget=10 ** 7)
     for kern in LANES:
         ctx = engine._context(g, kern)
-        floor = kern.greedy(ctx)
+        floor = kern.greedy(ctx, STATE_LIMIT)
         part = roots_search(kern, ctx, 10 ** 7, g.orbit_roots)
         full = roots_search(kern, ctx, 10 ** 7, None)
         assert res["nodes"] == floor[2] + part["nodes"] < floor[2] + full["nodes"]

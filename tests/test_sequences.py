@@ -1,8 +1,7 @@
-"""Multiset normal form, the sequence calculus and the text format."""
+"""Multiset normal form, multiset difference and the text format."""
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
@@ -52,33 +51,23 @@ def test_text_errors():
         GSequence.from_indices(g, [7])
 
 
-def test_concat_remove_power():
+def test_remove():
     g = grp("D:3")
     y = GSequence.from_text(g, "[y]")
     yx = GSequence.from_text(g, "[y, x]")
-    assert y.concat(yx).items == (1, 1, 3)
-    assert y.concat(GSequence(g.key, ())) == y
     assert yx.remove(y).items == (3,)
     assert yx.remove(yx).length == 0
     three = GSequence.from_text(g, "[y, y, x]")
     assert three.remove(GSequence.from_text(g, "[x, y]")) == y
-    assert y.power(2).items == (1, 1)
-    assert y.power(0).length == 0
-    assert yx.power(2).items == (1, 1, 3, 3)
-    # definition chaining: S ++ S ++ S == power(S, 3)
-    s = GSequence.from_text(g, "[y^2]")
-    assert s.concat(s).concat(s) == s.power(3)
 
 
-def test_concat_remove_errors():
+def test_remove_errors():
     a = GSequence.from_text(grp("C:5"), "[y]")
     b = GSequence.from_text(grp("C:6"), "[y]")
     with pytest.raises(SequenceError, match="C:6"):
-        a.concat(b)
+        a.remove(b)
     with pytest.raises(SequenceError, match="not contained"):
         a.remove(GSequence(a.group_key, (1, 1)))
-    with pytest.raises(SequenceError, match="k >= 0"):
-        a.power(-1)
 
 
 def test_concat_remove_inverse_property():
@@ -89,52 +78,4 @@ def test_concat_remove_inverse_property():
                                        for _ in range(rng.randint(0, 6))])
         t = GSequence.from_indices(g, [rng.randrange(g.order)
                                        for _ in range(rng.randint(0, 6))])
-        assert s.concat(t).remove(t) == s
-
-
-def test_h_and_n_parts():
-    g = grp("D:3")
-    s = GSequence.from_text(g, "[y, y, x*y]")
-    assert s.h_part(g).format(g) == "[y, y]"
-    assert s.n_part(g).format(g) == "[x*y]"
-    all_h = GSequence.from_text(g, "[y, y^2]")
-    assert all_h.n_part(g).length == 0
-    rng = random.Random(3)
-    for _ in range(50):
-        s = GSequence.from_indices(g, [rng.randrange(6) for _ in range(5)])
-        assert s.h_part(g).length + s.n_part(g).length == s.length
-    with pytest.raises(SequenceError):
-        s.h_part(grp("D:4"))
-
-
-def test_sub_multisets_small():
-    g = grp("D:3")
-    yy = GSequence.from_text(g, "[y, y]")
-    subs = list(yy.sub_multisets())
-    assert len(subs) == 2
-    assert {s.items for s in subs} == {(1,), (1, 1)}
-    yx = GSequence.from_text(g, "[y, x]")
-    assert {s.items for s in yx.sub_multisets()} == {(1,), (3,), (1, 3)}
-    rep = GSequence.from_text(g, "[y^2]").power(4)
-    assert len(list(rep.sub_multisets())) == 4
-
-
-def test_sub_multisets_count_closed_form():
-    g = grp("Q:4")
-    rng = random.Random(11)
-    for _ in range(30):
-        s = GSequence.from_indices(g, [rng.randrange(g.order)
-                                       for _ in range(rng.randint(1, 10))])
-        expected = math.prod(c + 1 for c in s.counts().values()) - 1
-        subs = list(s.sub_multisets())
-        assert len(subs) == expected
-        assert len(set(subs)) == expected
-
-
-def test_inverted():
-    g = grp("Q:2")
-    s = GSequence.from_text(g, "[x, y, y^2]")
-    inv = s.inverted(g)
-    assert inv == GSequence.from_indices(
-        g, [g.inverse(a) for a in s.items])
-    assert inv.inverted(g) == s
+        assert GSequence.from_indices(g, s.items + t.items).remove(t) == s
