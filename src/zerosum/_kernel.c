@@ -36,10 +36,13 @@
  * multiset, up front.
  *
  * search walks one branch per root (first element), 1 .. n-1 unless the
- * caller names the roots.  The engine's max-length search names the
- * Aut(G)-orbit minima (groups.Group.orbit_roots): an automorphism moves any
- * free multiset onto one whose least element is an orbit minimum, so the
- * other roots hold nothing longer and no lexicographically smaller witness.
+ * caller names the roots.  The engine's max-length search and its
+ * collection of extremal multisets name the Aut(G)-orbit minima
+ * (groups.Group.orbit_roots): an automorphism moves any free multiset onto
+ * one whose least element is an orbit minimum, so the other roots hold
+ * nothing longer and no lexicographically smaller witness.  The engine
+ * closes the collected multisets under the automorphisms; only the
+ * fixed-length enumeration walks every root.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -435,13 +438,17 @@ table_undo(Table *t)
 
 enum { VISIT_OK = 0, VISIT_ABORT = 1, VISIT_ERROR = -1 };
 
+/* The search modes, named as in the pure lane. */
+enum { MODE_MAX, MODE_ENUM, MODE_COLLECT };
+static const char *const MODES[] = {"max", "enum", "collect"};
+
 typedef struct {
     const Context *ctx;
-    int enumerate;              /* 0: max-length search, 1: enumeration */
+    int mode;
     int target;
     long long budget;
     long long nodes;            /* nodes of the current root */
-    int root_best;
+    int best;                   /* max: of the current root; collect: of all */
     int path[MAX_ORDER];
     int witness[MAX_ORDER];
     /* Slot d (words each) of reach holds the reach set of the path's first
@@ -540,6 +547,16 @@ extend(Search *s, int e, const uint64_t *reach, uint64_t *child, int W)
 static int visit1(Search *s, int e, uint64_t reach, int length);
 static int visitw(Search *s, int e, int length);
 
+/* Append the first len path elements to the found list. */
+static int
+collect_path(Search *s, int len)
+{
+    PyObject *t = int_tuple(s->path, len);
+    int rc = t == NULL ? -1 : PyList_Append(s->found, t);
+    Py_XDECREF(t);
+    return rc;
+}
+
 /* e already passed the feasibility test: e != 1 and inv(e) not in reach.
  * One-word sets live in locals, so the compiler keeps them in registers;
  * wider ones live in the arena slot of their depth. */
@@ -553,15 +570,8 @@ visit_body(Search *s, int e, const uint64_t *reach, int length, int W)
         return VISIT_ERROR;
     int newlen = length + 1;
     s->path[length] = e;
-    if (s->enumerate && newlen == s->target) {
-        PyObject *t = int_tuple(s->path, newlen);
-        if (t == NULL || PyList_Append(s->found, t) < 0) {
-            Py_XDECREF(t);
-            return VISIT_ERROR;
-        }
-        Py_DECREF(t);
-        return VISIT_OK;
-    }
+    if (s->mode == MODE_ENUM && newlen == s->target)
+        return collect_path(s, newlen) < 0 ? VISIT_ERROR : VISIT_OK;
     uint64_t child1, cand1;
     uint64_t *child = W == 1 ? &child1 : s->reach + (size_t)newlen * W;
     uint64_t *cand = W == 1 ? &cand1 : s->cand + (size_t)newlen * W;
@@ -569,12 +579,22 @@ visit_body(Search *s, int e, const uint64_t *reach, int length, int W)
         return VISIT_ERROR;
     int potential = newlen + (c->n - 1 - popcount(child, W));
     int descend;
-    if (!s->enumerate) {
-        if (newlen > s->root_best) {
-            s->root_best = newlen;
+    if (s->mode == MODE_MAX) {
+        if (newlen > s->best) {
+            s->best = newlen;
             memcpy(s->witness, s->path, newlen * sizeof(int));
         }
-        descend = potential > s->root_best;
+        descend = potential > s->best;
+    } else if (s->mode == MODE_COLLECT) {
+        /* a longer multiset clears the list; ties are kept and explored */
+        if (newlen > s->best) {
+            s->best = newlen;
+            if (PyList_SetSlice(s->found, 0, PY_SSIZE_T_MAX, NULL) < 0)
+                return VISIT_ERROR;
+        }
+        if (newlen == s->best && collect_path(s, newlen) < 0)
+            return VISIT_ERROR;
+        descend = potential > newlen && potential >= s->best;
     } else {
         descend = potential >= s->target;
     }
@@ -642,9 +662,11 @@ read_roots(PyObject *obj, int n, int *out)
 }
 
 /* Canonical DFS, one branch per root (first element) 1 .. n-1, or per entry
- * of roots.  Each root has its own node budget and prunes against
- * max(floor_len, its own best), never against other roots, so each root's
- * node count and budget use depend on that root alone. */
+ * of roots.  Each root has its own node budget.  In mode max each root
+ * prunes against max(floor_len, its own best), never against other roots,
+ * so each root's node count and budget use depend on that root alone; in
+ * mode collect the best length, from floor_len up, is shared by all roots.
+ * See the pure lane for the modes. */
 static PyObject *
 search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
@@ -661,6 +683,13 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
     const Context *c = get_context(ctx_obj);
     if (c == NULL)
         return NULL;
+    int mode_id = 0, nmodes = (int)(sizeof MODES / sizeof *MODES);
+    while (mode_id < nmodes && strcmp(mode, MODES[mode_id]) != 0)
+        mode_id++;
+    if (mode_id == nmodes) {
+        PyErr_Format(PyExc_ValueError, "unknown search mode '%s'", mode);
+        return NULL;
+    }
     int overflow;
     long long budget = PyLong_AsLongLongAndOverflow(budget_obj, &overflow);
     if (budget == -1 && PyErr_Occurred())
@@ -676,9 +705,10 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
         PyMem_Free(roots);
         return NULL;
     }
-    s->enumerate = strcmp(mode, "max") != 0;
+    s->mode = mode_id;
     s->target = target;
     s->budget = budget;
+    s->best = floor_len;
     s->found = PyList_New(0);
     int complete = 1, best_len = floor_len;
     long long total_nodes = 0;
@@ -689,7 +719,8 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
     for (int i = 0; i < nroots; i++) {
         int root = roots[i];
         s->nodes = 0;
-        s->root_best = floor_len;
+        if (s->mode != MODE_COLLECT)
+            s->best = floor_len;
         if (!c->abelian)
             table_reset(&s->dp, c);
         int rc = c->words == 1 ? visit1(s, root, 0, 0) : visitw(s, root, 0);
@@ -698,9 +729,11 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
         if (rc == VISIT_ABORT)
             complete = 0;
         total_nodes += s->nodes;
-        /* root_best above floor_len means a witness was recorded */
-        if (s->root_best > best_len) {
-            best_len = s->root_best;
+        /* in mode max, best above floor_len means a witness was recorded */
+        if (s->mode == MODE_COLLECT) {
+            best_len = s->best;
+        } else if (s->best > best_len) {
+            best_len = s->best;
             Py_SETREF(witness, int_tuple(s->witness, best_len));
             if (witness == NULL)
                 goto done;
@@ -858,9 +891,10 @@ static PyMethodDef kernel_methods[] = {
     {"search", (PyCFunction)(void (*)(void))search, METH_VARARGS | METH_KEYWORDS,
      "search(ctx, mode, target, floor_len, budget, state_cap, roots=None)\n"
      "--\n\n"
-     "Canonical DFS, one branch per root 1 .. n-1, or per entry of roots\n"
-     "(strictly increasing indices in 1 .. n-1; the max-length search passes\n"
-     "the Aut(G)-orbit minima); same contract as the pure lane."},
+     "Canonical DFS in mode 'max', 'enum' or 'collect', one branch per root\n"
+     "1 .. n-1, or per entry of roots (strictly increasing indices in\n"
+     "1 .. n-1; the engine passes the Aut(G)-orbit minima to 'max' and\n"
+     "'collect'); same contract as the pure lane."},
     {"reachable", (PyCFunction)(void (*)(void))reachable,
      METH_VARARGS | METH_KEYWORDS,
      "reachable(ctx, elems, counts, until_mask, state_cap)\n--\n\n"

@@ -281,28 +281,36 @@ def _check_roots(n, roots):
     return roots
 
 
+MODES = ("max", "enum", "collect")
+
+
 def search(ctx, mode, target, floor_len, budget, state_cap, roots=None):
     """Canonical DFS, one branch per first element (root) 1 .. n-1, or per
     entry of ``roots`` (strictly increasing indices in 1 .. n-1) when given.
 
-    The engine's max-length search passes the group's Aut(G)-orbit minima
-    as ``roots``: an automorphism moves every free multiset onto one whose
-    least element is an orbit minimum, so the other roots can find nothing
-    longer and no lexicographically smaller witness.  Enumeration walks
-    every root.
+    The engine passes the group's Aut(G)-orbit minima as ``roots`` to the
+    max-length search and to the collection of extremal multisets: an
+    automorphism moves every free multiset onto one whose least element is
+    an orbit minimum, so the other roots can find nothing longer and no
+    lexicographically smaller witness.
 
     mode 'max': find the longest free multiset.  Pruning within each root
     measures against max(floor_len, best found in that root), never against
     other roots, so each root's node count and budget use depend on that
     root alone.  mode 'enum': collect every free multiset of length exactly
-    ``target`` (>= 1).
+    ``target`` (>= 1).  mode 'collect': collect every free multiset of the
+    greatest length found, at least ``floor_len``; a longer one clears the
+    list.  Its best length is shared by all roots, and a branch is pruned
+    only when its potential is below it, so ties are explored.
 
     The node budget applies to each root branch separately; an exhausted
     branch is abandoned and the result is flagged incomplete.  A node is
     counted whenever a feasible append is made (or a sequence is collected).
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown search mode {mode!r}")
     n, inv = ctx.n, ctx.inv
-    enum = mode == "enum"
+    enum, collect = mode == "enum", mode == "collect"
     found = []
     best_len = floor_len
     best_witness = None
@@ -311,7 +319,8 @@ def search(ctx, mode, target, floor_len, budget, state_cap, roots=None):
 
     for root in range(1, n) if roots is None else _check_roots(n, roots):
         nodes = 0
-        root_best = floor_len
+        # collect: the best over every root so far; max: this root's best
+        root_best = best_len if collect else floor_len
         root_witness = None
         table = None if ctx.abelian else _Table(ctx, state_cap)
         # One frame per path element below the node being visited: (the
@@ -331,13 +340,20 @@ def search(ctx, mode, target, floor_len, budget, state_cap, roots=None):
             else:
                 child = _extend(ctx, table, reach, e)
                 potential = newlen + (n - 1 - child.bit_count())
-                if not enum:
+                if enum:
+                    descend = potential >= target
+                elif collect:
+                    if newlen > root_best:
+                        root_best = newlen
+                        found.clear()
+                    if newlen == root_best:
+                        found.append((*[fr[0] for fr in stack], e))
+                    descend = potential > newlen and potential >= root_best
+                else:
                     if newlen > root_best:
                         root_best = newlen
                         root_witness = (*[fr[0] for fr in stack], e)
                     descend = potential > root_best
-                else:
-                    descend = potential >= target
                 if descend:
                     stack.append((e, child, _feasible(child, e, n, inv)))
                 elif table is not None:
@@ -355,7 +371,9 @@ def search(ctx, mode, target, floor_len, budget, state_cap, roots=None):
                 break
 
         total_nodes += nodes
-        if root_best > best_len:
+        if collect:
+            best_len = root_best
+        elif root_best > best_len:
             best_len = root_best
             best_witness = root_witness
 

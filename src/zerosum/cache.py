@@ -25,8 +25,9 @@ from pathlib import Path
 SCHEMA_VERSION = 1
 # Bumped whenever a traversal change alters what a payload holds (its node
 # counts included).  2: the max-length search walks Aut(G)-orbit-minimal
-# roots only.
-ALGORITHM_VERSION = 2
+# roots only.  3: extremal sets come from one collecting search over those
+# roots, closed under the automorphisms.
+ALGORITHM_VERSION = 3
 ENV_CACHE_DIR = "ZEROSUM_CACHE_DIR"
 
 

@@ -33,6 +33,7 @@ from .groups import (
     DEFAULT_SEED,
     Group,
     GroupError,
+    GroupSpec,
     build_group,
     parse_group_spec,
     quaternion_names,
@@ -148,6 +149,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Groups up to this order (a table of at most 128 KB) are kept for later
+# commands in the same process.
+MEMO_ORDER_LIMIT = 256
+
+
+@functools.lru_cache(maxsize=32)
+def _kept_group(spec: GroupSpec, rng_seed: int) -> Group:
+    return build_group(spec, rng_seed=rng_seed)
+
+
+def _group(spec: GroupSpec, args) -> Group:
+    """The group of ``spec`` under ``args.rng_seed``: for orders up to
+    ``MEMO_ORDER_LIMIT`` the process's one group per canonical spec and
+    seed, so that repeated in-process commands share its table, orbit roots
+    and closure maps.  ``main`` drops its kernel contexts (up to 1 MB of
+    byte tables each, rebuilt in microseconds) when the command ends."""
+    if spec.order > MEMO_ORDER_LIMIT:
+        return build_group(spec, rng_seed=args.rng_seed)
+    group = _kept_group(spec, args.rng_seed)
+    args.kept_groups.append(group)
+    return group
+
+
 def _emit(obj):
     print(json.dumps(obj, sort_keys=True))
 
@@ -179,7 +203,7 @@ def _cached(args, kind: str, key: str, compute) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_group_info(args) -> int:
-    g = build_group(args.group, rng_seed=args.rng_seed)
+    g = _group(parse_group_spec(args.group), args)
     qnames = None
     if g.spec.kind == "Q" and g.spec.params[0] == 2:
         qmap = quaternion_names(g)
@@ -215,7 +239,7 @@ def _load_sequences(g: Group, args) -> list[GSequence]:
 
 def cmd_free_check(args) -> int:
     from .engine import is_product1_free
-    g = build_group(args.group, rng_seed=args.rng_seed)
+    g = _group(parse_group_spec(args.group), args)
     seqs = _load_sequences(g, args)
     results = [{"seq": s.format(g), "free": is_product1_free(g, s)} for s in seqs]
     if args.json:
@@ -231,7 +255,7 @@ def cmd_free_check(args) -> int:
 
 def cmd_reach(args) -> int:
     from .engine import reachable_products, target_mask
-    g = build_group(args.group, rng_seed=args.rng_seed)
+    g = _group(parse_group_spec(args.group), args)
     seq = GSequence.from_text(g, args.seq)
     rs = reachable_products(g, seq)
     names = [g.names[i] for i in sorted(rs)]
@@ -254,7 +278,7 @@ def cmd_davenport(args) -> int:
     key = str(spec)  # == Group.key; a cache hit builds no group
 
     def compute():
-        g = build_group(spec, rng_seed=args.rng_seed)
+        g = _group(spec, args)
         res = max_free_length(g, budget=args.budget)
         if not res.complete:
             raise BudgetExhaustedError(
@@ -285,7 +309,7 @@ def cmd_extremal(args) -> int:
     key = str(spec)  # == Group.key; a cache hit builds no group
 
     def compute():
-        g = build_group(spec, rng_seed=args.rng_seed)
+        g = _group(spec, args)
         enum = enumerate_extremal(g, budget=args.budget)
         return {
             "group": g.key,
@@ -353,16 +377,16 @@ _THEOREM_KINDS = {"dihedral": "D", "dicyclic": "Q", "cyclic": "C", "metacyclic":
 
 def _run_verify(target: str, params: dict, args):
     if target in _THEOREM_KINDS:
-        spec = _THEOREM_KINDS[target] + ":" + ",".join(
-            str(params[k]) for k in VERIFY_PARAMS[target])
-        group = build_group(spec, rng_seed=args.rng_seed)
+        spec = GroupSpec(_THEOREM_KINDS[target],
+                         tuple(params[k] for k in VERIFY_PARAMS[target]))
+        group = _group(spec, args)
         return verify_theorem(group, budget=args.budget)
     if target == "weighted":
         return check_weighted_lemma(params["n"], budget=args.budget)
     if target == "cyclic-structure":
         return check_cyclic_structure(params["n"], budget=args.budget)
     if target == "minzero":
-        group = build_group(params["group"], rng_seed=args.rng_seed)
+        group = _group(params["group"], args)
         return check_minimal_zero_sum_order(group, budget=args.budget)
     raise EngineError(f"unknown verify target {target!r}")
 
@@ -471,6 +495,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _DISPATCH[(args.command, getattr(args, "subcommand", None))]
+    args.kept_groups = []
     try:
         return handler(args)
     except BudgetExhaustedError as exc:
@@ -483,6 +508,9 @@ def main(argv=None) -> int:
         log.debug("internal error", exc_info=True)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        for group in args.kept_groups:
+            group.release_contexts()
 
 
 def entry():

@@ -4,9 +4,11 @@ The compiled lane (``zerosum._kernel``, hand-written C built by ``setup.py``)
 runs every group (orders up to ``groups.TABLE_LIMIT`` = 4096) when the
 extension was built; otherwise the pure-Python twin (``zerosum._pykernel``)
 takes over.  Both lanes follow one traversal contract, so every result (node
-counts included) is identical across lanes.  The max-length search walks only
-the Aut(G)-orbit-minimal roots (``Group.orbit_roots``); enumeration walks
-every root.
+counts included) is identical across lanes.  The max-length search and the
+collection of extremal multisets walk only the Aut(G)-orbit-minimal roots
+(``Group.orbit_roots``); the caller closes the collected multisets under the
+automorphisms (``groups.orbit_closure``).  Only the fixed-length enumeration
+walks every root.
 
 Set ``ZEROSUM_PURE_KERNEL=1`` to force the pure lane.
 """
@@ -200,7 +202,7 @@ def oracle_reachable(group: Group, seq: GSequence) -> ReachableSet:
 
 
 # ---------------------------------------------------------------------------
-# Canonical DFS drivers (max-length and fixed-length enumeration)
+# Canonical DFS searches (max length, extremal collection, fixed length)
 # ---------------------------------------------------------------------------
 
 def max_free_search(group: Group, *, budget: int) -> dict:
@@ -229,6 +231,35 @@ def max_free_search(group: Group, *, budget: int) -> dict:
         "complete": res["complete"],
         "max_len": res["best_len"],
         "witness": tuple(witness),
+        "nodes": g_nodes + res["nodes"],
+    }
+
+
+def extremal_search(group: Group, *, budget: int) -> dict:
+    """The longest product-1-free multisets that start at an orbit root,
+    via greedy floor + one collecting DFS over ``group.orbit_roots``.
+
+    Every free multiset has an automorphic image whose least element is an
+    orbit minimum (see :func:`max_free_search`), so the closure of the
+    representatives under ``group.automorphism_maps`` is the whole extremal
+    set.  A length of 0 (the trivial group) has the empty multiset as its
+    one representative.
+
+    Returns keys: complete, length, representatives (index tuples in
+    lexicographic order), nodes.
+    """
+    kern = _kernel_for(group)
+    ctx = _context(group, kern)
+    try:
+        g_len, _, g_nodes = kern.greedy(ctx, STATE_LIMIT)
+        res = kern.search(ctx, "collect", 0, g_len, budget, STATE_LIMIT,
+                          group.orbit_roots)
+    except LimitExceeded as exc:
+        raise EngineLimitError(str(exc)) from None
+    return {
+        "complete": res["complete"],
+        "length": res["best_len"],
+        "representatives": res["found"] if res["best_len"] else [()],
         "nodes": g_nodes + res["nodes"],
     }
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from . import engine
-from .davenport import DEFAULT_NODE_BUDGET, max_free_length
+from .davenport import DEFAULT_NODE_BUDGET
 from .engine import BudgetExhaustedError, is_product1_free
-from .groups import Group, GroupError, build_group
+from .groups import Group, GroupError, build_group, orbit_closure
 from .sequences import GSequence
 
 VERDICT_EXACT = "exact-match"
@@ -100,26 +100,31 @@ class ExtremalEnumeration:
 
 def enumerate_extremal(group: Group, *,
                        budget: int = DEFAULT_NODE_BUDGET) -> ExtremalEnumeration:
-    """All product-1-free multisets of the maximal length D(G) - 1."""
+    """All product-1-free multisets of the maximal length D(G) - 1, in
+    lexicographic order.
+
+    One search collects those that start at an orbit root; their closure
+    under the automorphisms is the whole set.  The least one, the witness of
+    D(G), is re-checked against the reachability engine.
+    """
     t0 = time.perf_counter()
-    res = max_free_length(group, budget=budget)
-    if not res.complete:
+    res = engine.extremal_search(group, budget=budget)
+    if not res["complete"]:
         raise BudgetExhaustedError(
-            f"budget exhausted while establishing D({group.key})",
-            best_length=res.max_free_length, nodes=res.nodes_expanded)
-    enum = engine.enumerate_free(group, res.max_free_length, budget=budget)
-    if not enum["complete"]:
-        raise BudgetExhaustedError(
-            f"budget exhausted while enumerating extremal sequences of {group.key}",
-            best_length=res.max_free_length,
-            nodes=res.nodes_expanded + enum["nodes"])
-    seqs = tuple(GSequence(group.key, items) for items in enum["found"])
+            f"node budget exhausted while enumerating the extremal sequences "
+            f"of {group.key}: D({group.key}) unknown above length "
+            f"{res['length']}",
+            best_length=res["length"], nodes=res["nodes"])
+    rows = orbit_closure(group, res["representatives"]).tolist()
+    seqs = tuple(GSequence(group.key, tuple(items)) for items in rows)
+    if not is_product1_free(group, seqs[0]):
+        raise RuntimeError(f"search returned a non-free witness for {group.key}")
     return ExtremalEnumeration(
         group_key=group.key,
-        davenport=res.davenport,
-        length=res.max_free_length,
+        davenport=res["length"] + 1,
+        length=res["length"],
         sequences=seqs,
-        nodes_expanded=res.nodes_expanded + enum["nodes"],
+        nodes_expanded=res["nodes"],
         elapsed=time.perf_counter() - t0,
     )
 

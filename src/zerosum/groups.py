@@ -17,8 +17,9 @@ associativity, defining relations).  The verified table is what every other
 module consumes.
 
 Automorphisms found among a few candidate maps, each checked against the
-table, give the orbit-minimal roots of the max-length search
-(``Group.orbit_roots``).
+table (``Group.automorphism_maps``), give the orbit-minimal roots of the
+search (``Group.orbit_roots``) and close the extremal multisets it collects
+(:func:`orbit_closure`).
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ TABLE_LIMIT = 4096
 
 # Table entries computed per block of rows while a table is built.
 _BUILD_BLOCK = 1 << 16
+
+# Most entries (maps times order) of the automorphisms a group keeps for
+# closing extremal sets (``Group.closure_maps``): 128 KB of int16.
+CLOSURE_LIMIT = 1 << 16
 
 _KINDS = ("C", "D", "Q", "M", "CxC")
 
@@ -260,6 +265,11 @@ class Group:
         self.is_abelian: bool = bool(np.array_equal(table, table.T))
         self._contexts: dict[str, object] = {}
 
+    def release_contexts(self):
+        """Drop the kernel contexts the engine keeps for this group; the
+        next search or reachability call rebuilds them."""
+        self._contexts.clear()
+
     # -- verification --------------------------------------------------
 
     def _verify(self, rng_seed: int):
@@ -331,15 +341,50 @@ class Group:
         return acc
 
     @functools.cached_property
-    def orbit_roots(self) -> tuple[int, ...]:
-        """The non-identity elements that are least in their orbit under the
-        automorphisms found by :func:`automorphisms`, in increasing order.
+    def automorphism_maps(self) -> np.ndarray:
+        """The automorphisms found by :func:`automorphisms`, identities
+        dropped, as the rows of one array in the tables' int16 dtype.
+        Computed on first use, never while the group is built."""
+        maps = automorphisms(self)
+        maps = maps[(maps != np.arange(self.order, dtype=maps.dtype)).any(axis=1)]
+        maps.setflags(write=False)
+        return maps
 
-        The max-length search needs only these roots: an automorphism moves
-        any free multiset onto one that starts at an orbit minimum.  Computed
-        on first use, never while the group is built.
+    @functools.cached_property
+    def closure_maps(self) -> tuple[np.ndarray, bool]:
+        """Automorphisms for :func:`orbit_closure`, as int16 rows like the
+        tables, and whether they are the whole group that
+        ``automorphism_maps`` generate.
+
+        That group's elements, found breadth-first from the generators, if
+        they take at most ``CLOSURE_LIMIT`` entries; otherwise the
+        generators.  The identity is among the rows either way.
         """
-        return orbit_minima(self.order, automorphisms(self))
+        n, gens = self.order, self.automorphism_maps
+        identity = np.arange(n, dtype=gens.dtype)[None]
+        start, _, _ = _unique_rows(np.concatenate([identity, gens]), n)
+        maps, frontier = start, gens
+        while len(frontier):
+            if (len(maps) + len(gens) * len(frontier)) * n > CLOSURE_LIMIT:
+                start.setflags(write=False)
+                return start, False
+            old = len(maps)
+            maps, _, first = _unique_rows(
+                np.concatenate([maps, gens[:, frontier].reshape(-1, n)]), n)
+            frontier = maps[first >= old]
+        maps.setflags(write=False)
+        return maps, True
+
+    @functools.cached_property
+    def orbit_roots(self) -> tuple[int, ...]:
+        """The non-identity elements that are least in their orbit under
+        ``automorphism_maps``, in increasing order.
+
+        The search needs only these roots: an automorphism moves any free
+        multiset onto one that starts at an orbit minimum.  Computed on
+        first use, never while the group is built.
+        """
+        return orbit_minima(self.order, self.automorphism_maps)
 
     def elements(self) -> range:
         return range(self.order)
@@ -517,6 +562,91 @@ def orbit_minima(n: int, maps) -> tuple[int, ...]:
                     seen[c] = True
                     stack.append(c)
     return tuple(roots)
+
+
+@functools.lru_cache(maxsize=64)
+def _key_weights(n: int, length: int) -> np.ndarray:
+    """The base-n digit weights of :func:`_row_keys`, one column per word:
+    as many digits per int64 word as fit, first digit most significant."""
+    per = 1
+    while per < length and n ** (per + 1) < 1 << 63:
+        per += 1
+    col = np.arange(length)
+    weights = np.zeros((length, -(-length // per)), dtype=np.int64)
+    weights[col, col // per] = n ** (per - 1 - col % per)
+    weights.setflags(write=False)
+    return weights
+
+
+def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """One key per row of ``rows`` (elements of a group of order n), in the
+    rows' lexicographic order: the row's base-n digits packed into int64
+    words.  Rows that take more than one word get one opaque key each, the
+    words' big-endian bytes, which compare as the words do."""
+    keys = rows @ _key_weights(n, rows.shape[1])
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    return keys.astype(">i8").view(np.dtype((np.void, 8 * keys.shape[1])))[:, 0]
+
+
+def _unique_rows(rows: np.ndarray, n: int):
+    """The distinct rows of ``rows`` in lexicographic order, their keys, and
+    the index of each one's first occurrence in ``rows``."""
+    keys, first = np.unique(_row_keys(rows, n), return_index=True)
+    return rows[first], keys, first
+
+
+def orbit_closure(group: Group, rows) -> np.ndarray:
+    """The multisets of ``rows`` (equal-length index sequences) and all their
+    images under the group that ``group.automorphism_maps`` generate: sorted
+    rows without repeats, in lexicographic order, in the tables' dtype.
+
+    Rows are mapped by every map of ``group.closure_maps``, a block of about
+    ``CLOSURE_LIMIT`` image entries at a time.  When those maps are the
+    whole group, a block's images are whole orbits, and the rows they cover
+    need no mapping.  Otherwise the closure is breadth first: each round
+    maps the rows that the round before found new.
+    """
+    n = group.order
+    maps, complete = group.closure_maps
+    rows = np.array(rows, dtype=group.table.dtype)
+    if not rows.size:
+        # no rows, or only empty multisets: at most one, the empty one
+        return np.zeros((min(len(rows), 1), 0), dtype=rows.dtype)
+    length = rows.shape[1]
+    rows, keys, _ = _unique_rows(np.sort(rows, axis=1), n)
+    block = max(1, CLOSURE_LIMIT // (len(maps) * length))
+
+    def images(part):
+        """The distinct images of ``part`` (the identity among the maps
+        keeps ``part`` itself), with their keys."""
+        out = np.sort(maps[:, part].reshape(-1, length), axis=1)
+        return _unique_rows(out, n)[:2]
+
+    if complete:
+        found, found_keys = [], []
+        todo = rows
+        while len(todo):
+            orbits, keys = images(todo[:block])
+            todo = todo[block:]
+            if len(todo):
+                todo = todo[~np.isin(_row_keys(todo, n), keys)]
+            found.append(orbits)
+            found_keys.append(keys)
+    else:
+        found, found_keys = [rows], [keys]
+        frontier = rows
+        while len(frontier):
+            parts = [images(frontier[i:i + block])[0]
+                     for i in range(0, len(frontier), block)]
+            reached, keys, _ = _unique_rows(np.concatenate(parts), n)
+            new = ~np.isin(keys, np.concatenate(found_keys))
+            frontier = reached[new]
+            found.append(frontier)
+            found_keys.append(keys[new])
+    if len(found) == 1:
+        return found[0]
+    return np.concatenate(found)[np.argsort(np.concatenate(found_keys))]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 import zerosum.cli as cli
 from zerosum import cache
 from zerosum.cli import CSV_HEADER, build_parser, main
+from zerosum.groups import DEFAULT_SEED, build_group, parse_group_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -237,6 +238,49 @@ def test_budget_exhaustion_exit_3(tmp_path, capsys):
     assert "unknown above" in err
     # nothing cached for the failed run
     assert cache.lookup(tmp_path, "davenport", "D:8") is None
+
+
+def test_extremal_budget_exhaustion_exit_3(tmp_path, capsys):
+    """The one search pass reports the best length it found, and nothing
+    is cached."""
+    code, out, err = run(capsys, "extremal", "--group", "D:8", "--budget", "5",
+                         "--cache-dir", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err == ("error: node budget exhausted while enumerating the "
+                   "extremal sequences of D:8: D(D:8) unknown above length 8\n")
+    assert cache.lookup(tmp_path, "extremal", "D:8") is None
+
+
+def test_groups_are_built_once_per_spec_and_seed(capsys, monkeypatch):
+    """Cold commands on one group, however its spec is written, share one
+    Group, without its kernel contexts between commands; another seed
+    builds another, and so does every command on a group above
+    MEMO_ORDER_LIMIT."""
+    built = []
+
+    def counting_build(spec, *, rng_seed):
+        built.append((str(spec), rng_seed))
+        return build_group(spec, rng_seed=rng_seed)
+
+    cli._kept_group.cache_clear()
+    monkeypatch.setattr(cli, "build_group", counting_build)
+    for argv in (["davenport", "--group", "D:7", "--no-cache"],
+                 ["extremal", "--group", " D:07", "--no-cache"],
+                 ["verify", "--target", "dihedral", "--param", "n=7",
+                  "--no-cache"],
+                 ["free", "check", "--group", "D:7", "--seq", "[y]"],
+                 ["davenport", "--group", "D:7", "--rng-seed", "5",
+                  "--no-cache"],
+                 ["group", "info", "--group", "C:257"],
+                 ["group", "info", "--group", "C:257"]):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+    assert cli.MEMO_ORDER_LIMIT == 256
+    assert built == [("D:7", DEFAULT_SEED), ("D:7", 5), ("C:257", DEFAULT_SEED),
+                     ("C:257", DEFAULT_SEED)]
+    kept = cli._kept_group(parse_group_spec("D:7"), DEFAULT_SEED)
+    assert kept.orbit_roots and not kept._contexts
+    cli._kept_group.cache_clear()
 
 
 def test_unexpected_error_exit_4(monkeypatch, capsys):
@@ -500,6 +544,9 @@ def test_warm_hits_build_no_group(tmp_path, capsys, monkeypatch):
     def no_build(*args, **kwargs):
         raise RuntimeError("build_group called")
 
+    # The process keeps the groups it built; forget them, so that a cold
+    # call below must build its group.
+    cli._kept_group.cache_clear()
     monkeypatch.setattr(cli, "build_group", no_build)
     for command, first in cold.items():
         for spec in ("D:5", " D:05"):  # the key is the canonical spec

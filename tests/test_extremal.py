@@ -7,7 +7,9 @@ from collections import Counter
 
 import pytest
 
-from zerosum.engine import is_product1_free
+import zerosum.engine as engine
+from zerosum import _pykernel
+from zerosum.engine import STATE_LIMIT, BudgetExhaustedError, is_product1_free
 from zerosum.extremal import (
     VERDICT_DISCREPANCY,
     VERDICT_EXACT,
@@ -23,7 +25,7 @@ from zerosum.extremal import (
     signed_zero_subset_exists,
     verify_theorem,
 )
-from zerosum.groups import GroupError
+from zerosum.groups import CLOSURE_LIMIT, GroupError, orbit_closure
 from zerosum.sequences import GSequence
 
 from conftest import grp
@@ -46,6 +48,64 @@ def test_enumerate_extremal_klein_and_d8():
     assert len(enum8.sequences) == 8
     expected = {tuple(sorted((t,) * 3 + (4 + s,))) for t in (1, 3) for s in range(4)}
     assert {s.items for s in enum8.sequences} == expected
+
+
+# D:2 and Q:2 have finer roots than Aut(G)'s orbits; CxC:2,2,2,2 has too
+# many automorphisms to list, so its closure is breadth first.
+CLOSURE_SPECS = ([f"D:{n}" for n in range(2, 11)]
+                 + [f"Q:{n}" for n in range(2, 7)]
+                 + ["M:3,2,2", "M:5,2,4", "M:5,4,2", "M:7,2,6", "M:7,3,2",
+                    "CxC:2,2,2,2", "CxC:6,6", "CxC:3,12", "C:12"])
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS)
+def test_closure_equals_every_root_enumeration(spec):
+    """The orbit roots' extremal multisets, closed under the automorphisms,
+    are exactly what the fixed-length enumeration of every root finds, in
+    the same order.  Both run on the compiled kernel when there is one (the
+    parity tests compare the lanes); CxC:6,6 and CxC:3,12 take millions of
+    nodes."""
+    g = grp(spec)
+    kern = engine._compiled or _pykernel
+    ctx = engine._context(g, kern)
+    floor = kern.greedy(ctx, STATE_LIMIT)[0]
+    reps = kern.search(ctx, "collect", 0, floor, 10 ** 9, STATE_LIMIT,
+                       g.orbit_roots)
+    every = kern.search(ctx, "enum", reps["best_len"], 0, 10 ** 9, STATE_LIMIT)
+    assert reps["complete"] and every["complete"]
+    closure = orbit_closure(g, reps["found"])
+    assert closure.dtype == g.table.dtype
+    assert [tuple(row) for row in closure.tolist()] == every["found"]
+
+
+def test_closure_maps_are_small_int16_rows():
+    """The whole automorphism group when it fits in CLOSURE_LIMIT entries,
+    the identity and the generators otherwise."""
+    for spec, size, complete in (("D:10", 40, True), ("CxC:6,6", 288, True),
+                                 ("CxC:2,2,2,2", 19, False)):
+        g = grp(spec)
+        maps, whole = g.closure_maps
+        assert (len(maps), whole) == (size, complete), spec
+        assert maps.dtype == g.table.dtype and maps.size <= CLOSURE_LIMIT
+        assert not maps.flags.writeable
+
+
+def test_orbit_closure_of_nothing_and_of_the_empty_multiset():
+    g = grp("C:1")
+    assert orbit_closure(g, []).shape == (0, 0)
+    assert orbit_closure(g, [(), ()]).tolist() == [[]]
+    assert [s.items for s in enumerate_extremal(g).sequences] == [()]
+
+
+def test_extremal_budget_exhaustion_carries_the_best_length():
+    """One pass, one message: the greedy floor 8 of D:8 is the best length
+    found when every root stops after 5 nodes."""
+    with pytest.raises(BudgetExhaustedError) as info:
+        enumerate_extremal(grp("D:8"), budget=5)
+    assert info.value.best_length == 8 and info.value.nodes > 0
+    assert str(info.value) == (
+        "node budget exhausted while enumerating the extremal sequences of "
+        "D:8: D(D:8) unknown above length 8")
 
 
 def test_family_counts():

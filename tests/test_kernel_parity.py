@@ -473,3 +473,63 @@ def test_engine_max_search_walks_the_orbit_roots():
         full = roots_search(kern, ctx, 10 ** 7, None)
         assert res["nodes"] == floor[2] + part["nodes"] < floor[2] + full["nodes"]
         assert res["max_len"] == full["best_len"] == 9
+
+
+def collect_search(kern, ctx, budget, roots, floor=None):
+    """The collecting DFS over ``roots`` from ``floor`` (default: the greedy
+    floor), as the engine runs it for extremal sets."""
+    if floor is None:
+        floor = kern.greedy(ctx, STATE_LIMIT)[0]
+    return kern.search(ctx, "collect", 0, floor, budget, STATE_LIMIT, roots)
+
+
+def test_collect_parity():
+    """Orbit roots under small per-root budgets: identical nodes, best
+    length and found lists on both lanes."""
+    for spec in PARITY_SPECS + MULTIWORD_SPECS:
+        g = grp(spec)
+        for budget in WORD_BUDGETS:
+            a, b = on_both(g, lambda k, c: collect_search(k, c, budget,
+                                                          g.orbit_roots))
+            assert a == b, (spec, budget)
+
+
+@pytest.mark.parametrize("spec", PARITY_SPECS)
+def test_collect_from_floor_zero_clears_shorter_finds(spec):
+    """From a floor of 0 every longer multiset clears the list, so the
+    collected set equals the one from the greedy floor (which already is
+    the maximum), on both lanes.  The set is every free multiset of the max
+    length that starts at an orbit root."""
+    g = grp(spec)
+    length = max_len(g, 10 ** 7)
+    every = enum_search(_kernel, engine._context(g, _kernel), length, 10 ** 7)
+    want = [t for t in every["found"] if t[0] in g.orbit_roots]
+    for kern in LANES:
+        ctx = engine._context(g, kern)
+        zero = collect_search(kern, ctx, 10 ** 7, g.orbit_roots, floor=0)
+        floor = collect_search(kern, ctx, 10 ** 7, g.orbit_roots)
+        assert zero["complete"] and floor["complete"]
+        assert zero["best_len"] == floor["best_len"] == length
+        assert zero["found"] == floor["found"] == want, kern.LANE
+        assert zero["witness"] is floor["witness"] is None
+        assert zero["nodes"] >= floor["nodes"]
+    a, b = on_both(g, lambda k, c: collect_search(k, c, 10 ** 7, g.orbit_roots,
+                                                  floor=0))
+    assert a == b
+
+
+def test_collect_keeps_a_floor_above_the_maximum():
+    """A floor above every free multiset collects nothing and keeps it."""
+    g = grp("D:7")
+    for kern in LANES:
+        res = collect_search(kern, engine._context(g, kern), 10 ** 6,
+                             g.orbit_roots, floor=9)
+        assert (res["best_len"], res["found"], res["complete"]) == (9, [], True)
+
+
+def test_unknown_search_mode_refused_alike():
+    g = grp("D:5")
+    for kern in LANES:
+        with pytest.raises(ValueError) as info:
+            kern.search(engine._context(g, kern), "all", 0, 0, 10, STATE_LIMIT)
+        assert str(info.value) == "unknown search mode 'all'", kern.LANE
