@@ -7,6 +7,11 @@ failure: the verdict distinguishes an exact match, a documented discrepancy
 (enumerated sequences beyond the prediction, reported verbatim) and a failure
 (predicted sequences that are not actually extremal).
 
+The complete enumeration decides freeness at its length: a sequence of that
+length is free exactly when it is enumerated.  The reachability engine
+re-checks only the witness and the predictions of that length the
+enumeration lacks, where a free one means the search missed it.
+
 Also here: the exhaustive checks for the weighted +-1 zero-sum lemma, the
 structure of long zero-sum-free cyclic sequences, and the order property of
 minimal zero sequences in small abelian groups.
@@ -14,6 +19,7 @@ minimal zero sequences in small abelian groups.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import Counter
@@ -271,32 +277,39 @@ def family_for(group: Group) -> CharacterizationFamily:
 
 def verify_theorem(group: Group, *,
                    budget: int = DEFAULT_NODE_BUDGET) -> VerificationReport:
-    """Diff the enumerated extremal set against the predicted family."""
+    """Diff the enumerated extremal set against the predicted family.
+
+    A prediction outside the enumerated set is missing: it has the wrong
+    length or is not free.  Those of the right length are re-checked, and a
+    free one raises ``RuntimeError``, since the search must have missed it.
+    """
     t0 = time.perf_counter()
     family = family_for(group)
     enum = enumerate_extremal(group, budget=budget)
     enumerated = set(enum.sequences)
     predicted = set(family.sequences)
 
-    bad_predictions = [
-        s for s in family.sequences
-        if s.length != enum.length or not is_product1_free(group, s)
-    ]
     missing = sorted(predicted - enumerated)
+    stranded = [s for s in missing
+                if s.length == enum.length and is_product1_free(group, s)]
+    if stranded:
+        raise RuntimeError(
+            f"enumeration missed predicted free sequences: {stranded}")
+    missing_text = [s.format(group) for s in missing]
     extra = sorted(enumerated - predicted)
     details = {
         "family": family.name,
         "parameters": family.parameter_note,
         "davenport": enum.davenport,
         "extremal_length": enum.length,
-        "predicted_not_free": [s.format(group) for s in bad_predictions],
+        "predicted_not_free": missing_text,
     }
     return VerificationReport(
         target=family.name,
         group=group.key,
         enumerated_count=len(enumerated),
         predicted_count=len(predicted),
-        missing=tuple(s.format(group) for s in missing),
+        missing=tuple(missing_text),
         extra=tuple(s.format(group) for s in extra),
         verdict=_verdict(missing, extra),
         details=details,
@@ -403,6 +416,9 @@ def check_cyclic_structure(n: int, *,
     For every length l >= (n+1)/2 some element must repeat at least
     2l - n + 1 times; for l in {n-1, n-2, n-3} (within the same length
     hypothesis) the sequences must be exactly the published shape lists.
+    An enumerated sequence outside the list is a violation; a listed one
+    outside the enumeration is re-checked, and raises ``RuntimeError`` if
+    it is free.
     """
     if n < 3:
         raise GroupError("cyclic structure check requires n >= 3")
@@ -430,12 +446,11 @@ def check_cyclic_structure(n: int, *,
         if length in (n - 1, n - 2, n - 3):
             shape_lengths.append(length)
             allowed = _cyclic_shape_instances(group, n, length)
-            free_allowed = {s for s in allowed if is_product1_free(group, s)}
             enum_set = set(seqs)
-            for seq in sorted(enum_set - free_allowed):
+            for seq in sorted(enum_set - allowed):
                 violations.append(
                     f"unlisted shape at length {length}: {seq.format(group)}")
-            stranded = free_allowed - enum_set
+            stranded = {s for s in allowed - enum_set if is_product1_free(group, s)}
             if stranded:
                 raise RuntimeError(
                     f"enumeration missed predicted free sequences: {sorted(stranded)}")
@@ -485,9 +500,13 @@ def minimal_zero_sequences(group: Group, *, budget: int = DEFAULT_NODE_BUDGET):
     """All minimal zero sequences of length D(G) in a small abelian group.
 
     Minimal: the full product is 1 (order irrelevant, the group is abelian)
-    and every proper nonempty sub-multiset is product-1-free.  Each such
-    sequence is an extremal free sequence plus one element, so candidates
-    come from extending the enumerated extremal set.
+    and every proper nonempty sub-multiset is product-1-free.  Dropping one
+    element of such a sequence leaves an extremal free sequence B, and the
+    dropped element is the inverse of B's product.  Conversely B plus that
+    inverse is always minimal: a proper product-1 part either lies in B or
+    leaves a nonempty product-1 rest in B, and B is free.  So the minimal
+    zero sequences are exactly the completions of the enumerated extremal
+    set, and none needs a reachability check.
     """
     if not group.is_abelian:
         raise GroupError("minimal zero sequence check covers abelian groups only")
@@ -495,22 +514,11 @@ def minimal_zero_sequences(group: Group, *, budget: int = DEFAULT_NODE_BUDGET):
     if group.order == 1:
         # D = 1 and the identity singleton is the unique minimal zero sequence
         return enum, [GSequence(group.key, (group.identity,))]
-    out = set()
+    completions = set()
     for base in enum.sequences:
-        for e in range(1, group.order):
-            items = tuple(sorted(base.items + (e,)))
-            cand = GSequence(group.key, items)
-            if cand in out:
-                continue
-            prod = 0
-            for a in items:
-                prod = group.mul(prod, a)
-            if prod != group.identity:
-                continue
-            if all(is_product1_free(group, cand.remove(GSequence(group.key, (f,))))
-                   for f in set(items)):
-                out.add(cand)
-    return enum, sorted(out)
+        product = functools.reduce(group.mul, base.items)
+        completions.add(tuple(sorted(base.items + (group.inverse(product),))))
+    return enum, [GSequence(group.key, items) for items in sorted(completions)]
 
 
 def check_minimal_zero_sum_order(

@@ -279,9 +279,9 @@ class Group:
         if not (np.array_equal(t[0], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))):
             raise GroupError("index 0 does not act as the identity")
         # Every row/column must be a permutation (cancellation law).
-        full = np.arange(n)
-        if not (np.array_equal(np.sort(t, axis=1), np.tile(full, (n, 1)))
-                and np.array_equal(np.sort(t, axis=0), np.tile(full[:, None], (1, n)))):
+        full = np.arange(n, dtype=t.dtype)
+        if not ((np.sort(t, axis=1) == full).all()
+                and (np.sort(t, axis=0) == full[:, None]).all()):
             raise GroupError("multiplication table rows/columns are not permutations")
         if n <= ASSOC_EXHAUSTIVE_LIMIT:
             # Every triple, a block of rows a at a time: (ab)c = t[t[a, b], c]

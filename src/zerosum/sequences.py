@@ -66,20 +66,6 @@ class GSequence:
             raise SequenceError(
                 f"sequence over {self.group_key} used with group {group.key}")
 
-    # -- multiset difference ---------------------------------------------
-
-    def remove(self, other: "GSequence") -> "GSequence":
-        """Multiset difference; ``other`` must be contained in ``self``."""
-        if other.group_key != self.group_key:
-            raise SequenceError(
-                f"cannot remove a sequence over {other.group_key} from one over {self.group_key}")
-        left = Counter(self.items)
-        left.subtract(other.items)
-        if any(c < 0 for c in left.values()):
-            raise SequenceError("sequence to remove is not contained in the original")
-        return GSequence(self.group_key,
-                         tuple(sorted(left.elements())))
-
     def __len__(self) -> int:
         return len(self.items)
 

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import zerosum.engine as engine
+import zerosum.extremal as extremal
 from zerosum import _pykernel
 from zerosum.engine import STATE_LIMIT, BudgetExhaustedError, is_product1_free
 from zerosum.extremal import (
     VERDICT_DISCREPANCY,
     VERDICT_EXACT,
+    VERDICT_FAILURE,
     check_cyclic_structure,
     check_minimal_zero_sum_order,
     check_weighted_lemma,
@@ -50,12 +54,13 @@ def test_enumerate_extremal_klein_and_d8():
     assert {s.items for s in enum8.sequences} == expected
 
 
-# D:2 and Q:2 have finer roots than Aut(G)'s orbits; CxC:2,2,2,2 has too
-# many automorphisms to list, so its closure is breadth first.
-CLOSURE_SPECS = ([f"D:{n}" for n in range(2, 11)]
-                 + [f"Q:{n}" for n in range(2, 7)]
-                 + ["M:3,2,2", "M:5,2,4", "M:5,4,2", "M:7,2,6", "M:7,3,2",
-                    "CxC:2,2,2,2", "CxC:6,6", "CxC:3,12", "C:12"])
+# The groups of the verify targets.  D:2 and Q:2 have finer roots than
+# Aut(G)'s orbits; CxC:2,2,2,2 has too many automorphisms to list, so its
+# closure is breadth first.
+VERIFY_SPECS = ([f"D:{n}" for n in range(2, 11)]
+                + [f"Q:{n}" for n in range(2, 7)]
+                + ["M:3,2,2", "M:5,2,4", "M:5,4,2", "M:7,2,6", "M:7,3,2"])
+CLOSURE_SPECS = VERIFY_SPECS + ["CxC:2,2,2,2", "CxC:6,6", "CxC:3,12", "C:12"]
 
 
 @pytest.mark.parametrize("spec", CLOSURE_SPECS)
@@ -76,6 +81,21 @@ def test_closure_equals_every_root_enumeration(spec):
     closure = orbit_closure(g, reps["found"])
     assert closure.dtype == g.table.dtype
     assert [tuple(row) for row in closure.tolist()] == every["found"]
+
+
+@pytest.mark.parametrize("spec", VERIFY_SPECS + ["CxC:2,2,2,2", "C:12"])
+def test_extremal_set_is_free_and_closed_under_symmetries(spec):
+    """The enumerated set decides freeness at length D(G) - 1 with no
+    re-check, so each member must be free and of that length, and the set
+    closed under S -> S^-1 and under every kept automorphism."""
+    g = grp(spec)
+    enum = enumerate_extremal(g)
+    found = {s.items for s in enum.sequences}
+    for s in enum.sequences:
+        assert s.length == enum.davenport - 1 and is_product1_free(g, s)
+    rows = np.array(sorted(found))
+    for image in (g.inv_table[rows], *(m[rows] for m in g.automorphism_maps)):
+        assert {tuple(r) for r in np.sort(image, axis=1).tolist()} == found
 
 
 def test_closure_maps_are_small_int16_rows():
@@ -167,6 +187,56 @@ def test_verify_theorem_dicyclic_inverse_parameter_extras():
             for s in range(h)
         }
         assert set(rep.extra) == mirrored
+
+
+def test_verify_theorem_raises_when_the_enumeration_misses_a_prediction(
+        monkeypatch):
+    real = extremal.enumerate_extremal
+
+    def short(group, **kwargs):
+        enum = real(group, **kwargs)
+        return dataclasses.replace(enum, sequences=enum.sequences[1:])
+
+    monkeypatch.setattr(extremal, "enumerate_extremal", short)
+    with pytest.raises(RuntimeError,
+                       match="enumeration missed predicted free sequences"):
+        verify_theorem(grp("D:5"))
+
+
+def test_verify_theorem_reports_wrong_predictions(monkeypatch):
+    """A prediction of the right length that is not free (y^5 = 1 in D_10)
+    and a free one of the wrong length are both missing and not free."""
+    g = grp("D:5")
+    not_free = GSequence(g.key, (1,) * 5)
+    too_short = GSequence(g.key, (1,) * 4)
+    real = extremal.family_for
+
+    def padded(group):
+        fam = real(group)
+        return dataclasses.replace(fam, sequences=tuple(
+            sorted(fam.sequences + (not_free, too_short))))
+
+    monkeypatch.setattr(extremal, "family_for", padded)
+    rep = verify_theorem(g)
+    assert rep.verdict == VERDICT_FAILURE
+    expected = [too_short.format(g), not_free.format(g)]
+    assert list(rep.missing) == rep.details["predicted_not_free"] == expected
+
+
+def test_verify_theorem_rechecks_only_the_witness(monkeypatch):
+    calls = []
+    real = engine._run_reachable
+
+    def spy(group, seq, until_mask):
+        calls.append(seq)
+        return real(group, seq, until_mask)
+
+    monkeypatch.setattr(engine, "_run_reachable", spy)
+    enum = enumerate_extremal(grp("M:7,3,2"))
+    calls.clear()
+    rep = verify_theorem(grp("M:7,3,2"))
+    assert rep.verdict == VERDICT_EXACT
+    assert calls == [enum.sequences[0]]
 
 
 def test_verify_theorem_unsupported_group():
@@ -266,6 +336,31 @@ def test_minimal_zero_sequences_examples():
 
     c24 = grp("CxC:2,4")
     assert check_minimal_zero_sum_order(c24).verdict == VERDICT_EXACT
+
+
+def _minimal_zero_brute_force(group, enum):
+    """Every element as the completion of every extremal base, the product
+    checked, and each one-element removal re-checked by reachability."""
+    out = set()
+    for base in enum.sequences:
+        for e in range(1, group.order):
+            items = tuple(sorted(base.items + (e,)))
+            prod = group.identity
+            for a in items:
+                prod = group.mul(prod, a)
+            if prod == group.identity and all(
+                    is_product1_free(group, GSequence(group.key, items[:i] + items[i + 1:]))
+                    for i in range(len(items))):
+                out.add(GSequence(group.key, items))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("spec", ["C:6", "CxC:2,2", "CxC:3,3", "CxC:2,4",
+                                  "CxC:2,2,2"])
+def test_minimal_zero_sequences_match_brute_force(spec):
+    g = grp(spec)
+    enum, minimal = minimal_zero_sequences(g)
+    assert minimal == _minimal_zero_brute_force(g, enum)
 
 
 def test_minimal_zero_scope_errors():

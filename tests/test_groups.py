@@ -134,6 +134,30 @@ def test_verify_rejects_non_associative_loop():
         Group._verify(fake, 0)
 
 
+def test_verify_rejects_a_row_or_column_that_is_not_a_permutation():
+    """Swapping two entries of one row keeps that row a permutation but
+    breaks two columns; the transpose breaks two rows instead."""
+    n = 8
+    t = (np.add.outer(np.arange(n), np.arange(n)) % n).astype(np.int16)
+    t[3, 5], t[3, 6] = t[3, 6], t[3, 5]
+    for table in (t, np.ascontiguousarray(t.T)):
+        fake = types.SimpleNamespace(order=n, table=table)
+        with pytest.raises(GroupError, match="not permutations"):
+            Group._verify(fake, 0)
+
+
+def test_group_build_peak_stays_near_the_table():
+    """The permutation check sorts the table and compares it with one
+    broadcast row of indices, never with n * n grids of int64."""
+    tracemalloc.start()
+    try:
+        g = build_group("C:1024")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * g.table.nbytes, (peak, g.table.nbytes)
+
+
 def test_sampled_check_rejects_non_associative_loop():
     """Above ASSOC_EXHAUSTIVE_LIMIT the seeded spot check of 10^5 triples
     must still catch a loop that is not a group."""

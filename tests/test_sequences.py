@@ -1,4 +1,4 @@
-"""Multiset normal form, multiset difference and the text format."""
+"""Multiset normal form and the text format."""
 
 from __future__ import annotations
 
@@ -51,31 +51,3 @@ def test_text_errors():
         GSequence.from_indices(g, [7])
 
 
-def test_remove():
-    g = grp("D:3")
-    y = GSequence.from_text(g, "[y]")
-    yx = GSequence.from_text(g, "[y, x]")
-    assert yx.remove(y).items == (3,)
-    assert yx.remove(yx).length == 0
-    three = GSequence.from_text(g, "[y, y, x]")
-    assert three.remove(GSequence.from_text(g, "[x, y]")) == y
-
-
-def test_remove_errors():
-    a = GSequence.from_text(grp("C:5"), "[y]")
-    b = GSequence.from_text(grp("C:6"), "[y]")
-    with pytest.raises(SequenceError, match="C:6"):
-        a.remove(b)
-    with pytest.raises(SequenceError, match="not contained"):
-        a.remove(GSequence(a.group_key, (1, 1)))
-
-
-def test_concat_remove_inverse_property():
-    g = grp("Q:3")
-    rng = random.Random(7)
-    for _ in range(100):
-        s = GSequence.from_indices(g, [rng.randrange(g.order)
-                                       for _ in range(rng.randint(0, 6))])
-        t = GSequence.from_indices(g, [rng.randrange(g.order)
-                                       for _ in range(rng.randint(0, 6))])
-        assert GSequence.from_indices(g, s.items + t.items).remove(t) == s
