@@ -30,7 +30,6 @@ from .extremal import (
     verify_theorem,
 )
 from .groups import (
-    DEFAULT_SEED,
     Group,
     GroupError,
     GroupSpec,
@@ -81,8 +80,6 @@ def _int_at_least(low: int):
 def _common_flags(parser, *, budget=True, cache=True):
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
-    parser.add_argument("--rng-seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized spot checks (default %(default)s)")
     if budget:
         parser.add_argument("--budget", type=_int_at_least(1),
                             default=DEFAULT_NODE_BUDGET,
@@ -155,19 +152,20 @@ MEMO_ORDER_LIMIT = 256
 
 
 @functools.lru_cache(maxsize=32)
-def _kept_group(spec: GroupSpec, rng_seed: int) -> Group:
-    return build_group(spec, rng_seed=rng_seed)
+def _kept_group(spec: GroupSpec) -> Group:
+    """The process's one group per canonical spec."""
+    return build_group(spec)
 
 
 def _group(spec: GroupSpec, args) -> Group:
-    """The group of ``spec`` under ``args.rng_seed``: for orders up to
-    ``MEMO_ORDER_LIMIT`` the process's one group per canonical spec and
-    seed, so that repeated in-process commands share its table, orbit roots
-    and closure maps.  ``main`` drops its kernel contexts (up to 1 MB of
-    byte tables each, rebuilt in microseconds) when the command ends."""
+    """The group of ``spec``: for orders up to ``MEMO_ORDER_LIMIT`` the
+    process's one group per canonical spec, so that repeated in-process
+    commands share its table, orbit roots and closure maps.  ``main`` drops
+    its kernel contexts (up to 1 MB of byte tables each, rebuilt in
+    microseconds) when the command ends."""
     if spec.order > MEMO_ORDER_LIMIT:
-        return build_group(spec, rng_seed=args.rng_seed)
-    group = _kept_group(spec, args.rng_seed)
+        return build_group(spec)
+    group = _kept_group(spec)
     args.kept_groups.append(group)
     return group
 

@@ -391,16 +391,21 @@ def check_weighted_lemma(n: int, *,
 # ---------------------------------------------------------------------------
 
 def _cyclic_shape_instances(group: Group, n: int, length: int):
-    """Candidate multisets of the published shapes for the given length."""
+    """Candidate multisets of the published shapes for the given length.
+
+    Only generators g of C_n (gcd(g, n) = 1) are taken.  Any other g puts
+    every item in <g>, of order d <= n/2, and the lengths asked for exceed
+    n/2 >= d = D(C_d), so such a multiset is never product-1 free."""
     shapes = {
         n - 1: [((1, n - 1),)],
         n - 2: [((1, n - 2),), ((1, n - 3), (2, 1))],
         n - 3: [((1, n - 3),), ((1, n - 4), (3, 1)),
                 ((1, n - 5), (2, 2)), ((1, n - 4), (2, 1))],
     }
+    units = [g for g in range(1, n) if math.gcd(g, n) == 1]
     out = set()
     for shape in shapes.get(length, []):
-        for g in range(1, n):
+        for g in units:
             items = []
             for power, mult in shape:
                 items.extend([(power * g) % n] * mult)

@@ -13,8 +13,9 @@ serialized output is stable across runs.
 Multiplication is closed-form exponent arithmetic per family, written so that
 it works on index arrays as well as on single indices.  A full Cayley table is
 built from it once, in blocks of rows, and then verified (identity, inverses,
-associativity, defining relations).  The verified table is what every other
-module consumes.
+associativity, defining relations).  Associativity is checked exactly at every
+order, by Light's test over the basis generators (``Group._verify``).  The
+verified table is what every other module consumes.
 
 Automorphisms found among a few candidate maps, each checked against the
 table (``Group.automorphism_maps``), give the orbit-minimal roots of the
@@ -27,24 +28,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 import string
 from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_SEED = 1729
-
-# Exhaustive associativity checking is cubic; above this order a seeded
-# random sample of triples is used instead.
-ASSOC_EXHAUSTIVE_LIMIT = 256
-ASSOC_SAMPLE = 100_000
-
 # Largest group for which a Cayley table is built (and hence the largest
 # group this toolkit constructs at all).
 TABLE_LIMIT = 4096
 
-# Table entries computed per block of rows while a table is built.
+# Table entries computed per block of rows while a table is built, and
+# compared per block while it is checked for associativity.
 _BUILD_BLOCK = 1 << 16
 
 # Most entries (maps times order) of the automorphisms a group keeps for
@@ -221,7 +215,7 @@ class Group:
     Do not instantiate directly; use :func:`build_group`.
     """
 
-    def __init__(self, spec: GroupSpec, *, rng_seed: int = DEFAULT_SEED):
+    def __init__(self, spec: GroupSpec):
         self.spec = spec
         self.key = str(spec)
         self.order = spec.order
@@ -242,7 +236,7 @@ class Group:
         self.table = table
         self.table.setflags(write=False)
 
-        self._verify(rng_seed)
+        self._verify()
 
         # Rows are permutations, so each holds exactly one 0.
         inv = np.argmax(table == 0, axis=1).astype(np.int16)
@@ -262,7 +256,10 @@ class Group:
             live, acc = live[keep], acc[keep]
         self.element_orders: tuple[int, ...] = tuple(orders.tolist())
         self.exponent: int = math.lcm(*self.element_orders)
-        self.is_abelian: bool = bool(np.array_equal(table, table.T))
+        # Commuting generators make the group abelian, since they generate
+        # it (``_verify``); this spares an n x n transposed comparison.
+        gens = [g for g, _ in _basis(spec)]
+        self.is_abelian: bool = all(table[a, b] == table[b, a] for a in gens for b in gens)
         self._contexts: dict[str, object] = {}
 
     def release_contexts(self):
@@ -272,7 +269,24 @@ class Group:
 
     # -- verification --------------------------------------------------
 
-    def _verify(self, rng_seed: int):
+    def _verify(self):
+        """Check that the table is a group, generated by the basis
+        generators of ``_basis``, that satisfies the defining relations.
+
+        Associativity is exact at every order by Light's test: the basis
+        generators must generate the table, and x(sy) = (xs)y must hold for
+        every x, y and each generator s.  That suffices.  Call s *good* when
+        x(sy) = (xs)y for all x, y.  The identity is good.  If s and r are
+        good, so is sr:
+
+            (x(sr))y = ((xs)r)y = (xs)(ry) = x(s(ry)) = x((sr)y),
+
+        using s, then r, then s, then r (with x = s).  The generation check
+        reaches every element from the identity by multiplying by one
+        generator at a time, so every element is good, which is
+        associativity.  The work is |S| * n^2 lookups for |S| generators,
+        where a check of every triple takes n^3.
+        """
         n, t = self.order, self.table
         if (t < 0).any() or (t >= n).any():
             raise GroupError("multiplication formula left the index range")
@@ -283,19 +297,31 @@ class Group:
         if not ((np.sort(t, axis=1) == full).all()
                 and (np.sort(t, axis=0) == full[:, None]).all()):
             raise GroupError("multiplication table rows/columns are not permutations")
-        if n <= ASSOC_EXHAUSTIVE_LIMIT:
-            # Every triple, a block of rows a at a time: (ab)c = t[t[a, b], c]
-            # against a(bc) = t[a, t[b, c]], 2 MB of int16 per side and block.
-            rows = max(1, (1 << 20) // (n * n))
-            for lo in range(0, n, rows):
-                blk = t[lo:lo + rows]
-                if not np.array_equal(t[blk], blk[:, t]):
-                    raise GroupError("associativity (ab)c = a(bc) fails")
-        else:
-            raw = random.Random(rng_seed).randbytes(3 * 4 * ASSOC_SAMPLE)
-            a, b, c = np.frombuffer(raw, dtype="<u4").reshape(3, -1) % n
-            if not np.array_equal(t[t[a, b], c], t[a, t[b, c]]):
-                raise GroupError("associativity (ab)c = a(bc) fails (spot check)")
+        basis = _basis(self.spec)
+        # The normal form multiplied out from the left: each element so far
+        # times the next generator, 0 .. order - 1 times in a row, read off
+        # the generator's column.
+        elems = [0]
+        for g, order in basis:
+            col, walk = t[:, g].tolist(), []
+            for e in elems:
+                for _ in range(order):
+                    walk.append(e)
+                    e = col[e]
+            elems = walk
+        if sorted(elems) != list(range(n)):
+            raise GroupError(f"the basis generators of {self.spec} do not generate its table")
+        # Light's test, a block of rows x at a time, every generator s in
+        # one comparison: (xs)y = t[t[x, s], y] against x(sy) = t[x, t[s, y]].
+        # ``take`` gathers several times faster than fancy indexing along
+        # the rows' own axis.
+        gens = [g for g, _ in basis]
+        cols = t[gens].astype(np.intp)
+        rows = max(1, _BUILD_BLOCK // (max(1, len(gens)) * n))
+        for lo in range(0, n, rows):
+            blk = t[lo:lo + rows]
+            if not np.array_equal(t.take(blk[:, gens], axis=0), blk.take(cols, axis=1)):
+                raise GroupError("associativity (ab)c = a(bc) fails")
         self._verify_relations()
 
     def _verify_relations(self):
@@ -425,11 +451,11 @@ class Group:
         return hash(self.spec)
 
 
-def build_group(spec: GroupSpec | str, *, rng_seed: int = DEFAULT_SEED) -> Group:
+def build_group(spec: GroupSpec | str) -> Group:
     """Construct and verify a group from a spec object or spec string."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
-    return Group(spec, rng_seed=rng_seed)
+    return Group(spec)
 
 
 # ---------------------------------------------------------------------------

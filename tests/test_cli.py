@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import zerosum.cli as cli
+import zerosum.engine as engine
 from zerosum import cache
 from zerosum.cli import CSV_HEADER, build_parser, main
-from zerosum.groups import DEFAULT_SEED, build_group, parse_group_spec
+from zerosum.groups import build_group, parse_group_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -251,16 +252,15 @@ def test_extremal_budget_exhaustion_exit_3(tmp_path, capsys):
     assert cache.lookup(tmp_path, "extremal", "D:8") is None
 
 
-def test_groups_are_built_once_per_spec_and_seed(capsys, monkeypatch):
+def test_groups_are_built_once_per_spec(capsys, monkeypatch):
     """Cold commands on one group, however its spec is written, share one
-    Group, without its kernel contexts between commands; another seed
-    builds another, and so does every command on a group above
-    MEMO_ORDER_LIMIT."""
+    Group, without its kernel contexts between commands; every command on
+    a group above MEMO_ORDER_LIMIT builds its own."""
     built = []
 
-    def counting_build(spec, *, rng_seed):
-        built.append((str(spec), rng_seed))
-        return build_group(spec, rng_seed=rng_seed)
+    def counting_build(spec):
+        built.append(str(spec))
+        return build_group(spec)
 
     cli._kept_group.cache_clear()
     monkeypatch.setattr(cli, "build_group", counting_build)
@@ -269,16 +269,13 @@ def test_groups_are_built_once_per_spec_and_seed(capsys, monkeypatch):
                  ["verify", "--target", "dihedral", "--param", "n=7",
                   "--no-cache"],
                  ["free", "check", "--group", "D:7", "--seq", "[y]"],
-                 ["davenport", "--group", "D:7", "--rng-seed", "5",
-                  "--no-cache"],
                  ["group", "info", "--group", "C:257"],
                  ["group", "info", "--group", "C:257"]):
         code, _, _ = run(capsys, *argv)
         assert code == 0, argv
     assert cli.MEMO_ORDER_LIMIT == 256
-    assert built == [("D:7", DEFAULT_SEED), ("D:7", 5), ("C:257", DEFAULT_SEED),
-                     ("C:257", DEFAULT_SEED)]
-    kept = cli._kept_group(parse_group_spec("D:7"), DEFAULT_SEED)
+    assert built == ["D:7", "C:257", "C:257"]
+    kept = cli._kept_group(parse_group_spec("D:7"))
     assert kept.orbit_roots and not kept._contexts
     cli._kept_group.cache_clear()
 
@@ -444,6 +441,25 @@ def test_verify_cyclic_and_structure_targets(capsys):
                        "q=5", "--param", "m=2", "--param", "s=4",
                        "--no-cache", "--json")
     assert code == 0 and json.loads(out)["verdict"] == "exact-match"
+
+
+def test_cyclic_structure_rechecks_no_shape(capsys, monkeypatch):
+    """Only shapes over generators of C_30 are listed; each is free (its
+    coefficients sum to less than n), so the complete enumeration holds
+    them all and none is re-checked by reachability.  Shapes over the
+    other 21 elements are never free, so none is listed."""
+    calls = []
+    real = engine._run_reachable
+
+    def spy(group, seq, until_mask):
+        calls.append(seq)
+        return real(group, seq, until_mask)
+
+    monkeypatch.setattr(engine, "_run_reachable", spy)
+    code, out, _ = run(capsys, "verify", "--target", "cyclic-structure",
+                       "--param", "n=30", "--no-cache", "--json")
+    assert code == 0 and json.loads(out)["verdict"] == "exact-match"
+    assert calls == []
 
 
 def test_json_outputs_validate_against_shipped_schema(tmp_path, capsys):

@@ -11,7 +11,6 @@ import pytest
 
 from zerosum.davenport import known_constant_roster
 from zerosum.groups import (
-    DEFAULT_SEED,
     Group,
     GroupError,
     GroupSpec,
@@ -119,19 +118,32 @@ def test_associativity_independent_check(spec):
     assert np.array_equal(t[t, :], t[:, t])
 
 
-def test_verify_rejects_non_associative_loop():
-    """A Latin square with identity (a loop) that is not a group fails the
-    exhaustive associativity check, which runs in blocks of rows at n = 128."""
-    n, h = 128, 64
+def _swapped_cyclic_table(n: int, cols) -> np.ndarray:
+    """The table of C_n with the intercalate at rows 5 and 5 + n/2 swapped in
+    each of ``cols`` and its partner column c + n/2.  Every row and column
+    stays a permutation, index 0 stays the identity and column 1 (the
+    generator's, which the generation check walks) is untouched, so the
+    result is a loop that is not a group."""
+    h = n // 2
     t = (np.add.outer(np.arange(n), np.arange(n)) % n).astype(np.int16)
-    # Swapping an intercalate of the cyclic table keeps every row and column
-    # a permutation and index 0 the identity.
-    for r in (5, 5 + h):
-        t[r, 7], t[r, 7 + h] = t[r, 7 + h], t[r, 7]
+    for c in cols:
+        for r in (5, 5 + h):
+            t[r, c], t[r, c + h] = t[r, c + h], t[r, c]
+    return t
+
+
+def _fake_group(spec: str, table: np.ndarray):
+    spec = parse_group_spec(spec)
+    return types.SimpleNamespace(spec=spec, order=spec.order, table=table)
+
+
+def test_verify_rejects_non_associative_loop():
+    """A Latin square with identity (a loop) that is not a group fails
+    Light's test on the generator of C:128."""
+    t = _swapped_cyclic_table(128, [7])
     assert not np.array_equal(t[t, :], t[:, t])
-    fake = types.SimpleNamespace(order=n, table=t)
     with pytest.raises(GroupError, match="associativity"):
-        Group._verify(fake, 0)
+        Group._verify(_fake_group("C:128", t))
 
 
 def test_verify_rejects_a_row_or_column_that_is_not_a_permutation():
@@ -141,35 +153,80 @@ def test_verify_rejects_a_row_or_column_that_is_not_a_permutation():
     t = (np.add.outer(np.arange(n), np.arange(n)) % n).astype(np.int16)
     t[3, 5], t[3, 6] = t[3, 6], t[3, 5]
     for table in (t, np.ascontiguousarray(t.T)):
-        fake = types.SimpleNamespace(order=n, table=table)
         with pytest.raises(GroupError, match="not permutations"):
-            Group._verify(fake, 0)
+            Group._verify(_fake_group("C:8", table))
 
 
 def test_group_build_peak_stays_near_the_table():
     """The permutation check sorts the table and compares it with one
-    broadcast row of indices, never with n * n grids of int64."""
-    tracemalloc.start()
-    try:
-        g = build_group("C:1024")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * g.table.nbytes, (peak, g.table.nbytes)
+    broadcast row of indices, never with n * n grids of int64, and Light's
+    test compares blocks of rows; up to the table limit."""
+    for spec in ("C:1024", "C:4096"):
+        tracemalloc.start()
+        try:
+            g = build_group(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * g.table.nbytes, (spec, peak, g.table.nbytes)
 
 
-def test_sampled_check_rejects_non_associative_loop():
-    """Above ASSOC_EXHAUSTIVE_LIMIT the seeded spot check of 10^5 triples
-    must still catch a loop that is not a group."""
-    n, h = 300, 150
-    t = (np.add.outer(np.arange(n), np.arange(n)) % n).astype(np.int16)
-    for c in range(7, 11):
-        for r in (5, 5 + h):
-            t[r, c], t[r, c + h] = t[r, c + h], t[r, c]
+def test_exact_check_rejects_non_associative_loop_at_order_300():
+    """Above order 256, where only a sample of triples was once checked,
+    the check is exact and catches a loop that is not a group."""
+    t = _swapped_cyclic_table(300, range(7, 11))
     assert t[t[5, 7], 100] != t[5, t[7, 100]]
-    fake = types.SimpleNamespace(order=n, table=t)
-    with pytest.raises(GroupError, match="spot check"):
-        Group._verify(fake, DEFAULT_SEED)
+    with pytest.raises(GroupError, match="associativity"):
+        Group._verify(_fake_group("C:300", t))
+
+
+def test_exact_check_rejects_one_intercalate_swap_at_order_1024():
+    """One intercalate swap (two rows, two columns) of the C:1024 table
+    breaks 16,336 of its 1.07e9 triples.  A sample of 10^5 random triples
+    misses them all with probability 0.22 (the one seeded with 1729 does);
+    Light's test, in blocks of rows, finds them."""
+    t = _swapped_cyclic_table(1024, [7])
+    assert t[t[5, 7], 100] != t[5, t[7, 100]]
+    with pytest.raises(GroupError, match="associativity"):
+        Group._verify(_fake_group("C:1024", t))
+
+
+def _twisted_loop(h: int, twist: str) -> np.ndarray:
+    """A loop on the indices i*h + j (i < 2, j < h) of D:h, generated by
+    x = h and y = 1 as D:h's normal form is, in which Light's test passes
+    for one generator and fails for the other.
+
+    ``"x"``: D's product with x^2 = y, not x^2 = 1; every power of y
+    associates in the middle, x does not when h > 2.
+    ``"y"``: (i1, j1)(i2, j2) = (i1 + i2 + [j1 = j2 = 1], j1 + j2); x
+    associates in the middle, y does not when h >= 4.
+    """
+    i1, j1 = np.divmod(np.arange(2 * h)[:, None], h)
+    i2, j2 = np.divmod(np.arange(2 * h)[None, :], h)
+    if twist == "x":
+        carry, i = np.divmod(i1 + i2, 2)
+        j = j1 * (-1) ** i2 + j2 + carry
+    else:
+        i, j = i1 + i2 + ((j1 == 1) & (j2 == 1)), j1 + j2
+    return (i % 2 * h + j % h).astype(np.int16)
+
+
+@pytest.mark.parametrize("spec, twist, failing", [("D:5", "x", 5), ("D:4", "y", 1)])
+def test_light_test_checks_every_generator(spec, twist, failing):
+    """Each table fails Light's test for one of D's two generators only, so
+    a check that skipped that generator would accept a loop."""
+    t = _twisted_loop(parse_group_spec(spec).params[0], twist)
+    for s, _ in _basis(parse_group_spec(spec)):
+        assert np.array_equal(t[t[:, s]], t[:, t[s]]) == (s != failing)
+    with pytest.raises(GroupError, match="associativity"):
+        Group._verify(_fake_group(spec, t))
+
+
+def test_verify_rejects_a_basis_that_does_not_generate():
+    """C:4's generator, index 1, has order 2 in the table of CxC:2,2, so it
+    does not generate that table, which is a group."""
+    with pytest.raises(GroupError, match="do not generate"):
+        Group._verify(_fake_group("C:4", grp("CxC:2,2").table))
 
 
 @pytest.mark.parametrize("spec, wrong", [("D:4", "Q:2"), ("Q:2", "D:4"),
@@ -367,9 +424,9 @@ def test_table_limit():
         build_group("C:5000")
 
 
-def test_spot_check_branch_for_large_groups():
-    # order 300 > exhaustive associativity limit: the seeded random
-    # spot check runs instead, and the group still verifies
+def test_group_above_order_256_verifies_exactly():
+    # order 300, above the order where only sampled triples were once
+    # checked: the exact check accepts the group
     g = build_group("C:300")
     assert g.order == 300
     assert g.mul(299, 1) == 0
