@@ -121,7 +121,7 @@ def enumerate_extremal(group: Group, *,
             f"of {group.key}: D({group.key}) unknown above length "
             f"{res['length']}",
             best_length=res["length"], nodes=res["nodes"])
-    rows = orbit_closure(group, res["representatives"]).tolist()
+    rows = orbit_closure(group, res["representatives"])
     seqs = tuple(GSequence(group.key, tuple(items)) for items in rows)
     if not is_product1_free(group, seqs[0]):
         raise RuntimeError(f"search returned a non-free witness for {group.key}")

@@ -10,12 +10,17 @@ with (h, m, k, s) = (n, 2, 0, n-1) for D:n, (2n, 2, n, 2n-1) for Q:n and
 of y occupy indices 0..h-1 and the cosets x<y>, x^2<y>, ... follow;
 serialized output is stable across runs.
 
-Multiplication is closed-form exponent arithmetic per family, written so that
-it works on index arrays as well as on single indices.  A full Cayley table is
-built from it once, in blocks of rows, and then verified (identity, inverses,
-associativity, defining relations).  Associativity is checked exactly at every
-order, by Light's test over the basis generators (``Group._verify``).  The
-verified table is what every other module consumes.
+Multiplication is closed-form exponent arithmetic per family
+(``Group.mul_formula``).  The Cayley table is that closed form written
+blockwise into one flat ``array('h')``: each row is a few slices of
+"doubled cosets", runs of consecutive indices written out twice so that a
+cyclic shift of a run is one contiguous slice.  The table is then verified
+exactly at every order from its entries alone (``Group._verify``): identity,
+generation by the basis generators, associativity (Light's test, row by
+runs of consecutive indices; for products of several cyclic factors, a
+direct product of two verified tables), the defining relations and
+two-sided inverses.  The verified table, read-only, is what every other
+module consumes.  Only the standard library is used.
 
 Automorphisms found among a few candidate maps, each checked against the
 table (``Group.automorphism_maps``), give the orbit-minimal roots of the
@@ -29,20 +34,18 @@ import functools
 import itertools
 import math
 import string
+import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import add, itemgetter
 
 # Largest group for which a Cayley table is built (and hence the largest
 # group this toolkit constructs at all).
 TABLE_LIMIT = 4096
 
-# Table entries computed per block of rows while a table is built, and
-# compared per block while it is checked for associativity.
-_BUILD_BLOCK = 1 << 16
-
 # Most entries (maps times order) of the automorphisms a group keeps for
-# closing extremal sets (``Group.closure_maps``): 128 KB of int16.
+# closing extremal sets (``Group.closure_maps``).
 CLOSURE_LIMIT = 1 << 16
 
 _KINDS = ("C", "D", "Q", "M", "CxC")
@@ -167,11 +170,8 @@ def _names(letters: str, ns) -> list[str]:
 
 
 def _family_data(spec: GroupSpec):
-    """Return (names, mul, generators) for the family.
-
-    ``mul`` takes indices or broadcastable index arrays alike, so one
-    function fills the table and answers the scalar ``mul_formula``.
-    """
+    """Return (names, mul, generators) for the family; ``mul`` is the
+    closed-form product of two indices."""
     kind, params = spec.kind, spec.params
 
     if kind == "C":
@@ -180,13 +180,13 @@ def _family_data(spec: GroupSpec):
 
     if kind in ("D", "Q", "M"):
         h, m, k, s = _presentation(spec)
-        spow = np.array([pow(s, c, h) for c in range(m)])
+        spow = [pow(s, c, h) for c in range(m)]
 
         def mul(a, b):
             # x^i1 y^j1 * x^i2 y^j2 = x^(i1+i2) y^(j1 s^i2 + j2), and x^m = y^k.
-            i1, j1 = np.divmod(a, h)
-            i2, j2 = np.divmod(b, h)
-            carry, i = np.divmod(i1 + i2, m)
+            i1, j1 = divmod(a, h)
+            i2, j2 = divmod(b, h)
+            carry, i = divmod(i1 + i2, m)
             return i * h + (j1 * spow[i2] + j2 + k * carry) % h
 
         return _names("xy", (m, h)), mul, {"x": h, "y": 1}
@@ -206,11 +206,232 @@ def _family_data(spec: GroupSpec):
 
 
 # ---------------------------------------------------------------------------
+# Tables: written blockwise from the closed form, verified from the entries
+# ---------------------------------------------------------------------------
+
+def _doubled(lo: int, size: int) -> memoryview:
+    """The run lo .. lo + size - 1 written out twice, as an int16 view: its
+    slice [shift : shift + size] is the run rotated left by shift."""
+    return memoryview(array("h", range(lo, lo + size)) * 2)
+
+
+def _write(n: int, blocks) -> array:
+    """An n x n int16 table, row-major, from consecutive int16 ``blocks``."""
+    flat = array("h", [0]) * (n * n)
+    out, pos = memoryview(flat), 0
+    for block in blocks:
+        end = pos + len(block)
+        out[pos:end] = block
+        pos = end
+    return flat
+
+
+def _metacyclic_blocks(spec: GroupSpec):
+    """The rows of D, Q or M: row x^i1 y^j1 is m blocks of h entries, and
+    block i2 is the coset x^c <y>, c = (i1 + i2) mod m, rotated by
+    j1 s^i2 + k carry (the closed form of ``_family_data``)."""
+    h, m, k, s = _presentation(spec)
+    spow = [pow(s, c, h) for c in range(m)]
+    cosets = [_doubled(c * h, h) for c in range(m)]
+    for i1 in range(m):
+        for j1 in range(h):
+            for i2 in range(m):
+                carry, c = divmod(i1 + i2, m)
+                shift = (j1 * spow[i2] + k * carry) % h
+                yield cosets[c][shift:shift + h]
+
+
+def _split(ns) -> int:
+    """Where to cut the cyclic factors ``ns`` (at least two) into a high part
+    A = ns[:p] and a low part B = ns[p:].  The table of A x B is written and
+    checked as order * |A| blocks of |B| entries, plus order * |B| entries
+    added one at a time unless B is cyclic; the cut keeps that least."""
+    return min(range(1, len(ns)), key=lambda p: math.prod(ns[:p]) + (
+        math.prod(ns[p:]) if len(ns) - p > 1 else 0))
+
+
+def _product_table(ns) -> array:
+    """The table of C_ns[0] x C_ns[1] x ... (factors > 1; mixed radix, the
+    first factor most significant) as A x B, cut by :func:`_split`: row
+    (i1, j1) is the blocks c * |B| + row j1 of B for c along row i1 of A."""
+    if len(ns) < 2:
+        n = ns[0] if ns else 1
+        run = _doubled(0, n)
+        return _write(n, (run[a:a + n] for a in range(n)))
+    p = _split(ns)
+    a, b = math.prod(ns[:p]), math.prod(ns[p:])
+    a_tab = _product_table(ns[:p])
+    if len(ns) - p == 1:
+        rows = [[run[j:j + b] for j in range(b)]
+                for run in (_doubled(c * b, b) for c in range(a))]
+    else:
+        b_tab = _product_table(ns[p:])
+        rows = [[off[j * b:(j + 1) * b] for j in range(b)]
+                for off in (memoryview(array("h", [v + c * b for v in b_tab]))
+                            for c in range(a))]
+    return _write(a * b, (rows[c][j1] for i1 in range(a) for j1 in range(b)
+                          for c in a_tab[i1 * a:(i1 + 1) * a]))
+
+
+def _fill(spec: GroupSpec) -> array:
+    """The Cayley table of ``spec``, row-major, as one flat int16 array."""
+    if spec.kind in ("D", "Q", "M"):
+        return _write(spec.order, _metacyclic_blocks(spec))
+    return _product_table([n_i for n_i in spec.params if n_i > 1])
+
+
+def _views(table) -> tuple[memoryview, memoryview]:
+    """Byte and flat int16 views of a C-contiguous native int16 table."""
+    raw = memoryview(table).cast("B")
+    return raw, raw.cast("h")
+
+
+def _check_identity(vals: memoryview, n: int):
+    every = list(range(n))
+    if vals[:n].tolist() != every or vals[::n].tolist() != every:
+        raise GroupError("index 0 does not act as the identity")
+
+
+def _check_generation(vals: memoryview, n: int, basis, label):
+    """The basis generators' rows and columns lie in 0 .. n-1, and the normal
+    form, multiplied out from the left one generator at a time (down each
+    generator's column), reaches every element."""
+    elems = [0]
+    for g, order in basis:
+        col = vals[g::n].tolist()
+        for line in (col, vals[g * n:(g + 1) * n].tolist()):
+            if min(line) < 0 or max(line) >= n:
+                raise GroupError("multiplication formula left the index range")
+        walk = []
+        for e in elems:
+            for _ in range(order):
+                walk.append(e)
+                e = col[e]
+        elems = walk
+    if sorted(elems) != list(range(n)):
+        raise GroupError(f"the basis generators of {label} do not generate its table")
+
+
+def _light_test(raw: memoryview, vals: memoryview, n: int, gens):
+    """x(sy) = (xs)y for every x, y and every s of ``gens``, whose rows
+    ``_check_generation`` has put in range.
+
+    Row s is a few runs of consecutive indices, so row x gathered at row s,
+    the row of x(sy) over y, is one join of byte slices of row x; it must
+    equal the row of xs."""
+    w = 2 * n
+    for s in gens:
+        row, col = vals[s * n:(s + 1) * n].tolist(), vals[s::n].tolist()
+        starts = [y for y in range(n) if y == 0 or row[y] != row[y - 1] + 1]
+        runs = [(2 * row[lo], 2 * (row[lo] + hi - lo))
+                for lo, hi in zip(starts, starts[1:] + [n])]
+        for x in range(n):
+            base, xs = w * x, w * col[x]
+            if b"".join([raw[base + lo:base + hi] for lo, hi in runs]) \
+                    != raw[xs:xs + w].tobytes():
+                raise GroupError("associativity (ab)c = a(bc) fails")
+
+
+def _check_factor(table, ns):
+    """Check that ``table`` (flat int16) is associative with identity 0 as a
+    table of C_ns[0] x C_ns[1] x ...: Light's test for one factor, else
+    :func:`_check_product`."""
+    raw, vals = _views(table)
+    n = math.prod(ns)
+    _check_identity(vals, n)
+    if len(ns) > 1:
+        _check_product(raw, vals, ns)
+    else:
+        _check_generation(vals, n, [(1, n)], f"C:{n}")
+        _light_test(raw, vals, n, [1])
+
+
+def _check_product(raw: memoryview, vals: memoryview, ns):
+    """Check that the table is the direct product of two tables that are
+    associative with identity 0, so that it is one too.
+
+    Cut the factors into A = ns[:p] (order a) and B = ns[p:] (order b) by
+    :func:`_split`, so index i*b + j stands for (i, j), and read the factor
+    tables off the table T itself: A[i1, i2] = T[i1 b, i2 b] // b, checked by
+    :func:`_check_factor`; B is the standard table of C_b when B is one
+    factor, else B[j1, j2] = T[j1, j2], checked by :func:`_check_factor`.
+    Then two checks by slice comparison:
+
+    1. first blocks: T[(i1, j1), (0, j2)] = i1 b + B[j1, j2];
+    2. every block: T[(i1, j1), (i2, j2)] = T[(A[i1, i2], j1), (0, j2)],
+       so row (i1, j1) is the join of the first blocks of the rows
+       (c, j1), c along row i1 of A.
+
+    Together, T[(i1, j1), (i2, j2)] = A[i1, i2] b + B[j1, j2]: T is the
+    table of A x B, which is associative with identity (0, 0) = 0 because
+    A and B are (componentwise).  Its entries are in range because A's and
+    B's are.  The work is order * (a + b) entries, where Light's test over
+    the generators of many small factors gathers rows of up to order runs.
+    """
+    p = _split(ns)
+    a, b = math.prod(ns[:p]), math.prod(ns[p:])
+    n, w = a * b, 2 * a * b
+    a_tab = array("h")
+    for i1 in range(a):
+        a_tab.extend(v // b for v in vals[i1 * b * n:(i1 * b + 1) * n:b].tolist())
+    _check_factor(a_tab, ns[:p])
+    if len(ns) - p == 1:
+        # c b + row j of C_b is the run c b .. c b + b - 1 of row 0 (the
+        # identity's, already checked) rotated left by j.
+        runs = [raw[2 * c * b:2 * (c + 1) * b].tobytes() * 2 for c in range(a)]
+        want = b"".join([run[2 * j:2 * (j + b)] for run in runs for j in range(b)])
+    else:
+        b_tab = array("h")
+        for j in range(b):
+            b_tab.frombytes(raw[j * w:j * w + 2 * b])
+        _check_factor(b_tab, ns[p:])
+        want = b"".join([array("h", [v + c * b for v in b_tab]) for c in range(a)])
+    first = [raw[x * w:x * w + 2 * b] for x in range(n)]
+    if b"".join(first) != want:
+        raise GroupError("the table is not the direct product of its factors")
+    for x in range(n):
+        i1, j1 = divmod(x, b)
+        if b"".join([first[c * b + j1] for c in a_tab[i1 * a:(i1 + 1) * a]]) \
+                != raw[x * w:(x + 1) * w].tobytes():
+            raise GroupError("the table is not the direct product of its factors")
+
+
+def _inverses_and_orders(flat: array, n: int, names) -> tuple[list[int], list[int]]:
+    """Inverses and element orders of an associative table with identity 0,
+    from one walk of powers per cyclic subgroup: if a^k = 1 first at k,
+    then a^e has order k / gcd(e, k) and inverse a^(k-e).  Both sides of
+    every inverse are checked."""
+    inv, orders = [0] * n, [0] * n
+    orders[0] = 1
+    for a in range(1, n):
+        if orders[a]:
+            continue
+        powers, acc = [a], a          # powers[e - 1] = a^e
+        while acc:
+            if len(powers) > n:
+                raise GroupError(f"element {names[a]} has no two-sided inverse")
+            acc = flat[acc * n + a]
+            powers.append(acc)
+        k = len(powers)
+        for e, p in enumerate(powers[:-1], 1):
+            if not orders[p]:
+                orders[p], inv[p] = k // math.gcd(e, k), powers[k - e - 1]
+    for a in range(n):
+        if flat[a * n + inv[a]] or flat[inv[a] * n + a]:
+            raise GroupError(f"element {names[a]} has no two-sided inverse")
+    return inv, orders
+
+
+# ---------------------------------------------------------------------------
 # Group
 # ---------------------------------------------------------------------------
 
 class Group:
     """Immutable finite group over element indices 0..order-1.
+
+    ``table`` is the verified Cayley table as a read-only n x n int16
+    ``memoryview`` (``table[a, b]`` is a*b) and ``inv_table`` the inverses
+    as a read-only int16 view; both are C-contiguous buffers.
 
     Do not instantiate directly; use :func:`build_group`.
     """
@@ -218,7 +439,7 @@ class Group:
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         self.key = str(spec)
-        self.order = spec.order
+        self.order = n = spec.order
         names, mul_formula, generators = _family_data(spec)
         self.names: tuple[str, ...] = tuple(names)
         # The inverse of ``names``: canonical words resolve by lookup.
@@ -227,39 +448,19 @@ class Group:
         self.identity = 0
         self._mul_formula = mul_formula
 
-        n = self.order
-        idx = np.arange(n)
-        table = np.empty((n, n), dtype=np.int16)
-        rows = max(1, _BUILD_BLOCK // n)
-        for lo in range(0, n, rows):
-            table[lo:lo + rows] = mul_formula(idx[lo:lo + rows, None], idx)
-        self.table = table
-        self.table.setflags(write=False)
-
+        self._flat = _fill(spec)
+        self.table = memoryview(self._flat).toreadonly().cast("B").cast("h", (n, n))
         self._verify()
 
-        # Rows are permutations, so each holds exactly one 0.
-        inv = np.argmax(table == 0, axis=1).astype(np.int16)
-        bad = np.nonzero((table[idx, inv] != 0) | (table[inv, idx] != 0))[0]
-        if bad.size:
-            raise GroupError(f"element {self.names[bad[0]]} has no two-sided inverse")
-        self.inv_table = inv
-        self.inv_table.setflags(write=False)
-
-        # Step every element whose powers have not yet returned to 1.
-        orders = np.ones(n, dtype=np.int64)
-        live = acc = idx[1:]
-        while live.size:
-            orders[live] += 1
-            acc = table[acc, live]
-            keep = acc != 0
-            live, acc = live[keep], acc[keep]
-        self.element_orders: tuple[int, ...] = tuple(orders.tolist())
+        inv, orders = _inverses_and_orders(self._flat, n, self.names)
+        self.inv_table = memoryview(array("h", inv)).toreadonly()
+        self.element_orders: tuple[int, ...] = tuple(orders)
         self.exponent: int = math.lcm(*self.element_orders)
         # Commuting generators make the group abelian, since they generate
         # it (``_verify``); this spares an n x n transposed comparison.
         gens = [g for g, _ in _basis(spec)]
-        self.is_abelian: bool = all(table[a, b] == table[b, a] for a in gens for b in gens)
+        self.is_abelian: bool = all(self.mul(a, b) == self.mul(b, a)
+                                    for a in gens for b in gens)
         self._contexts: dict[str, object] = {}
 
     def release_contexts(self):
@@ -270,58 +471,42 @@ class Group:
     # -- verification --------------------------------------------------
 
     def _verify(self):
-        """Check that the table is a group, generated by the basis
-        generators of ``_basis``, that satisfies the defining relations.
+        """Check, from the entries of ``table`` alone, that it is associative
+        with identity 0, generated by the basis generators of ``_basis``,
+        and satisfies the defining relations; ``__init__`` then finds the
+        two-sided inverses, which makes it a group.
 
-        Associativity is exact at every order by Light's test: the basis
-        generators must generate the table, and x(sy) = (xs)y must hold for
-        every x, y and each generator s.  That suffices.  Call s *good* when
-        x(sy) = (xs)y for all x, y.  The identity is good.  If s and r are
-        good, so is sr:
+        Associativity is exact at every order.  For C, D, Q, M and products
+        with one cyclic factor > 1 it is Light's test (:func:`_light_test`):
+        x(sy) = (xs)y for every x, y and each basis generator s.  That
+        suffices.  Call s *good* when x(sy) = (xs)y for all x, y.  The
+        identity is good.  If s and r are good, so is sr:
 
             (x(sr))y = ((xs)r)y = (xs)(ry) = x(s(ry)) = x((sr)y),
 
         using s, then r, then s, then r (with x = s).  The generation check
         reaches every element from the identity by multiplying by one
         generator at a time, so every element is good, which is
-        associativity.  The work is |S| * n^2 lookups for |S| generators,
-        where a check of every triple takes n^3.
+        associativity.  By induction along the same walk, each row x s is
+        row x gathered at row s, so every entry lies in the range of row 0.
+        Products of several cyclic factors are checked as the direct
+        product of two verified tables instead (:func:`_check_product`).
+
+        Rows and columns need no permutation check: with identity,
+        associativity and two-sided inverses, y -> xy has the inverse
+        y -> x^-1 y, since x^-1 (xy) = (x^-1 x) y = y, and likewise for
+        y -> yx, so every row and column is a permutation.
         """
-        n, t = self.order, self.table
-        if (t < 0).any() or (t >= n).any():
-            raise GroupError("multiplication formula left the index range")
-        if not (np.array_equal(t[0], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))):
-            raise GroupError("index 0 does not act as the identity")
-        # Every row/column must be a permutation (cancellation law).
-        full = np.arange(n, dtype=t.dtype)
-        if not ((np.sort(t, axis=1) == full).all()
-                and (np.sort(t, axis=0) == full[:, None]).all()):
-            raise GroupError("multiplication table rows/columns are not permutations")
-        basis = _basis(self.spec)
-        # The normal form multiplied out from the left: each element so far
-        # times the next generator, 0 .. order - 1 times in a row, read off
-        # the generator's column.
-        elems = [0]
-        for g, order in basis:
-            col, walk = t[:, g].tolist(), []
-            for e in elems:
-                for _ in range(order):
-                    walk.append(e)
-                    e = col[e]
-            elems = walk
-        if sorted(elems) != list(range(n)):
-            raise GroupError(f"the basis generators of {self.spec} do not generate its table")
-        # Light's test, a block of rows x at a time, every generator s in
-        # one comparison: (xs)y = t[t[x, s], y] against x(sy) = t[x, t[s, y]].
-        # ``take`` gathers several times faster than fancy indexing along
-        # the rows' own axis.
-        gens = [g for g, _ in basis]
-        cols = t[gens].astype(np.intp)
-        rows = max(1, _BUILD_BLOCK // (max(1, len(gens)) * n))
-        for lo in range(0, n, rows):
-            blk = t[lo:lo + rows]
-            if not np.array_equal(t.take(blk[:, gens], axis=0), blk.take(cols, axis=1)):
-                raise GroupError("associativity (ab)c = a(bc) fails")
+        n, spec = self.order, self.spec
+        raw, vals = _views(self.table)
+        _check_identity(vals, n)
+        basis = _basis(spec)
+        _check_generation(vals, n, basis, spec)
+        factors = [n_i for n_i in spec.params if n_i > 1]
+        if spec.kind == "CxC" and len(factors) > 1:
+            _check_product(raw, vals, factors)
+        else:
+            _light_test(raw, vals, n, [g for g, _ in basis])
         self._verify_relations()
 
     def _verify_relations(self):
@@ -338,19 +523,19 @@ class Group:
     # -- arithmetic ----------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self._flat[a * self.order + b]
 
     def mul_formula(self, a: int, b: int) -> int:
         """Closed-form product, bypassing the table (exposed for cross-checks)."""
-        return int(self._mul_formula(a, b))
+        return self._mul_formula(a, b)
 
     def inverse(self, a: int) -> int:
-        return int(self.inv_table[a])
+        return self.inv_table[a]
 
     def _pow(self, a: int, k: int) -> int:
         acc = 0
         for _ in range(k):
-            acc = int(self.table[acc, a])
+            acc = self.table[acc, a]
         return acc
 
     def power(self, a: int, k: int) -> int:
@@ -361,45 +546,45 @@ class Group:
         base = a
         while k:
             if k & 1:
-                acc = int(self.table[acc, base])
-            base = int(self.table[base, base])
+                acc = self.mul(acc, base)
+            base = self.mul(base, base)
             k >>= 1
         return acc
 
     @functools.cached_property
-    def automorphism_maps(self) -> np.ndarray:
+    def automorphism_maps(self) -> tuple[tuple[int, ...], ...]:
         """The automorphisms found by :func:`automorphisms`, identities
-        dropped, as the rows of one array in the tables' int16 dtype.
-        Computed on first use, never while the group is built."""
-        maps = automorphisms(self)
-        maps = maps[(maps != np.arange(self.order, dtype=maps.dtype)).any(axis=1)]
-        maps.setflags(write=False)
-        return maps
+        dropped, each as the tuple of the images of 0 .. order-1.  Computed
+        on first use, never while the group is built."""
+        identity = tuple(range(self.order))
+        return tuple(phi for phi in automorphisms(self) if phi != identity)
 
     @functools.cached_property
-    def closure_maps(self) -> tuple[np.ndarray, bool]:
-        """Automorphisms for :func:`orbit_closure`, as int16 rows like the
-        tables, and whether they are the whole group that
+    def closure_maps(self) -> tuple[tuple[tuple[int, ...], ...], bool]:
+        """Automorphisms for :func:`orbit_closure`, as tuples in
+        lexicographic order, and whether they are the whole group that
         ``automorphism_maps`` generate.
 
         That group's elements, found breadth-first from the generators, if
         they take at most ``CLOSURE_LIMIT`` entries; otherwise the
-        generators.  The identity is among the rows either way.
+        generators.  The identity is among the maps either way.
         """
         n, gens = self.order, self.automorphism_maps
-        identity = np.arange(n, dtype=gens.dtype)[None]
-        start, _, _ = _unique_rows(np.concatenate([identity, gens]), n)
-        maps, frontier = start, gens
-        while len(frontier):
+        maps = {tuple(range(n)), *gens}
+        start, frontier = tuple(sorted(maps)), gens
+        while frontier:
             if (len(maps) + len(gens) * len(frontier)) * n > CLOSURE_LIMIT:
-                start.setflags(write=False)
                 return start, False
-            old = len(maps)
-            maps, _, first = _unique_rows(
-                np.concatenate([maps, gens[:, frontier].reshape(-1, n)]), n)
-            frontier = maps[first >= old]
-        maps.setflags(write=False)
-        return maps, True
+            new = []
+            for f in frontier:
+                after_f = _getter(f)
+                for g in gens:
+                    h = after_f(g)          # a -> g(f(a))
+                    if h not in maps:
+                        maps.add(h)
+                        new.append(h)
+            frontier = new
+        return tuple(sorted(maps)), True
 
     @functools.cached_property
     def orbit_roots(self) -> tuple[int, ...]:
@@ -462,6 +647,14 @@ def build_group(spec: GroupSpec | str) -> Group:
 # Automorphisms and the orbit-minimal roots of the max-length search
 # ---------------------------------------------------------------------------
 
+def _getter(idx):
+    """The function taking ``values`` to the tuple of values[i], i in idx."""
+    if len(idx) == 1:
+        i, = idx
+        return lambda values: (values[i],)
+    return itemgetter(*idx) if len(idx) else lambda values: ()
+
+
 def _unit_generators(h: int) -> list[int]:
     """A generating set of the units mod h: each member is the least unit
     outside the subgroup that the members before it generate."""
@@ -493,7 +686,7 @@ def _basis(spec: GroupSpec) -> list[tuple[int, int]]:
 
 
 def _candidate_maps(group: Group):
-    """Maps that may be automorphisms of ``group``, as index arrays:
+    """Maps that may be automorphisms of ``group``, as tuples of images:
     conjugation by each generator; for C and CxC, scalings of each factor by
     a generating set of its units, one transvection x_i <- x_i +
     (n_i / gcd(n_i, n_j)) x_j per ordered pair of factors and swaps of equal
@@ -504,23 +697,25 @@ def _candidate_maps(group: Group):
     and extended through the normal form; :func:`automorphisms` keeps only
     the maps its table check accepts.
     """
-    spec, n, t = group.spec, group.order, group.table
+    spec, n, flat = group.spec, group.order, group._flat
     basis = _basis(spec)
-    digits = [np.arange(n) // g % order for g, order in basis]
 
     def moving(images):
         """The map sending each basis generator g to images.get(g, g)."""
-        phi = np.zeros(n, dtype=t.dtype)
-        for (g, order), d in zip(basis, digits):
-            col, pows = t[:, images.get(g, g)].tolist(), [0]
+        phi = [0]
+        for g, order in basis:
+            col, pows = flat[images.get(g, g)::n], [0]
             for _ in range(order - 1):
                 pows.append(col[pows[-1]])
-            phi = t[phi, np.array(pows)[d]]
-        return phi
+            # The normal form is mixed radix with this generator's digit
+            # next in significance.
+            phi = [flat[v * n + p] for v in phi for p in pows]
+        return tuple(phi)
 
     if not group.is_abelian:
         for g in group.generators.values():
-            yield t[t[group.inv_table[g]], g]
+            g_inv = group.inverse(g)
+            yield _getter(flat[g_inv * n:(g_inv + 1) * n])(flat[g::n])  # g^-1 a g
     if spec.kind in ("C", "CxC"):
         for g, order in basis:
             for u in _unit_generators(order):
@@ -540,38 +735,41 @@ def _candidate_maps(group: Group):
         yield moving({x: x + y})
 
 
-def automorphisms(group: Group, candidates=None) -> np.ndarray:
-    """The ``candidates`` (index arrays; default :func:`_candidate_maps`)
-    that are automorphisms, as the rows of one array.
+def automorphisms(group: Group, candidates=None) -> tuple[tuple[int, ...], ...]:
+    """The ``candidates`` (sequences of images; default
+    :func:`_candidate_maps`) that are automorphisms, as tuples.
 
     A candidate is kept iff it is a bijection with phi(a*s) = phi(a)*phi(s)
     for every element a and every generator s, which makes it a
-    homomorphism because the generators generate.  A wrong candidate is
-    dropped, so it can only leave the orbits finer (more roots), never
-    wrong.
+    homomorphism because the generators generate: two gathers per
+    generator, phi at column s against column phi(s) at phi.  A wrong
+    candidate is dropped, so it can only leave the orbits finer (more
+    roots), never wrong.
     """
-    n, t = group.order, group.table
+    n, flat = group.order, group._flat
     if candidates is None:
         candidates = _candidate_maps(group)
-    # The tables' dtype: an int16 sort is already paged in by _verify, an
-    # intp one would add about 0.1 MB of resident code.
-    maps = np.array(list(candidates), dtype=t.dtype).reshape(-1, n)
-    maps = maps[(np.sort(maps, axis=1) == np.arange(n)).all(axis=1)]
-    gens = list(group.generators.values())
-    hom = maps[:, t[:, gens]] == t[maps[:, :, None], maps[:, None, gens]]
-    return maps[hom.all(axis=(1, 2))]
+    every = list(range(n))
+    right = [(s, _getter(flat[s::n])) for s in group.generators.values()]
+    kept = []
+    for phi in map(tuple, candidates):
+        if sorted(phi) != every:
+            continue
+        at_phi = _getter(phi)
+        if all(by_s(phi) == at_phi(flat[phi[s]::n]) for s, by_s in right):
+            kept.append(phi)
+    return tuple(kept)
 
 
 def orbit_minima(n: int, maps) -> tuple[int, ...]:
     """The elements 1 .. n-1 that are least in their orbit under the group
-    generated by the permutations ``maps`` (the rows of an index array).
+    generated by the permutations ``maps`` (sequences of images).
 
     Elements are taken in increasing order, and each one not yet seen
     starts a new orbit, which is then marked by following the maps.  The
     images under the maps suffice: for permutations of a finite set they
     generate the group.
     """
-    maps = [phi.tolist() for phi in maps]
     seen = [False] * n
     roots = []
     for a in range(1, n):
@@ -590,89 +788,90 @@ def orbit_minima(n: int, maps) -> tuple[int, ...]:
     return tuple(roots)
 
 
-@functools.lru_cache(maxsize=64)
-def _key_weights(n: int, length: int) -> np.ndarray:
-    """The base-n digit weights of :func:`_row_keys`, one column per word:
-    as many digits per int64 word as fit, first digit most significant."""
-    per = 1
-    while per < length and n ** (per + 1) < 1 << 63:
-        per += 1
-    col = np.arange(length)
-    weights = np.zeros((length, -(-length // per)), dtype=np.int64)
-    weights[col, col // per] = n ** (per - 1 - col % per)
-    weights.setflags(write=False)
-    return weights
+def _breadth_first_closure(rows, maps, n: int) -> list[tuple[int, ...]]:
+    """``rows`` (distinct sorted multisets of one length) and their images
+    under the group that the permutations ``maps`` generate, as sorted
+    tuples in no particular order.
+
+    A multiset is keyed by the sum of 1 << (k * a) over its items a, with k
+    the bit length of the highest multiplicity, which no automorphism
+    changes: its counts are its k-bit digits.  Each element a has one
+    weight, the keys of {a} under every map side by side, a slot of
+    ``size`` bytes per map.  A row's weights sum to the keys of all its
+    images at once, with no sort and no carry between slots.  Each round
+    maps the rows that the round before found new, and decodes only those.
+    Keys of one 64-bit word are read as native ints, longer ones as bytes,
+    so keys are written in the native byte order.
+    """
+    k = max(max(Counter(row).values()) for row in rows).bit_length()
+    size = 8 * -(-n * k // 64)
+    identity = tuple(range(n))
+    maps = [phi for phi in maps if phi != identity]
+    width = size * len(maps)
+    weight = [sum(1 << (k * phi[a] + 8 * size * i) for i, phi in enumerate(maps))
+              for a in range(n)]
+
+    def keys(packed: bytes):
+        if size == 8:
+            return memoryview(packed).cast("Q")
+        cuts = range(0, len(packed) + size, size)
+        return map(packed.__getitem__, map(slice, cuts, cuts[1:]))
+
+    def decode(key):
+        """The sorted items of a key."""
+        if size > 8:
+            key = int.from_bytes(key, sys.byteorder)
+        items = []
+        while key:
+            a = ((key & -key).bit_length() - 1) // k
+            count = key >> (k * a) & ((1 << k) - 1)
+            items += [a] * count
+            key ^= count << (k * a)
+        return tuple(items)
+
+    seen = set(keys(b"".join(
+        sum(1 << (k * a) for a in row).to_bytes(size, sys.byteorder) for row in rows)))
+    found, frontier = list(rows), rows
+    # Rows per block: about a megabyte of packed image keys at a time.
+    block = max(1, (1 << 20) // max(1, width))
+    while frontier:
+        fresh = set()
+        for lo in range(0, len(frontier), block):
+            cols = zip(*frontier[lo:lo + block])
+            sums = map(weight.__getitem__, next(cols))
+            for col in cols:
+                sums = map(add, sums, map(weight.__getitem__, col))
+            fresh.update(keys(b"".join([s.to_bytes(width, sys.byteorder) for s in sums])))
+        fresh -= seen
+        seen |= fresh
+        frontier = list(map(decode, fresh))
+        found += frontier
+    return found
 
 
-def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
-    """One key per row of ``rows`` (elements of a group of order n), in the
-    rows' lexicographic order: the row's base-n digits packed into int64
-    words.  Rows that take more than one word get one opaque key each, the
-    words' big-endian bytes, which compare as the words do."""
-    keys = rows @ _key_weights(n, rows.shape[1])
-    if keys.shape[1] == 1:
-        return keys[:, 0]
-    return keys.astype(">i8").view(np.dtype((np.void, 8 * keys.shape[1])))[:, 0]
-
-
-def _unique_rows(rows: np.ndarray, n: int):
-    """The distinct rows of ``rows`` in lexicographic order, their keys, and
-    the index of each one's first occurrence in ``rows``."""
-    keys, first = np.unique(_row_keys(rows, n), return_index=True)
-    return rows[first], keys, first
-
-
-def orbit_closure(group: Group, rows) -> np.ndarray:
+def orbit_closure(group: Group, rows) -> list[tuple[int, ...]]:
     """The multisets of ``rows`` (equal-length index sequences) and all their
     images under the group that ``group.automorphism_maps`` generate: sorted
-    rows without repeats, in lexicographic order, in the tables' dtype.
+    tuples without repeats, in lexicographic order.
 
-    Rows are mapped by every map of ``group.closure_maps``, a block of about
-    ``CLOSURE_LIMIT`` image entries at a time.  When those maps are the
-    whole group, a block's images are whole orbits, and the rows they cover
-    need no mapping.  Otherwise the closure is breadth first: each round
-    maps the rows that the round before found new.
+    When ``group.closure_maps`` are that whole group, each row not yet
+    covered is mapped by every map at once, which gives its whole orbit.
+    Otherwise the closure is breadth first under the generators
+    (:func:`_breadth_first_closure`).
     """
-    n = group.order
     maps, complete = group.closure_maps
-    rows = np.array(rows, dtype=group.table.dtype)
-    if not rows.size:
+    rows = sorted({tuple(sorted(r)) for r in rows})
+    if not rows or not rows[0]:
         # no rows, or only empty multisets: at most one, the empty one
-        return np.zeros((min(len(rows), 1), 0), dtype=rows.dtype)
-    length = rows.shape[1]
-    rows, keys, _ = _unique_rows(np.sort(rows, axis=1), n)
-    block = max(1, CLOSURE_LIMIT // (len(maps) * length))
-
-    def images(part):
-        """The distinct images of ``part`` (the identity among the maps
-        keeps ``part`` itself), with their keys."""
-        out = np.sort(maps[:, part].reshape(-1, length), axis=1)
-        return _unique_rows(out, n)[:2]
-
-    if complete:
-        found, found_keys = [], []
-        todo = rows
-        while len(todo):
-            orbits, keys = images(todo[:block])
-            todo = todo[block:]
-            if len(todo):
-                todo = todo[~np.isin(_row_keys(todo, n), keys)]
-            found.append(orbits)
-            found_keys.append(keys)
-    else:
-        found, found_keys = [rows], [keys]
-        frontier = rows
-        while len(frontier):
-            parts = [images(frontier[i:i + block])[0]
-                     for i in range(0, len(frontier), block)]
-            reached, keys, _ = _unique_rows(np.concatenate(parts), n)
-            new = ~np.isin(keys, np.concatenate(found_keys))
-            frontier = reached[new]
-            found.append(frontier)
-            found_keys.append(keys[new])
-    if len(found) == 1:
-        return found[0]
-    return np.concatenate(found)[np.argsort(np.concatenate(found_keys))]
+        return rows
+    if not complete:
+        return sorted(_breadth_first_closure(rows, maps, group.order))
+    found = set()
+    for r in rows:
+        if r not in found:
+            image = _getter(r)
+            found.update(tuple(sorted(image(phi))) for phi in maps)
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------
@@ -701,11 +900,16 @@ def quotient_map(n: int) -> QuotientMap:
         raise GroupError("quotient map requires n >= 2")
     q = build_group(GroupSpec("Q", (n,)))
     d = build_group(GroupSpec("D", (n,)))
-    idx = np.arange(q.order)
-    mapping = (idx // (2 * n)) * n + idx % n
-    if not np.array_equal(mapping[q.table], d.table[np.ix_(mapping, mapping)]):
-        raise GroupError("quotient map is not a homomorphism")
-    mapping = tuple(mapping.tolist())
+    m = q.order
+    mapping = tuple(a // (2 * n) * n + a % n for a in range(m))
+    # phi(a*b) = phi(a)*phi(b): row a of Q gathered by phi against row
+    # phi(a) of D gathered at phi.
+    at_phi = _getter(mapping)
+    for a in range(m):
+        image = mapping[a] * d.order
+        if _getter(q._flat[a * m:(a + 1) * m])(mapping) \
+                != at_phi(d._flat[image:image + d.order]):
+            raise GroupError("quotient map is not a homomorphism")
     if set(mapping) != set(d.elements()):
         raise GroupError("quotient map is not surjective")
     ker = tuple(a for a in q.elements() if mapping[a] == 0)

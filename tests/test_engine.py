@@ -141,7 +141,7 @@ def test_freeness_invariant_under_automorphisms_property(case):
     # to free multisets, and non-free ones to non-free ones.
     g, s = case
     images = [GSequence.from_indices(g, (phi[a] for a in s))
-              for phi in automorphisms(g).tolist()]
+              for phi in automorphisms(g)]
     for lane in LANES:
         with mock.patch.dict(os.environ, {"ZEROSUM_PURE_KERNEL": lane}):
             free = is_product1_free(g, s)

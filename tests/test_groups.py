@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 import types
+from array import array
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from zerosum.groups import (
     GroupSpec,
     _basis,
     _candidate_maps,
+    _inverses_and_orders,
     automorphisms,
     build_group,
+    orbit_closure,
     orbit_minima,
     parse_group_spec,
     quaternion_names,
@@ -29,7 +33,7 @@ from conftest import grp
 
 def _center(g) -> list[int]:
     """Elements whose row and column of the table agree."""
-    t = g.table
+    t = np.asarray(g.table)
     return [a for a in g.elements() if np.array_equal(t[a], t[:, a])]
 
 
@@ -114,7 +118,7 @@ def test_element_orders():
 
 @pytest.mark.parametrize("spec", ["D:5", "Q:3", "M:5,2,4", "CxC:2,3"])
 def test_associativity_independent_check(spec):
-    t = grp(spec).table
+    t = np.asarray(grp(spec).table)
     assert np.array_equal(t[t, :], t[:, t])
 
 
@@ -153,14 +157,14 @@ def test_verify_rejects_a_row_or_column_that_is_not_a_permutation():
     t = (np.add.outer(np.arange(n), np.arange(n)) % n).astype(np.int16)
     t[3, 5], t[3, 6] = t[3, 6], t[3, 5]
     for table in (t, np.ascontiguousarray(t.T)):
-        with pytest.raises(GroupError, match="not permutations"):
+        with pytest.raises(GroupError, match="associativity"):
             Group._verify(_fake_group("C:8", table))
 
 
 def test_group_build_peak_stays_near_the_table():
-    """The permutation check sorts the table and compares it with one
-    broadcast row of indices, never with n * n grids of int64, and Light's
-    test compares blocks of rows; up to the table limit."""
+    """The table is written into one int16 array in place, and Light's
+    test and the inverses read it a row or a column at a time, never as
+    n * n Python ints or a second copy; up to the table limit."""
     for spec in ("C:1024", "C:4096"):
         tracemalloc.start()
         try:
@@ -227,6 +231,53 @@ def test_verify_rejects_a_basis_that_does_not_generate():
     does not generate that table, which is a group."""
     with pytest.raises(GroupError, match="do not generate"):
         Group._verify(_fake_group("C:4", grp("CxC:2,2").table))
+
+
+@pytest.mark.parametrize("spec, wrong", [("CxC:4,4", "C:16"), ("CxC:2,2,2", "C:8"),
+                                         ("CxC:2,2,2", "Q:2"),
+                                         ("CxC:2,2,2,2", "CxC:2,2,4")])
+def test_product_check_rejects_the_table_of_another_group(spec, wrong):
+    """Each wrong table is a group whose table the basis generators of spec
+    generate, so only the direct-product check can tell the two apart.  For
+    CxC:2,2,2 it fails inside the high factor CxC:2,2; CxC:2,2,4 is the
+    product of CxC:2,2 with C:4, which fails as the low factor CxC:2,2."""
+    with pytest.raises(GroupError, match="direct product"):
+        Group._verify(_fake_group(spec, np.asarray(grp(wrong).table)))
+
+
+@pytest.mark.parametrize("col", [3, 11])
+def test_product_check_rejects_a_loop(col):
+    """One intercalate swap at rows 5, 37 and columns col, col + 32 of
+    CxC:8,8 keeps the identity and the generators' rows and columns.  At
+    column 3 it breaks the first block of row 5, at column 11 only blocks
+    that the first blocks of other rows must match."""
+    t = np.array(grp("CxC:8,8").table)
+    for r in (5, 37):
+        t[r, col], t[r, col + 32] = t[r, col + 32], t[r, col]
+    with pytest.raises(GroupError, match="direct product"):
+        Group._verify(_fake_group("CxC:8,8", t))
+
+
+def test_an_element_without_inverse_is_refused():
+    """{1, y} with y*y = y is associative, has the identity 1 and is
+    generated by y, so only the inverses refuse it."""
+    t = np.array([[0, 1], [1, 1]], dtype=np.int16)
+    monoid = object.__new__(Group)
+    monoid.spec, monoid.order, monoid.table = parse_group_spec("C:2"), 2, t
+    monoid._verify()
+    with pytest.raises(GroupError, match="y has no two-sided inverse"):
+        _inverses_and_orders(array("h", t.tobytes()), 2, ("1", "y"))
+
+
+def test_product_check_verifies_its_factors():
+    """The direct product of a loop of order 16 (C:16 with one intercalate
+    swap, its generator's column kept) with C:2 is exactly the product
+    table of its factors, so only the check of the factor itself fails."""
+    loop = _swapped_cyclic_table(16, [7]).astype(np.int64)
+    j = np.arange(2)
+    t = loop[:, None, :, None] * 2 + (j[:, None] + j[None, :])[None, :, None, :] % 2
+    with pytest.raises(GroupError, match="associativity"):
+        Group._verify(_fake_group("CxC:16,2", t.reshape(32, 32).astype(np.int16)))
 
 
 @pytest.mark.parametrize("spec, wrong", [("D:4", "Q:2"), ("Q:2", "D:4"),
@@ -456,7 +507,7 @@ def brute_force_orbit_roots(g, chunk=4096):
     images to the basis generators, extended through the normal form and
     kept when it is an automorphism; None above BRUTE_FORCE_LIMIT
     assignments."""
-    n, t = g.order, g.table
+    n, t = g.order, np.asarray(g.table)
     basis = _basis(g.spec)
     if not basis:
         return ()
@@ -489,9 +540,9 @@ def test_kept_maps_are_automorphisms(spec):
     """Every candidate of these groups is kept, and each passes the check
     one product at a time."""
     g = grp(spec)
-    candidates = [phi.tolist() for phi in _candidate_maps(g)]
-    kept = automorphisms(g, candidates).tolist()
-    assert kept == candidates
+    candidates = list(_candidate_maps(g))
+    kept = automorphisms(g, candidates)
+    assert kept == tuple(candidates)
     for phi in kept:
         assert hom_by_loop(g, phi)
 
@@ -506,8 +557,8 @@ def test_non_automorphism_candidates_are_dropped():
     outside = [a + 1 for a in g.elements()]             # leaves the group
     wrong = [squares, swap, shift, outside]
     assert not any(hom_by_loop(g, phi) for phi in wrong)
-    assert automorphisms(g, wrong).tolist() == []
-    assert automorphisms(g, wrong + [identity] + wrong).tolist() == [identity]
+    assert automorphisms(g, wrong) == ()
+    assert automorphisms(g, wrong + [identity] + wrong) == (tuple(identity),)
     # With nothing kept every element is its own orbit: every root stays.
     assert orbit_minima(g.order, automorphisms(g, wrong)) == tuple(
         range(1, g.order))
@@ -529,6 +580,41 @@ def test_orbit_roots_match_brute_force():
         else:
             assert g.orbit_roots == want, spec
     assert checked == len(ROSTER) + 5  # all but CxC:2,2,2,2,2
+
+
+@pytest.mark.parametrize("spec", ROSTER)
+def test_automorphism_maps_are_homomorphisms(spec):
+    """phi(ab) = phi(a) phi(b) for every a, b and every kept map."""
+    g = grp(spec)
+    t = np.asarray(g.table)
+    for phi in g.automorphism_maps:
+        phi = np.array(phi)
+        assert np.array_equal(phi[t], t[phi[:, None], phi[None, :]]), phi
+
+
+@pytest.mark.parametrize("spec, complete", [("D:6", True), ("Q:4", True),
+                                            ("CxC:2,2,2,2", False),
+                                            ("CxC:3,3,3", False)])
+def test_orbit_closure_matches_a_fixpoint(spec, complete):
+    """Seeded multisets, closed one map at a time under the kept maps
+    until nothing new appears, on both paths of orbit_closure.  The row
+    holding element 1 four times takes 3 bits per count, so the
+    breadth-first keys of CxC:3,3,3 (27 elements) span two 64-bit words and
+    those of CxC:2,2,2,2 one."""
+    g = grp(spec)
+    assert g.closure_maps[1] == complete
+    rng = random.Random(spec)
+    rows = [[rng.randrange(g.order) for _ in range(4)] for _ in range(6)] + [[1] * 4]
+    closed = {tuple(sorted(r)) for r in rows}
+    todo = list(closed)
+    while todo:
+        row = todo.pop()
+        for phi in g.automorphism_maps:
+            image = tuple(sorted(phi[a] for a in row))
+            if image not in closed:
+                closed.add(image)
+                todo.append(image)
+    assert orbit_closure(g, rows) == sorted(closed)
 
 
 def test_orbit_roots_are_computed_on_first_use():
