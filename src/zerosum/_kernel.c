@@ -6,16 +6,28 @@
  * words = (n + 63) / 64 64-bit words; element index i is bit i % 64 of
  * word i / 64.
  *
- * translate(mask, e) = { r*e : r in mask }.  With one word (n <= 64) it is
- * applied byte by byte through per-element tables, and one extra table row
- * maps a set to the set of its inverses, which turns the feasibility test
- * "inv(f) not reachable" into word operations.  Byte tables for more words
- * would take (n + 1) * n/8 * 256 * words * 8 bytes (4.3 GB at n = 1024), so
- * larger groups walk the set bits instead, through the transposed product
- * table rmul[e*n + r] = r*e and the inverse table.  The byte tables stay for
- * one word because the bit walk at every order doubles the roster
+ * translate(mask, e) = { r*e : r in mask }.  A group is abelian exactly
+ * when its context is built with the (stride, order) pairs of its cyclic
+ * factors (radix).  At one word (n <= 64) an abelian translate turns each
+ * factor by two masked shifts, with no table: digit d of e moves the bits
+ * whose digit is below order - d up by d * stride and wraps the rest down
+ * by (order - d) * stride.  build_context checks the turns against every
+ * entry of the product table.  Non-abelian one-word groups apply translate
+ * byte by byte through per-element tables, and one extra table row maps a
+ * set to the set of its inverses.  Byte tables for more words would take
+ * (n + 1) * n/8 * 256 * words * 8 bytes (4.3 GB at n = 1024), so larger
+ * groups walk the set bits instead, through the transposed product table
+ * rmul[e*n + r] = r*e and the inverse table.  The byte tables stay for
+ * non-abelian groups of one word because the bit walk doubles the roster
  * benchmark's run_s (0.23 -> 0.49 s, 2-vCPU Xeon).  The DFS body is written
  * once over the word count and the compiler specializes it for one word.
+ *
+ * The feasibility test of a search, "inv(f) not reachable", needs the
+ * inverse of the reach set.  On abelian groups search and greedy carry that
+ * inverse set F instead of the reach set: it is the reach set of the path's
+ * inverses, so appending e to the path extends F by e^-1, and the feasible
+ * children are the complement of F.  Other groups invert the reach set
+ * through the extra byte row at one word and bit by bit at more.
  *
  * A path is extended one copy at a time (extend).  On abelian groups the
  * reach set of the path is one bitset; otherwise extend runs the
@@ -62,18 +74,33 @@ static PyObject *LimitExceeded;
  * Context: product tables for one group
  * ------------------------------------------------------------------------ */
 
+/* One cyclic factor's turn in a translate by rotation: the bits in keep move
+ * up by lsh, the others wrap down by rsh.  Where the element's digit is 0
+ * every bit is kept in place. */
+typedef struct {
+    uint64_t keep;
+    int lsh, rsh;
+} Turn;
+
+/* A radix of one word has at most 6 factors > 1: 2^6 = 64. */
+#define MAX_FACTORS 6
+
 typedef struct {
     int n;
     int identity;
     int abelian;
     int words;                  /* 64-bit words per bitset: (n + 63) / 64 */
     int chunks;                 /* bytes per one-word bitset: (n + 7) / 8 */
+    int factors;                /* cyclic factors of the radix */
     uint64_t last;              /* the valid bits of the last word */
-    const uint16_t *rmul;       /* rmul[e*n + r] = r*e */
+    /* words == 1, abelian: turns[e*factors + i] turns factor i by e */
+    const Turn *turns;
+    /* words == 1, non-abelian: (n + 1) rows of chunks * 256 words; row
+     * e < n translates by e, row n maps a set to the set of its inverses */
+    const uint64_t *tables;
+    const uint16_t *rmul;       /* words > 1: rmul[e*n + r] = r*e */
     const uint16_t *inv;        /* inv[r] = r^-1 */
-    /* words == 1 only: (n + 1) rows of chunks * 256 words; row e < n
-     * translates by e, row n maps a set to the set of its inverses. */
-    uint64_t tables[];
+    uint64_t data[];            /* turns or tables, then rmul and inv */
 } Context;
 
 static inline uint64_t
@@ -84,6 +111,16 @@ apply_row(const Context *c, uint64_t mask, int row)
     for (int pos = 0; pos < c->chunks; pos++, t += 256, mask >>= 8)
         out |= t[mask & 0xFF];
     return out;
+}
+
+/* translate(mask, e) by two masked shifts per cyclic factor. */
+static inline uint64_t
+rotate(const Context *c, uint64_t mask, int e)
+{
+    const Turn *t = c->turns + (size_t)e * c->factors;
+    for (int i = 0; i < c->factors; i++, t++)
+        mask = (mask & t->keep) << t->lsh | (mask & ~t->keep) >> t->rsh;
+    return mask;
 }
 
 /* Adds i to a set of W words; with one word, i < 64 and the word index is
@@ -99,7 +136,7 @@ ALWAYS_INLINE void
 translate_or(const Context *c, int W, const uint64_t *src, int e, uint64_t *dst)
 {
     if (W == 1) {
-        dst[0] |= apply_row(c, src[0], e);
+        dst[0] |= c->turns ? rotate(c, src[0], e) : apply_row(c, src[0], e);
         return;
     }
     const uint16_t *row = c->rmul + (size_t)e * c->n;
@@ -108,22 +145,29 @@ translate_or(const Context *c, int W, const uint64_t *src, int e, uint64_t *dst)
             set_bit(dst, row[w * 64 + __builtin_ctzll(m)], W);
 }
 
-/* cand = { f >= start : inv(f) not in reach }, the elements f >= start
- * that keep a multiset with this reach set free. */
+/* cand = the elements f >= start that keep the path free.  On abelian
+ * groups `carried` is the inverse set F of the path and cand its
+ * complement; otherwise it is the reach set and cand = { f : inv(f) not
+ * in it }. */
 ALWAYS_INLINE void
-feasible(const Context *c, int W, const uint64_t *reach, int start,
+feasible(const Context *c, int W, const uint64_t *carried, int start,
          uint64_t *cand)
 {
-    if (W == 1) {
-        cand[0] = ~apply_row(c, reach[0], c->n) & c->last & (~0ULL << start);
-        return;
+    if (c->abelian) {
+        for (int w = 0; w < W; w++)
+            cand[w] = ~carried[w];
+    } else if (W == 1) {
+        cand[0] = ~apply_row(c, carried[0], c->n);
+    } else {
+        memset(cand, 0, W * sizeof *cand);
+        for (int w = 0; w < W; w++)
+            for (uint64_t m = carried[w]; m; m &= m - 1)
+                set_bit(cand, c->inv[w * 64 + __builtin_ctzll(m)], W);
+        for (int w = 0; w < W; w++)
+            cand[w] = ~cand[w];
     }
-    memset(cand, 0, W * sizeof *cand);
-    for (int w = 0; w < W; w++)
-        for (uint64_t m = reach[w]; m; m &= m - 1)
-            set_bit(cand, c->inv[w * 64 + __builtin_ctzll(m)], W);
-    for (int w = 0; w < W; w++)
-        cand[w] = w < start >> 6 ? 0 : ~cand[w];
+    for (int w = 0; w < start >> 6; w++)
+        cand[w] = 0;
     cand[W - 1] &= c->last;
     cand[start >> 6] &= ~0ULL << (start & 63);
 }
@@ -173,17 +217,96 @@ read_int16(const Py_buffer *buf, Py_ssize_t count, int n, int transpose,
     return 0;
 }
 
+/* Read a radix of at most MAX_FACTORS (stride, order) pairs, each with
+ * stride >= 1, order >= 2 and stride * order <= n; returns their number. */
+static int
+read_radix(PyObject *obj, int n, int *stride, int *order)
+{
+    PyObject *fast = PySequence_Fast(obj, "radix must be a sequence");
+    if (fast == NULL)
+        return -1;
+    Py_ssize_t len = PySequence_Fast_GET_SIZE(fast);
+    if (len > MAX_FACTORS) {
+        PyErr_Format(PyExc_ValueError, "radix has more than %d factors",
+                     MAX_FACTORS);
+        len = -1;
+    }
+    for (Py_ssize_t i = 0; i < len; i++) {
+        PyObject *pair = PySequence_Fast(PySequence_Fast_GET_ITEM(fast, i),
+                                         "radix entries must be pairs");
+        long v[2] = {0, 0};
+        if (pair != NULL && PySequence_Fast_GET_SIZE(pair) != 2)
+            PyErr_SetString(PyExc_ValueError, "radix entries must be pairs");
+        else if (pair != NULL)
+            for (int j = 0; j < 2; j++)
+                v[j] = PyLong_AsLong(PySequence_Fast_GET_ITEM(pair, j));
+        Py_XDECREF(pair);
+        if (PyErr_Occurred()) {
+            len = -1;
+            break;
+        }
+        if (v[0] < 1 || v[1] < 2 || v[0] > n || v[1] > n || v[0] * v[1] > n) {
+            PyErr_Format(PyExc_ValueError, "radix entry (%ld, %ld) out of range",
+                         v[0], v[1]);
+            len = -1;
+            break;
+        }
+        stride[i] = (int)v[0];
+        order[i] = (int)v[1];
+    }
+    Py_DECREF(fast);
+    return (int)len;
+}
+
+/* The turns of every element, checked against every product: element e
+ * has digit d = e / stride % order in each factor, and a translate by it
+ * moves the bits of digit below order - d up by d * stride and wraps the
+ * others down by (order - d) * stride.  Both shifts are below
+ * stride * order <= 64 when d > 0. */
+static int
+fill_turns(Context *c, Turn *turns, const int *stride, const int *order,
+           const uint16_t *rmul)
+{
+    int n = c->n;
+    for (int e = 0; e < n; e++) {
+        for (int i = 0; i < c->factors; i++) {
+            Turn *t = turns + (size_t)e * c->factors + i;
+            int d = e / stride[i] % order[i];
+            t->keep = ~0ULL;
+            t->lsh = t->rsh = 0;
+            if (d == 0)
+                continue;
+            t->keep = 0;
+            for (int r = 0; r < n; r++)
+                if (r / stride[i] % order[i] < order[i] - d)
+                    t->keep |= 1ULL << r;
+            t->lsh = d * stride[i];
+            t->rsh = (order[i] - d) * stride[i];
+        }
+    }
+    for (int e = 0; e < n; e++)
+        for (int r = 0; r < n; r++)
+            if (rotate(c, 1ULL << r, e) != 1ULL << rmul[e * n + r]) {
+                PyErr_SetString(PyExc_ValueError,
+                                "radix does not match the product table");
+                return -1;
+            }
+    return 0;
+}
+
 static PyObject *
 build_context(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "mul_flat", "inv", "identity", "abelian", NULL};
-    int n, identity, abelian;
+    static char *kwlist[] = {"n", "mul_flat", "inv", "identity", "radix", NULL};
+    int n, identity;
     Py_buffer mul, inv;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iy*y*ip:build_context",
-                                     kwlist, &n, &mul, &inv, &identity, &abelian))
+    PyObject *radix;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iy*y*iO:build_context",
+                                     kwlist, &n, &mul, &inv, &identity, &radix))
         return NULL;
     PyObject *capsule = NULL;
     Context *c = NULL;
+    uint16_t *scratch = NULL;   /* rmul of a one-word context, while built */
     if (n < 1 || n > MAX_ORDER) {
         PyErr_Format(PyExc_ValueError,
                      "compiled kernel supports orders 1..%d, got %d", MAX_ORDER, n);
@@ -193,30 +316,48 @@ build_context(PyObject *self, PyObject *args, PyObject *kwargs)
         PyErr_SetString(PyExc_ValueError, "identity index out of range");
         goto done;
     }
+    /* The radix is read at one word only; wider sets walk their bits. */
+    int abelian = radix != Py_None;
     int words = (n + 63) / 64, chunks = (n + 7) / 8;
-    int rows = words == 1 ? n + 1 : 0;      /* byte tables: one word only */
+    int stride[MAX_FACTORS], order[MAX_FACTORS], factors = 0;
+    int turning = words == 1 && abelian;
+    if (turning && (factors = read_radix(radix, n, stride, order)) < 0)
+        goto done;
+    int rows = words == 1 && !abelian ? n + 1 : 0;
     size_t row_words = (size_t)chunks * 256;
+    size_t turn_count = turning ? (size_t)n * factors : 0;
+    size_t rmul_count = words == 1 ? 0 : (size_t)n * n;
     c = PyMem_Malloc(sizeof(Context) + rows * row_words * sizeof(uint64_t)
-                     + ((size_t)n * n + n) * sizeof(uint16_t));
-    if (c == NULL) {
+                     + turn_count * sizeof(Turn)
+                     + (rmul_count + n) * sizeof(uint16_t));
+    if (words == 1)
+        scratch = PyMem_New(uint16_t, (size_t)n * n);
+    if (c == NULL || (words == 1 && scratch == NULL)) {
         PyErr_NoMemory();
         goto done;
     }
-    uint16_t *rmul = (uint16_t *)(c->tables + rows * row_words);
-    uint16_t *inverse = rmul + (size_t)n * n;
+    uint64_t *tables = c->data;
+    Turn *turns = (Turn *)(tables + rows * row_words);
+    uint16_t *inverse = (uint16_t *)(turns + turn_count);
+    uint16_t *rmul = words == 1 ? scratch : inverse + n;
     c->n = n;
     c->identity = identity;
     c->abelian = abelian;
     c->words = words;
     c->chunks = chunks;
+    c->factors = factors;
     c->last = n % 64 ? (1ULL << n % 64) - 1 : ~0ULL;
-    c->rmul = rmul;
+    c->turns = turning ? turns : NULL;
+    c->tables = rows ? tables : NULL;
+    c->rmul = words == 1 ? NULL : rmul;
     c->inv = inverse;
     if (read_int16(&mul, (Py_ssize_t)n * n, n, 1, rmul, "mul_flat") < 0
             || read_int16(&inv, n, n, 0, inverse, "inv") < 0)
         goto done;
+    if (turning && fill_turns(c, turns, stride, order, rmul) < 0)
+        goto done;
     for (int row = 0; row < rows; row++) {
-        uint64_t *t = c->tables + row * row_words;
+        uint64_t *t = tables + row * row_words;
         for (int pos = 0; pos < chunks; pos++, t += 256) {
             t[0] = 0;
             for (int v = 1; v < 256; v++) {
@@ -233,6 +374,7 @@ build_context(PyObject *self, PyObject *args, PyObject *kwargs)
 done:
     if (capsule == NULL)
         PyMem_Free(c);
+    PyMem_Free(scratch);
     PyBuffer_Release(&mul);
     PyBuffer_Release(&inv);
     return capsule;
@@ -451,8 +593,9 @@ typedef struct {
     int best;                   /* max: of the current root; collect: of all */
     int path[MAX_ORDER];
     int witness[MAX_ORDER];
-    /* Slot d (words each) of reach holds the reach set of the path's first
-     * d elements, slot d of cand the feasible children of that path; the
+    /* Slot d (words each) of reach holds the set carried for the path's
+     * first d elements (its reach set, or on abelian groups the inverse
+     * set), slot d of cand the feasible children of that path; the
      * DFS recurses up to n - 1 deep, so these live here, not on the stack.
      * Stand-alone reachability uses two slots in turn. */
     uint64_t *reach, *cand;
@@ -525,7 +668,8 @@ check_depth(const Context *c, int length)
     return -1;
 }
 
-/* child = reach with e appended to the path. */
+/* child = reach with e appended to the path.  Search and greedy pass e^-1
+ * on abelian groups, where they carry the inverse set. */
 ALWAYS_INLINE int
 extend(Search *s, int e, const uint64_t *reach, uint64_t *child, int W)
 {
@@ -544,7 +688,7 @@ extend(Search *s, int e, const uint64_t *reach, uint64_t *child, int W)
     return 0;
 }
 
-static int visit1(Search *s, int e, uint64_t reach, int length);
+static int visit1(Search *s, int e, uint64_t carried, int length);
 static int visitw(Search *s, int e, int length);
 
 /* Append the first len path elements to the found list. */
@@ -557,11 +701,12 @@ collect_path(Search *s, int len)
     return rc;
 }
 
-/* e already passed the feasibility test: e != 1 and inv(e) not in reach.
- * One-word sets live in locals, so the compiler keeps them in registers;
- * wider ones live in the arena slot of their depth. */
+/* e already passed the feasibility test: e != 1 and inv(e) not in the
+ * path's reach set.  `carried` is that reach set, or its inverse set on
+ * abelian groups.  One-word sets live in locals, so the compiler keeps them
+ * in registers; wider ones live in the arena slot of their depth. */
 ALWAYS_INLINE int
-visit_body(Search *s, int e, const uint64_t *reach, int length, int W)
+visit_body(Search *s, int e, const uint64_t *carried, int length, int W)
 {
     const Context *c = s->ctx;
     if (++s->nodes > s->budget)
@@ -575,8 +720,9 @@ visit_body(Search *s, int e, const uint64_t *reach, int length, int W)
     uint64_t child1, cand1;
     uint64_t *child = W == 1 ? &child1 : s->reach + (size_t)newlen * W;
     uint64_t *cand = W == 1 ? &cand1 : s->cand + (size_t)newlen * W;
-    if (extend(s, e, reach, child, W) < 0)
+    if (extend(s, c->abelian ? c->inv[e] : e, carried, child, W) < 0)
         return VISIT_ERROR;
+    /* inversion is a bijection: F and the reach set have one size */
     int potential = newlen + (c->n - 1 - popcount(child, W));
     int descend;
     if (s->mode == MODE_MAX) {
@@ -600,7 +746,7 @@ visit_body(Search *s, int e, const uint64_t *reach, int length, int W)
     }
     int rc = VISIT_OK;
     if (descend) {
-        /* f >= e whose inverse is not reachable, in increasing order */
+        /* f >= e that keep the path free, in increasing order */
         feasible(c, W, child, e, cand);
         for (int w = 0; w < W && rc == VISIT_OK; w++) {
             for (uint64_t bits = cand[w]; bits && rc == VISIT_OK; bits &= bits - 1) {
@@ -615,9 +761,9 @@ visit_body(Search *s, int e, const uint64_t *reach, int length, int W)
 }
 
 static int
-visit1(Search *s, int e, uint64_t reach, int length)
+visit1(Search *s, int e, uint64_t carried, int length)
 {
-    return visit_body(s, e, &reach, length, 1);
+    return visit_body(s, e, &carried, length, 1);
 }
 
 static int
@@ -778,7 +924,8 @@ greedy(PyObject *self, PyObject *args, PyObject *kwargs)
             break;
         int e = w * 64 + __builtin_ctzll(s->cand[w]);
         if (check_depth(c, len) < 0
-                || extend(s, e, s->reach + (size_t)len * W,
+                || extend(s, c->abelian ? c->inv[e] : e,
+                          s->reach + (size_t)len * W,
                           s->reach + (size_t)(len + 1) * W, W) < 0)
             goto done;
         s->path[len++] = e;
@@ -882,9 +1029,14 @@ done:
 static PyMethodDef kernel_methods[] = {
     {"build_context", (PyCFunction)(void (*)(void))build_context,
      METH_VARARGS | METH_KEYWORDS,
-     "build_context(n, mul_flat, inv, identity, abelian)\n--\n\n"
+     "build_context(n, mul_flat, inv, identity, radix)\n--\n\n"
      "Product tables for one group of order <= 4096; mul_flat (n*n) and inv\n"
-     "(n) are C-contiguous buffers of native int16."},
+     "(n) are C-contiguous buffers of native int16.  radix is None for a\n"
+     "non-abelian group and the (stride, order) pairs of the cyclic factors\n"
+     "of an abelian one: at order <= 64 translate then turns each factor by\n"
+     "two masked shifts, checked against every product (ValueError on a\n"
+     "mismatch), with no byte tables.  Larger orders read only whether it is\n"
+     "None."},
     {"greedy", (PyCFunction)(void (*)(void))greedy, METH_VARARGS | METH_KEYWORDS,
      "greedy(ctx, state_cap)\n--\n\n"
      "Leftmost canonical descent; returns (length, witness, nodes)."},

@@ -1,9 +1,12 @@
 """Pure-Python search kernel: bitset reachability over subsequence products.
 
 Bitsets are Python ints with bit i standing for element index i.  The central
-primitive is ``translate(mask, e)`` = { r*e : r in mask }, applied byte by
-byte through per-element tables, each built on the first translate by its
-element.
+primitive is ``translate(mask, e)`` = { r*e : r in mask }.  A context is
+abelian exactly when it is built with the (stride, order) pairs of its
+group's cyclic factors (``radix``).  An abelian group of order <= 64 turns
+each factor by two masked shifts, checked against every product when the
+context is built; other groups apply translate byte by byte through
+per-element tables, each built on the first translate by its element.
 
 A path grows one copy at a time through ``_extend``, the one step that
 ``greedy``, ``search`` and ``reachable`` share (the compiled kernel in
@@ -27,13 +30,17 @@ N // words states.  Every entry point takes the cap from its caller
 (``engine.STATE_LIMIT``); the kernels hold no default of their own.
 
 The DFS is a loop over an explicit stack with one frame per path element
-(the element, its reach set, an iterator over the children not yet
+(the element, the set it carries, an iterator over the children not yet
 visited), so long paths in large groups cannot hit the interpreter's
 recursion limit.
 
 A multiset S stays product-1-free after appending e iff e != 1 and e^-1 is
 not reachable from S: any product-1 ordering rotates cyclically to one that
-starts with e, and rotations preserve product 1.
+starts with e, and rotations preserve product 1.  On abelian groups
+``search`` and ``greedy`` carry the inverse set F = { r^-1 : r reachable }
+instead of the reach set.  F is the reach set of the path's inverses, so
+appending e to the path extends F by e^-1, and the feasible children are
+the elements outside F.
 """
 
 from __future__ import annotations
@@ -49,6 +56,11 @@ _TABLE_ORDER_LIMIT = 512
 # The compiled kernel reads counts as C ints below this bound.
 _INT_MAX = 2 ** 31 - 1
 
+# A radix is read only for bitsets of one 64-bit word, as in the compiled
+# kernel, which has at most 6 factors > 1 there.
+_WORD_ORDER = 64
+_MAX_FACTORS = 6
+
 
 class LimitExceeded(Exception):
     """Raised when a search or DP would exceed its configured state cap."""
@@ -58,22 +70,30 @@ class Context:
     """Per-group data consumed by the kernel functions.
 
     Immutable except for the byte tables: ``tables[e]`` is filled on the
-    first translate by e.
+    first translate by e.  An abelian context of one word has ``turns``
+    instead: ``turns[e]`` lists (keep, lsh, wrap, rsh) for each factor in
+    which e has a nonzero digit.
     """
 
     __slots__ = ("n", "identity", "abelian", "words", "mul", "inv", "chunks",
-                 "tables")
+                 "tables", "turns")
 
-    def __init__(self, n, mul_flat, inv, identity, abelian):
+    def __init__(self, n, mul_flat, inv, identity, radix):
         self.n = n
         self.identity = identity
-        self.abelian = abelian
+        self.abelian = radix is not None
         self.words = (n + 63) // 64
         self.mul = memoryview(mul_flat).cast("B").cast("h").tolist()
         self.inv = memoryview(inv).cast("B").cast("h").tolist()
         self.chunks = (n + 7) // 8
-        # tables[e] is built by the first translate by e.
-        self.tables = [None] * n if n <= _TABLE_ORDER_LIMIT else None
+        self.turns = None
+        self.tables = None
+        if self.abelian and n <= _WORD_ORDER:
+            self.turns = _turns(n, radix)
+            _check_turns(self)
+        elif n <= _TABLE_ORDER_LIMIT:
+            # tables[e] is built by the first translate by e.
+            self.tables = [None] * n
 
     def _byte_tables(self, e):
         n, mul = self.n, self.mul
@@ -89,15 +109,60 @@ class Context:
         return tabs
 
 
-def build_context(n, mul_flat, inv, identity, abelian):
+def _turns(n, radix):
+    """Per element, the turn of each cyclic factor of ``radix`` in which its
+    digit d = e // stride % order is nonzero: the bits whose digit is below
+    order - d (``keep``) move up by d * stride, the others (``wrap``) down by
+    (order - d) * stride."""
+    factors = [tuple(pair) for pair in radix]
+    if len(factors) > _MAX_FACTORS:
+        raise ValueError(f"radix has more than {_MAX_FACTORS} factors")
+    for pair in factors:
+        if len(pair) != 2:
+            raise ValueError("radix entries must be pairs")
+        stride, order = pair
+        if not (1 <= stride <= n and 2 <= order <= n and stride * order <= n):
+            raise ValueError(f"radix entry ({stride}, {order}) out of range")
+    full = (1 << n) - 1
+    turns = []
+    for e in range(n):
+        turn = []
+        for stride, order in factors:
+            d = e // stride % order
+            if d:
+                keep = sum(1 << r for r in range(n)
+                           if r // stride % order < order - d)
+                turn.append((keep, d * stride, full ^ keep, (order - d) * stride))
+        turns.append(tuple(turn))
+    return turns
+
+
+def _check_turns(ctx):
+    """Refuse turns that miss any product r*e of the table."""
+    n, mul = ctx.n, ctx.mul
+    for e in range(n):
+        for r in range(n):
+            if translate(ctx, 1 << r, e) != 1 << mul[r * n + e]:
+                raise ValueError("radix does not match the product table")
+
+
+def build_context(n, mul_flat, inv, identity, radix):
     """Context of a group of order n; ``mul_flat`` (n*n entries, row-major
     products) and ``inv`` (n entries) are C-contiguous buffers of native
-    int16, such as the group's own tables."""
-    return Context(n, mul_flat, inv, identity, abelian)
+    int16, such as the group's own tables.  ``radix`` is None for a
+    non-abelian group and the (stride, order) pairs of the cyclic factors of
+    an abelian one: at order <= 64 translate then turns each factor with no
+    byte tables, checked against every product (``ValueError`` on a
+    mismatch).  Larger orders read only whether it is None."""
+    return Context(n, mul_flat, inv, identity, radix)
 
 
 def translate(ctx, mask, e):
     """{ r*e : r in mask } as a bitset."""
+    if ctx.turns is not None:
+        for keep, lsh, wrap, rsh in ctx.turns[e]:
+            mask = (mask & keep) << lsh | (mask & wrap) >> rsh
+        return mask
     if ctx.tables is None:
         out = 0
         n, mul = ctx.n, ctx.mul
@@ -197,6 +262,12 @@ def _extend(ctx, table, reach, e):
     return reach | table.append(ctx, e)
 
 
+def _push(ctx, table, carried, e):
+    """The set a search carries after appending e to its path: on abelian
+    groups the inverse set, extended by e^-1, otherwise the reach set."""
+    return _extend(ctx, table, carried, ctx.inv[e] if table is None else e)
+
+
 def reachable(ctx, elems, counts, until_mask, state_cap):
     """Exact set of products of nonempty sub-multisets, in any order.
 
@@ -245,26 +316,33 @@ def greedy(ctx, state_cap):
     multiset agreeing on a prefix must continue with an element at least as
     large as the greedy choice.
     """
-    n, inv = ctx.n, ctx.inv
     table = None if ctx.abelian else _Table(ctx, state_cap)
-    reach = 0
+    carried = 0
     path = []
     start = 1
     while True:
-        e = start
-        while e < n and (reach >> inv[e]) & 1:
-            e += 1
-        if e >= n:
+        e = next(_feasible(ctx, carried, start), None)
+        if e is None:
             return len(path), tuple(path), len(path)
-        reach = _extend(ctx, table, reach, e)
+        carried = _push(ctx, table, carried, e)
         path.append(e)
         start = e
 
 
-def _feasible(reach, start, n, inv):
-    """Elements f >= start that keep a multiset with this reach set free."""
+def _feasible(ctx, carried, start):
+    """Elements f >= start, in increasing order, that keep the path free:
+    on abelian groups those outside the inverse set ``carried``, otherwise
+    those whose inverse is outside the reach set ``carried``."""
+    n, inv = ctx.n, ctx.inv
+    if ctx.abelian:
+        free = ~carried & ((1 << n) - (1 << start))
+        while free:
+            low = free & -free
+            yield low.bit_length() - 1
+            free ^= low
+        return
     for f in range(start, n):
-        if not (reach >> inv[f]) & 1:
+        if not (carried >> inv[f]) & 1:
             yield f
 
 
@@ -309,7 +387,7 @@ def search(ctx, mode, target, floor_len, budget, state_cap, roots=None):
     """
     if mode not in MODES:
         raise ValueError(f"unknown search mode {mode!r}")
-    n, inv = ctx.n, ctx.inv
+    n = ctx.n
     enum, collect = mode == "enum", mode == "collect"
     found = []
     best_len = floor_len
@@ -324,12 +402,13 @@ def search(ctx, mode, target, floor_len, budget, state_cap, roots=None):
         root_witness = None
         table = None if ctx.abelian else _Table(ctx, state_cap)
         # One frame per path element below the node being visited: (the
-        # element, the reach set after it, an iterator over its feasible
+        # element, the set carried after it, an iterator over its feasible
         # children f >= it).
         stack = []
-        e, reach = root, 0
+        e, carried = root, 0
         while True:
-            # e already passed the feasibility test: e != 1, inv(e) not in reach
+            # e already passed the feasibility test: e != 1, inv(e) not
+            # reachable
             nodes += 1
             if nodes > budget:
                 complete = False
@@ -338,7 +417,9 @@ def search(ctx, mode, target, floor_len, budget, state_cap, roots=None):
             if enum and newlen == target:
                 found.append((*[fr[0] for fr in stack], e))
             else:
-                child = _extend(ctx, table, reach, e)
+                child = _push(ctx, table, carried, e)
+                # inversion is a bijection: the inverse set and the reach
+                # set have one size
                 potential = newlen + (n - 1 - child.bit_count())
                 if enum:
                     descend = potential >= target
@@ -355,12 +436,12 @@ def search(ctx, mode, target, floor_len, budget, state_cap, roots=None):
                         root_witness = (*[fr[0] for fr in stack], e)
                     descend = potential > root_best
                 if descend:
-                    stack.append((e, child, _feasible(child, e, n, inv)))
+                    stack.append((e, child, _feasible(ctx, child, e)))
                 elif table is not None:
                     table.undo()
             # Visit the top frame's next candidate; pop frames that are spent.
             while stack:
-                _, reach, children = stack[-1]
+                _, carried, children = stack[-1]
                 e = next(children, None)
                 if e is not None:
                     break

@@ -161,8 +161,9 @@ def _group(spec: GroupSpec, args) -> Group:
     """The group of ``spec``: for orders up to ``MEMO_ORDER_LIMIT`` the
     process's one group per canonical spec, so that repeated in-process
     commands share its table, orbit roots and closure maps.  ``main`` drops
-    its kernel contexts (up to 1 MB of byte tables each, rebuilt in
-    microseconds) when the command ends."""
+    its kernel contexts (up to 1 MB of byte tables each for non-abelian
+    groups of order <= 64, rebuilt in microseconds) when the command
+    ends."""
     if spec.order > MEMO_ORDER_LIMIT:
         return build_group(spec)
     group = _kept_group(spec)

@@ -70,8 +70,11 @@ def _context(group: Group, kern):
     if ctx is None:
         # The kernels read the int16 tables through the buffer protocol;
         # a bytes copy would only add an n*n*2-byte transient per context.
+        # An abelian group passes its basis as the radix: the cyclic
+        # factors that a one-word translate turns without tables.
         ctx = kern.build_context(group.order, group.table, group.inv_table,
-                                 group.identity, group.is_abelian)
+                                 group.identity,
+                                 group.basis if group.is_abelian else None)
         group._contexts[kern.LANE] = ctx
     return ctx
 

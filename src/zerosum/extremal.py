@@ -19,7 +19,6 @@ minimal zero sequences in small abelian groups.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from collections import Counter
@@ -502,7 +501,8 @@ def _covered_abelian(group: Group) -> bool:
 
 
 def minimal_zero_sequences(group: Group, *, budget: int = DEFAULT_NODE_BUDGET):
-    """All minimal zero sequences of length D(G) in a small abelian group.
+    """All minimal zero sequences of length D(G) in a small abelian group,
+    in lexicographic order.
 
     Minimal: the full product is 1 (order irrelevant, the group is abelian)
     and every proper nonempty sub-multiset is product-1-free.  Dropping one
@@ -512,6 +512,14 @@ def minimal_zero_sequences(group: Group, *, budget: int = DEFAULT_NODE_BUDGET):
     leaves a nonempty product-1 rest in B, and B is free.  So the minimal
     zero sequences are exactly the completions of the enumerated extremal
     set, and none needs a reachability check.
+
+    Each one is formed once: from the B with c = (prod B)^-1 >= max B.  A
+    minimal zero sequence Z gives one B per element z it drops, with c = z,
+    so c >= max B exactly when z is a largest element of Z, and dropping any
+    copy of the largest value leaves the same multiset B.  For that B,
+    B + (c) is already sorted.  Sorted extremal bases of one length in
+    lexicographic order give their completions in lexicographic order too,
+    since two of them first differ inside the B part.
     """
     if not group.is_abelian:
         raise GroupError("minimal zero sequence check covers abelian groups only")
@@ -519,11 +527,17 @@ def minimal_zero_sequences(group: Group, *, budget: int = DEFAULT_NODE_BUDGET):
     if group.order == 1:
         # D = 1 and the identity singleton is the unique minimal zero sequence
         return enum, [GSequence(group.key, (group.identity,))]
-    completions = set()
+    rows, inv = group.table.tolist(), group.inv_table
+    minimal = []
     for base in enum.sequences:
-        product = functools.reduce(group.mul, base.items)
-        completions.add(tuple(sorted(base.items + (group.inverse(product),))))
-    return enum, [GSequence(group.key, items) for items in sorted(completions)]
+        items = base.items
+        product = group.identity
+        for a in items:
+            product = rows[product][a]
+        c = inv[product]
+        if c >= items[-1]:
+            minimal.append(GSequence(group.key, items + (c,)))
+    return enum, minimal
 
 
 def check_minimal_zero_sum_order(

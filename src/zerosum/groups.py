@@ -448,6 +448,9 @@ class Group:
         self.identity = 0
         self._mul_formula = mul_formula
 
+        # (generator, order) pairs of the normal form (``_basis``); each
+        # generator's index is its stride in the index coding.
+        self.basis: tuple[tuple[int, int], ...] = tuple(_basis(spec))
         self._flat = _fill(spec)
         self.table = memoryview(self._flat).toreadonly().cast("B").cast("h", (n, n))
         self._verify()
@@ -458,7 +461,7 @@ class Group:
         self.exponent: int = math.lcm(*self.element_orders)
         # Commuting generators make the group abelian, since they generate
         # it (``_verify``); this spares an n x n transposed comparison.
-        gens = [g for g, _ in _basis(spec)]
+        gens = [g for g, _ in self.basis]
         self.is_abelian: bool = all(self.mul(a, b) == self.mul(b, a)
                                     for a in gens for b in gens)
         self._contexts: dict[str, object] = {}
@@ -688,17 +691,22 @@ def _basis(spec: GroupSpec) -> list[tuple[int, int]]:
 def _candidate_maps(group: Group):
     """Maps that may be automorphisms of ``group``, as tuples of images:
     conjugation by each generator; for C and CxC, scalings of each factor by
-    a generating set of its units, one transvection x_i <- x_i +
-    (n_i / gcd(n_i, n_j)) x_j per ordered pair of factors and swaps of equal
-    factors; for D, Q and M, y -> y^a over a generating set of the units mod
-    h, and x -> xy.
+    a generating set of its units and one transvection x_i <- x_i +
+    (n_i / gcd(n_i, n_j)) x_j per ordered pair of factors; for D, Q and M,
+    y -> y^a over a generating set of the units mod h, and x -> xy.
+
+    Swaps of equal factors are not needed: with A the transvection
+    g_j -> g_j + g_i and B the one g_i -> g_i + g_j (c = 1 when n_i = n_j),
+    A B^-1 A sends g_i -> -g_j and g_j -> g_i, as the matrices
+    [[1, 1], [0, 1]] [[1, 0], [-1, 1]] [[1, 1], [0, 1]] = [[0, 1], [-1, 0]]
+    show.  Applied after the scaling of factor i by the unit -1, which the
+    scalings by a generating set of the units generate, it is the swap.
 
     Each map but conjugation is given by the images of the basis generators
     and extended through the normal form; :func:`automorphisms` keeps only
     the maps its table check accepts.
     """
-    spec, n, flat = group.spec, group.order, group._flat
-    basis = _basis(spec)
+    spec, n, flat, basis = group.spec, group.order, group._flat, group.basis
 
     def moving(images):
         """The map sending each basis generator g to images.get(g, g)."""
@@ -726,8 +734,6 @@ def _candidate_maps(group: Group):
             c = ni // math.gcd(ni, nj)
             if c < ni:
                 yield moving({gj: gj + c * gi})
-            if ni == nj and gi < gj:
-                yield moving({gi: gj, gj: gi})
     else:
         (x, _), (y, h) = basis
         for a in _unit_generators(h):

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from zerosum.davenport import known_constant_roster
+from zerosum.engine import extremal_search
 from zerosum.groups import (
     Group,
     GroupError,
     GroupSpec,
     _basis,
+    _breadth_first_closure,
     _candidate_maps,
     _inverses_and_orders,
     automorphisms,
@@ -545,6 +547,100 @@ def test_kept_maps_are_automorphisms(spec):
     assert kept == tuple(candidates)
     for phi in kept:
         assert hom_by_loop(g, phi)
+
+
+def _linear_map(g, images):
+    """The endomorphism of the CxC group ``g`` that sends basis generator k
+    to sum c * g_l over the items (l, c) of ``images.get(k)`` (default: to
+    itself), as the tuple of images."""
+    basis = g.basis
+    cols = [images.get(k, {k: 1}) for k in range(len(basis))]
+    out = []
+    for a in g.elements():
+        digits = [a // st % m for st, m in basis]
+        image = [0] * len(basis)
+        for d, col in zip(digits, cols):
+            for l, c in col.items():
+                image[l] += d * c
+        out.append(sum(v % m * st for v, (st, m) in zip(image, basis)))
+    return tuple(out)
+
+
+def _swap(g, i, j):
+    return _linear_map(g, {i: {j: 1}, j: {i: 1}})
+
+
+def _equal_factor_pairs(g):
+    n = len(g.basis)
+    return [(i, j) for i in range(n) for j in range(i + 1, n)
+            if g.basis[i][1] == g.basis[j][1]]
+
+
+def _compose(*maps):
+    """The map that applies ``maps`` from the last to the first."""
+    out = tuple(range(len(maps[0])))
+    for phi in reversed(maps):
+        out = tuple(phi[a] for a in out)
+    return out
+
+
+def _closed(gens, n):
+    """The group that the permutations ``gens`` of 0 .. n-1 generate (small
+    ones only)."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        frontier = list({h for f in frontier for h in (_compose(g, f) for g in gens)
+                         if h not in group})
+        group.update(frontier)
+    return group
+
+
+CXC_ROSTER = [spec for spec in ROSTER if spec.startswith("CxC")]
+
+
+@pytest.mark.parametrize("spec", CXC_ROSTER)
+def test_swaps_of_equal_factors_are_generated(spec):
+    """The candidates hold no factor swaps: for equal factors i < j of order
+    m, the kept transvections A: g_j -> g_j + g_i and B: g_i -> g_i + g_j and
+    the scaling of factor i by -1, which the kept scalings of factor i
+    generate, compose to the swap.  So the kept maps generate the group they
+    generated with the swaps, and the orbit roots stay the same.  The roster
+    holds CxC:2,2,2,2,2."""
+    g = grp(spec)
+    maps = set(g.automorphism_maps)
+    pairs = _equal_factor_pairs(g)
+    for i, j in pairs:
+        m = g.basis[i][1]
+        a = _linear_map(g, {j: {j: 1, i: 1}})
+        b = _linear_map(g, {i: {i: 1, j: 1}})
+        negate = _linear_map(g, {i: {i: m - 1}})
+        scalings = [phi for phi in maps
+                    if phi in {_linear_map(g, {i: {i: u}}) for u in range(2, m)}]
+        assert _swap(g, i, j) not in maps and a in maps and b in maps, (i, j)
+        assert negate in _closed(scalings, g.order), (i, j)
+        assert _compose(a, *[b] * (m - 1), a, negate) == _swap(g, i, j), (i, j)
+    with_swaps = [*maps, *(_swap(g, i, j) for i, j in pairs)]
+    assert orbit_minima(g.order, with_swaps) == g.orbit_roots
+
+
+def test_closure_maps_and_orbit_closures_keep_without_swaps():
+    """On the roster's CxC groups of order <= 16, closure_maps is the group
+    that the maps and the swaps generate (or the generators, when it does
+    not fit), and the closure of the extremal representatives is the one
+    under the maps and the swaps."""
+    small = [spec for spec in CXC_ROSTER if grp(spec).order <= 16]
+    assert "CxC:2,2,2,2" in small
+    for spec in small:
+        g = grp(spec)
+        gens = [*g.automorphism_maps,
+                *(_swap(g, i, j) for i, j in _equal_factor_pairs(g))]
+        maps, whole = g.closure_maps
+        if whole:
+            assert set(maps) == _closed(gens, g.order), spec
+        reps = extremal_search(g, budget=10 ** 7)["representatives"]
+        want = _breadth_first_closure(reps, gens, g.order)
+        assert orbit_closure(g, reps) == sorted(want), spec
 
 
 def test_non_automorphism_candidates_are_dropped():

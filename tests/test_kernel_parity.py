@@ -7,6 +7,7 @@ compared.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import tracemalloc
@@ -217,7 +218,7 @@ def test_reachable_stops_once_the_group_is_full():
     # The pure lane builds an element's byte tables on its first translate:
     # on a fresh context, the elements after the filling one never get any.
     ctx = _pykernel.build_context(g.order, g.table, g.inv_table, g.identity,
-                                  g.is_abelian)
+                                  None)
     _pykernel.reachable(ctx, elems, [1] * 12, 0, STATE_LIMIT)
     assert [ctx.tables[e] is None for e in elems] == [False] * 7 + [True] * 5
 
@@ -533,3 +534,157 @@ def test_unknown_search_mode_refused_alike():
         with pytest.raises(ValueError) as info:
             kern.search(engine._context(g, kern), "all", 0, 0, 10, STATE_LIMIT)
         assert str(info.value) == "unknown search mode 'all'", kern.LANE
+
+
+# ---------------------------------------------------------------------------
+# Translate by turning the cyclic factors of one-word abelian groups
+# ---------------------------------------------------------------------------
+
+def _factorizations(n, least=2):
+    """Non-decreasing tuples of factors >= least with product n."""
+    if n == 1:
+        yield ()
+    for f in range(least, n + 1):
+        if n % f == 0:
+            for rest in _factorizations(n // f, f):
+                yield (f, *rest)
+
+
+# Every C:n and every non-decreasing CxC of order <= 64, plus factors out of
+# order and factors of 1, which the radix leaves out.
+TURNING_SPECS = ([f"C:{n}" for n in range(1, 65)]
+                 + [f"CxC:{','.join(map(str, fs))}" for n in range(4, 65)
+                    for fs in _factorizations(n) if len(fs) > 1]
+                 + ["CxC:32,2", "CxC:8,2,4", "CxC:1,8", "CxC:3,1,4", "CxC:1,1"])
+
+
+def test_turning_specs_cover_the_word_edges():
+    for spec in ("C:1", "C:64", "CxC:2,32", "CxC:8,8", "CxC:4,4,4",
+                 "CxC:2,2,2,2,2,2"):
+        assert spec in TURNING_SPECS
+
+
+@pytest.mark.parametrize("spec", TURNING_SPECS)
+def test_turns_match_the_table(spec):
+    """Every one-word C/CxC context turns its factors, with no byte tables.
+    Building it checks the translate by every element against every
+    product on each lane (a mismatch is refused, as below), so under the
+    sanitizers this runs every shift the compiled turns make."""
+    g = grp(spec)
+    for kern in LANES:
+        engine._context(g, kern)
+    pure = engine._context(g, _pykernel)
+    assert pure.tables is None and len(pure.turns) == g.order
+
+
+@pytest.mark.parametrize("spec, radix", [
+    ("C:12", ((6, 2), (1, 6))),
+    ("C:64", ((32, 2), (1, 32))),
+    ("CxC:8,8", ((1, 64),)),
+    ("CxC:2,8", ((1, 16),)),
+    ("CxC:4,4", ((4, 4), (1, 2), (2, 2))),
+    ("CxC:2,2,2", ((4, 2), (1, 2), (1, 2))),
+    ("D:5", ((5, 2), (1, 5)))])
+def test_radix_that_misses_the_table_is_refused(spec, radix):
+    """A radix whose turns miss a product is refused; a non-abelian table,
+    whose products no turn of commuting factors gives, among them."""
+    g = grp(spec)
+    for kern in LANES:
+        with pytest.raises(ValueError) as info:
+            kern.build_context(g.order, g.table, g.inv_table, g.identity, radix)
+        assert str(info.value) == "radix does not match the product table", (
+            kern.LANE)
+
+
+@pytest.mark.parametrize("spec, radix, message", [
+    ("C:12", ((0, 12),), "radix entry (0, 12) out of range"),
+    ("C:12", ((12, 1),), "radix entry (12, 1) out of range"),
+    ("C:12", ((4, 4),), "radix entry (4, 4) out of range"),
+    ("C:64", ((1, 2),) * 7, "radix has more than 6 factors"),
+    ("C:12", ((1, 12, 1),), "radix entries must be pairs")])
+def test_malformed_radix_is_refused_alike(spec, radix, message):
+    g = grp(spec)
+    for kern in LANES:
+        with pytest.raises(ValueError) as info:
+            kern.build_context(g.order, g.table, g.inv_table, g.identity, radix)
+        assert str(info.value) == message, kern.LANE
+
+
+def test_radix_is_not_read_above_one_word():
+    """Wider bitsets walk their set bits: only whether a radix is given, so
+    whether the group is abelian, is read."""
+    g = grp("C:65")
+    for kern in LANES:
+        ctx = kern.build_context(g.order, g.table, g.inv_table, g.identity,
+                                 "not a radix")
+        mask, _ = kern.reachable(ctx, [1, 64], [1, 1], 0, STATE_LIMIT)
+        assert mask == 1 | 1 << 1 | 1 << 64, kern.LANE
+
+
+def compiled_context_size(g):
+    """Bytes the compiled context of ``g`` holds, and its peak while built."""
+    tracemalloc.start()
+    try:
+        ctx = _kernel.build_context(g.order, g.table, g.inv_table, g.identity,
+                                    g.basis if g.is_abelian else None)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del ctx
+    return size, peak
+
+
+def test_compiled_turning_context_holds_no_byte_tables():
+    """The compiled C:64 context is its turns and inverses, about 1 KB; with
+    byte tables it took (64 + 1) * 8 * 256 words, about 1 MB, as the
+    non-abelian D:32 still does.  The product table is read into a
+    transient copy of n * n int16 entries while the context is built."""
+    for spec, most in (("C:64", 4 << 10), ("CxC:2,2,2,2,2,2", 8 << 10)):
+        size, peak = compiled_context_size(grp(spec))
+        assert size < most, (spec, size)
+        assert peak < size + 2 * 64 * 64 + (1 << 10), (spec, peak)
+    assert compiled_context_size(grp("D:32"))[0] > 1 << 20
+
+
+def roster_results(kern):
+    """Greedy, then max and collect over the orbit roots from its floor
+    (200 nodes per root), and enum at the greedy length over every root (20
+    nodes per root), for each roster group."""
+    out = []
+    for spec, _, _ in known_constant_roster():
+        g = grp(spec)
+        ctx = engine._context(g, kern)
+        floor = kern.greedy(ctx, STATE_LIMIT)
+        runs = [kern.search(ctx, "max", 0, floor[0], 200, STATE_LIMIT,
+                            g.orbit_roots),
+                kern.search(ctx, "collect", 0, floor[0], 200, STATE_LIMIT,
+                            g.orbit_roots),
+                kern.search(ctx, "enum", floor[0], 0, 20, STATE_LIMIT)]
+        out.append((spec, floor, [sorted(r.items()) for r in runs]))
+    return out
+
+
+# Recorded from the kernels that kept the reach set and byte tables at one
+# word: (greedy, full max search, full collect) nodes on the compiled lane.
+ROSTER_DIGEST = "49c62db42dc51ffb43c07fb2c14138d37ddb91a366a862a4fecf3370cfcbd525"
+ROSTER_NODES = (762, 3_326_762, 3_593_485)
+
+
+def test_roster_searches_unchanged():
+    """The roster's greedy and search results on both lanes, node counts
+    included, are those of the kernels before translate turned factors and
+    search carried the inverse set."""
+    a, b = (roster_results(kern) for kern in LANES)
+    assert a == b
+    assert hashlib.sha256(repr(a).encode()).hexdigest() == ROSTER_DIGEST
+    greedy = search = collect = 0
+    for spec, _, _ in known_constant_roster():
+        ctx = engine._context(grp(spec), _kernel)
+        g_len, _, g_nodes = _kernel.greedy(ctx, STATE_LIMIT)
+        roots = grp(spec).orbit_roots
+        greedy += g_nodes
+        search += _kernel.search(ctx, "max", 0, g_len, 10 ** 7, STATE_LIMIT,
+                                 roots)["nodes"]
+        collect += _kernel.search(ctx, "collect", 0, g_len, 10 ** 7,
+                                  STATE_LIMIT, roots)["nodes"]
+    assert (greedy, search, collect) == ROSTER_NODES
