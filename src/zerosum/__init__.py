@@ -38,7 +38,6 @@ from .groups import (
     build_group,
     parse_group_spec,
     quaternion_names,
-    quotient_map,
 )
 from .sequences import GSequence, SequenceError
 
@@ -73,7 +72,6 @@ __all__ = [
     "oracle_reachable",
     "parse_group_spec",
     "quaternion_names",
-    "quotient_map",
     "reachable_products",
     "verify_known_constants",
     "verify_theorem",

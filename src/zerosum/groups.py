@@ -10,8 +10,9 @@ with (h, m, k, s) = (n, 2, 0, n-1) for D:n, (2n, 2, n, 2n-1) for Q:n and
 of y occupy indices 0..h-1 and the cosets x<y>, x^2<y>, ... follow;
 serialized output is stable across runs.
 
-Multiplication is closed-form exponent arithmetic per family
-(``Group.mul_formula``).  The Cayley table is that closed form written
+Each family is described once, by its normal-form basis (``_basis``) and,
+for D, Q and M, that presentation; the order, the element names and the
+generator letters follow from them.  The Cayley table is written
 blockwise into one flat ``array('h')``: each row is a few slices of
 "doubled cosets", runs of consecutive indices written out twice so that a
 cyclic shift of a run is one contiguous slice.  The table is then verified
@@ -37,7 +38,7 @@ import string
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add, itemgetter
 
 # Largest group for which a Cayley table is built (and hence the largest
@@ -105,6 +106,9 @@ class GroupSpec:
                 raise GroupError(f"metacyclic parameter m={self.params[1]} must be >= 2")
         elif not self.params:
             raise GroupError("product-of-cyclics spec needs at least one factor")
+        elif len(self.params) > len(string.ascii_lowercase):
+            raise GroupError(f"too many cyclic factors: {len(self.params)}, "
+                             f"at most {len(string.ascii_lowercase)} (one letter each)")
         # Before the number theory below, which is linear in q.
         if self.order > TABLE_LIMIT:
             raise GroupError(
@@ -120,10 +124,7 @@ class GroupSpec:
 
     @property
     def order(self) -> int:
-        if self.kind in ("D", "Q", "M"):
-            h, m, _, _ = _presentation(self)
-            return h * m
-        return math.prod(self.params)
+        return math.prod(order for _, order in _basis(self))
 
     def __str__(self) -> str:
         return f"{self.kind}:{','.join(str(p) for p in self.params)}"
@@ -147,7 +148,7 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 
 # ---------------------------------------------------------------------------
-# Per-family structure: names, closed-form multiplication, generators.
+# Per-family structure: presentation, normal form, names and letters
 # ---------------------------------------------------------------------------
 
 def _presentation(spec: GroupSpec) -> tuple[int, int, int, int]:
@@ -157,6 +158,27 @@ def _presentation(spec: GroupSpec) -> tuple[int, int, int, int]:
         return q, m, 0, s % q
     n = spec.params[0]
     return (n, 2, 0, n - 1) if spec.kind == "D" else (2 * n, 2, n, 2 * n - 1)
+
+
+def _basis(spec: GroupSpec) -> list[tuple[int, int]]:
+    """(generator, order) pairs of the normal form: element a is the product,
+    in this order, of generator^(a // generator % order), each generator's
+    index being its stride in the index coding."""
+    if spec.kind in ("D", "Q", "M"):
+        h, m, _, _ = _presentation(spec)
+        return [(h, m), (1, h)]
+    ns = spec.params
+    return [(math.prod(ns[i + 1:]), n_i) for i, n_i in enumerate(ns) if n_i > 1]
+
+
+def _letters(spec: GroupSpec) -> str:
+    """The letter of each generator of ``_basis``, in its order: y for C;
+    x, y for D, Q and M; for CxC, the letter of each factor > 1 by its
+    position in the spec."""
+    if spec.kind == "CxC":
+        return "".join(c for c, n_i in zip(string.ascii_lowercase, spec.params)
+                       if n_i > 1)
+    return "y" if spec.kind == "C" else "xy"
 
 
 def _power_word(gen: str, k: int) -> str:
@@ -169,44 +191,8 @@ def _names(letters: str, ns) -> list[str]:
             for exps in itertools.product(*map(range, ns))]
 
 
-def _family_data(spec: GroupSpec):
-    """Return (names, mul, generators) for the family; ``mul`` is the
-    closed-form product of two indices."""
-    kind, params = spec.kind, spec.params
-
-    if kind == "C":
-        n = params[0]
-        return _names("y", params), lambda a, b: (a + b) % n, {"y": 1 % n}
-
-    if kind in ("D", "Q", "M"):
-        h, m, k, s = _presentation(spec)
-        spow = [pow(s, c, h) for c in range(m)]
-
-        def mul(a, b):
-            # x^i1 y^j1 * x^i2 y^j2 = x^(i1+i2) y^(j1 s^i2 + j2), and x^m = y^k.
-            i1, j1 = divmod(a, h)
-            i2, j2 = divmod(b, h)
-            carry, i = divmod(i1 + i2, m)
-            return i * h + (j1 * spow[i2] + j2 + k * carry) % h
-
-        return _names("xy", (m, h)), mul, {"x": h, "y": 1}
-
-    # CxC: mixed-radix indexing, componentwise addition.
-    ns = params
-    if len(ns) > len(string.ascii_lowercase):
-        raise GroupError("too many cyclic factors")
-    letters = string.ascii_lowercase[:len(ns)]
-    strides = [math.prod(ns[i + 1:]) for i in range(len(ns))]
-
-    def mul(a, b):
-        return sum((a // st + b // st) % n_i * st for st, n_i in zip(strides, ns))
-
-    gens = {letters[i]: strides[i] for i in range(len(ns)) if ns[i] > 1}
-    return _names(letters, ns), mul, gens
-
-
 # ---------------------------------------------------------------------------
-# Tables: written blockwise from the closed form, verified from the entries
+# Tables: written blockwise from the presentation, verified from the entries
 # ---------------------------------------------------------------------------
 
 def _doubled(lo: int, size: int) -> memoryview:
@@ -229,7 +215,8 @@ def _write(n: int, blocks) -> array:
 def _metacyclic_blocks(spec: GroupSpec):
     """The rows of D, Q or M: row x^i1 y^j1 is m blocks of h entries, and
     block i2 is the coset x^c <y>, c = (i1 + i2) mod m, rotated by
-    j1 s^i2 + k carry (the closed form of ``_family_data``)."""
+    j1 s^i2 + k carry, since x^i1 y^j1 x^i2 y^j2 = x^(i1+i2) y^(j1 s^i2 + j2)
+    and x^m = y^k."""
     h, m, k, s = _presentation(spec)
     spow = [pow(s, c, h) for c in range(m)]
     cosets = [_doubled(c * h, h) for c in range(m)]
@@ -301,7 +288,7 @@ def _check_generation(vals: memoryview, n: int, basis, label):
         col = vals[g::n].tolist()
         for line in (col, vals[g * n:(g + 1) * n].tolist()):
             if min(line) < 0 or max(line) >= n:
-                raise GroupError("multiplication formula left the index range")
+                raise GroupError(f"the table left the index range 0..{n - 1}")
         walk = []
         for e in elems:
             for _ in range(order):
@@ -440,17 +427,18 @@ class Group:
         self.spec = spec
         self.key = str(spec)
         self.order = n = spec.order
-        names, mul_formula, generators = _family_data(spec)
-        self.names: tuple[str, ...] = tuple(names)
-        # The inverse of ``names``: canonical words resolve by lookup.
-        self._index: dict[str, int] = {w: i for i, w in enumerate(self.names)}
-        self.generators: dict[str, int] = generators
-        self.identity = 0
-        self._mul_formula = mul_formula
-
         # (generator, order) pairs of the normal form (``_basis``); each
         # generator's index is its stride in the index coding.
         self.basis: tuple[tuple[int, int], ...] = tuple(_basis(spec))
+        letters = _letters(spec)
+        self.names: tuple[str, ...] = tuple(_names(letters, [o for _, o in self.basis]))
+        # The inverse of ``names``: canonical words resolve by lookup.
+        self._index: dict[str, int] = {w: i for i, w in enumerate(self.names)}
+        # Each letter stands for its basis generator.
+        self.generators: dict[str, int] = dict(zip(letters, (g for g, _ in self.basis)))
+        if spec.kind == "C" and n == 1:
+            self.generators["y"] = 0   # C:1 has no basis generator; y is 1
+        self.identity = 0
         self._flat = _fill(spec)
         self.table = memoryview(self._flat).toreadonly().cast("B").cast("h", (n, n))
         self._verify()
@@ -527,10 +515,6 @@ class Group:
 
     def mul(self, a: int, b: int) -> int:
         return self._flat[a * self.order + b]
-
-    def mul_formula(self, a: int, b: int) -> int:
-        """Closed-form product, bypassing the table (exposed for cross-checks)."""
-        return self._mul_formula(a, b)
 
     def inverse(self, a: int) -> int:
         return self.inv_table[a]
@@ -675,17 +659,6 @@ def _unit_generators(h: int) -> list[int]:
             p = p * u % h
         sub = grown
     return gens
-
-
-def _basis(spec: GroupSpec) -> list[tuple[int, int]]:
-    """(generator, order) pairs of the normal form: element a is the product,
-    in this order, of generator^(a // generator % order), each generator's
-    index being its stride in the index coding."""
-    if spec.kind in ("D", "Q", "M"):
-        h, m, _, _ = _presentation(spec)
-        return [(h, m), (1, h)]
-    ns = spec.params
-    return [(math.prod(ns[i + 1:]), n_i) for i, n_i in enumerate(ns) if n_i > 1]
 
 
 def _candidate_maps(group: Group):
@@ -881,48 +854,8 @@ def orbit_closure(group: Group, rows) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Quotient Q_{4n} -> D_{2n} and quaternion naming
+# Quaternion naming
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuotientMap:
-    """Surjection from Q_{4n} onto D_{2n} with kernel {1, y^n}."""
-
-    source: Group
-    target: Group
-    mapping: tuple[int, ...] = field(repr=False)
-
-    def __call__(self, a: int) -> int:
-        return self.mapping[a]
-
-    @property
-    def kernel(self) -> tuple[int, ...]:
-        return tuple(a for a in self.source.elements() if self.mapping[a] == 0)
-
-
-def quotient_map(n: int) -> QuotientMap:
-    """The canonical map x |-> x, y |-> y modulo the central {1, y^n}."""
-    if n < 2:
-        raise GroupError("quotient map requires n >= 2")
-    q = build_group(GroupSpec("Q", (n,)))
-    d = build_group(GroupSpec("D", (n,)))
-    m = q.order
-    mapping = tuple(a // (2 * n) * n + a % n for a in range(m))
-    # phi(a*b) = phi(a)*phi(b): row a of Q gathered by phi against row
-    # phi(a) of D gathered at phi.
-    at_phi = _getter(mapping)
-    for a in range(m):
-        image = mapping[a] * d.order
-        if _getter(q._flat[a * m:(a + 1) * m])(mapping) \
-                != at_phi(d._flat[image:image + d.order]):
-            raise GroupError("quotient map is not a homomorphism")
-    if set(mapping) != set(d.elements()):
-        raise GroupError("quotient map is not surjective")
-    ker = tuple(a for a in q.elements() if mapping[a] == 0)
-    if ker != (0, n):
-        raise GroupError(f"quotient kernel {ker} differs from {{1, y^{n}}}")
-    return QuotientMap(q, d, mapping)
-
 
 def quaternion_names(group: Group) -> dict[int, str]:
     """Name the eight elements of Q_8 as e, -e, +-i, +-j, +-k (x -> i, y -> j).

@@ -24,7 +24,7 @@ from zerosum.extremal import (
     signed_zero_subset_exists,
     verify_theorem,
 )
-from zerosum.groups import build_group, quotient_map
+from zerosum.groups import build_group
 from zerosum.sequences import GSequence
 
 from conftest import grp
@@ -197,11 +197,16 @@ def test_criterion_8_property_suites():
                 if g.mul(h + a, h + b) != (b - a + n) % h:
                     failures.append(f"Q:{n}: x y^{a} * x y^{b}")
 
-    # quotient homomorphism Q_4n -> D_2n (construction verifies all pairs)
+    # quotient homomorphism Q_4n -> D_2n, x -> x and y -> y, with kernel
+    # {1, y^n}: checked on all pairs
     for n in range(2, 9):
-        phi = quotient_map(n)
-        if len(phi.kernel) != 2:
-            failures.append(f"quotient kernel size for n={n}")
+        q, d = grp(f"Q:{n}"), grp(f"D:{n}")
+        phi = [a // (2 * n) * n + a % n for a in q.elements()]
+        if any(phi[q.mul(a, b)] != d.mul(phi[a], phi[b])
+               for a in q.elements() for b in q.elements()):
+            failures.append(f"quotient Q:{n} -> D:{n} is not a homomorphism")
+        if [a for a in q.elements() if phi[a] == 0] != [0, n]:
+            failures.append(f"quotient kernel for n={n}")
 
     # freeness laws on seeded random sequences
     for spec in ("D:6", "Q:4", "M:5,4,2", "CxC:2,8"):

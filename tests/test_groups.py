@@ -1,4 +1,4 @@
-"""Group construction, arithmetic laws and the quotient machinery."""
+"""Group construction, arithmetic laws and the Q_4n -> D_2n quotient."""
 
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from zerosum.groups import (
     orbit_minima,
     parse_group_spec,
     quaternion_names,
-    quotient_map,
 )
 
 from conftest import grp
@@ -228,6 +227,15 @@ def test_light_test_checks_every_generator(spec, twist, failing):
         Group._verify(_fake_group(spec, t))
 
 
+def test_verify_rejects_a_generator_row_out_of_range():
+    """An entry past the last index in the generator's row of C:4 is caught
+    before the walk along that generator's column reads it."""
+    t = np.array(grp("C:4").table)
+    t[1, 2] = 7
+    with pytest.raises(GroupError, match="the table left the index range"):
+        Group._verify(_fake_group("C:4", t))
+
+
 def test_verify_rejects_a_basis_that_does_not_generate():
     """C:4's generator, index 1, has order 2 in the table of CxC:2,2, so it
     does not generate that table, which is a group."""
@@ -313,6 +321,8 @@ def test_inverses_and_orders_match_brute_force(spec):
     ("D:4", {0: "1", 3: "y^3", 4: "x", 7: "x*y^3"}),
     ("Q:3", {1: "y", 5: "y^5", 6: "x", 11: "x*y^5"}),
     ("M:5,4,2", {4: "y^4", 5: "x", 10: "x^2", 13: "x^2*y^3", 19: "x^3*y^4"}),
+    ("C:1", {0: "1"}),
+    ("CxC:3,1,4", {1: "c", 3: "c^3", 4: "a", 11: "a^2*c^3"}),
 ])
 def test_element_names_pinned(spec, names):
     g = grp(spec)
@@ -321,31 +331,51 @@ def test_element_names_pinned(spec, names):
         assert g.element_from_word(name) == a
 
 
+def closed_form_product(spec: GroupSpec):
+    """The product of two indices by exponent arithmetic, a reference that
+    does not read the table.  D, Q and M are <x, y | y^h = 1, x^m = y^k,
+    yx = xy^s>, where x^i1 y^j1 * x^i2 y^j2 = x^(i1+i2) y^(j1 s^i2 + j2);
+    C and CxC add componentwise in mixed radix."""
+    kind, p = spec.kind, spec.params
+    if kind in ("D", "Q", "M"):
+        n = p[0]
+        h, m, k, s = ((n, 2, 0, n - 1) if kind == "D" else
+                      (2 * n, 2, n, 2 * n - 1) if kind == "Q" else
+                      (n, p[1], 0, p[2] % n))
+
+        def mul(a, b):
+            i1, j1 = divmod(a, h)
+            i2, j2 = divmod(b, h)
+            carry, i = divmod(i1 + i2, m)
+            return i * h + (j1 * pow(s, i2, h) + j2 + k * carry) % h
+        return mul
+    strides = [math.prod(p[i + 1:]) for i in range(len(p))]
+    return lambda a, b: sum((a // st + b // st) % n_i * st for st, n_i in zip(strides, p))
+
+
 @pytest.mark.parametrize("spec", ["C:10", "D:6", "Q:4", "M:5,4,2", "CxC:2,2,3"])
 def test_closed_form_matches_table(spec):
     g = grp(spec)
+    mul = closed_form_product(g.spec)
     for a in g.elements():
         for b in g.elements():
-            assert g.mul_formula(a, b) == g.mul(a, b)
+            assert mul(a, b) == g.mul(a, b)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_quotient_map_is_verified_homomorphism(n):
-    # construction re-checks the homomorphism law on all pairs
-    phi = quotient_map(n)
-    assert len(phi.kernel) == 2
-    assert phi.kernel == (0, n)  # {1, y^n}
-    assert set(phi.mapping) == set(range(2 * n))
-
-
-def test_quotient_map_examples():
-    phi = quotient_map(2)
-    q8, d4 = phi.source, phi.target
-    assert phi(q8.element_from_word("y^2")) == 0
-    assert phi(q8.element_from_word("y^3")) == d4.element_from_word("y")
-    phi3 = quotient_map(3)
-    assert phi3(phi3.source.element_from_word("x*y^4")) \
-        == phi3.target.element_from_word("x*y")
+    """x -> x, y -> y maps Q_4n onto D_2n, as a // 2n * n + a % n on
+    indices, with kernel {1, y^n}."""
+    q, d = grp(f"Q:{n}"), grp(f"D:{n}")
+    phi = [a // (2 * n) * n + a % n for a in q.elements()]
+    for a in q.elements():
+        for b in q.elements():
+            assert phi[q.mul(a, b)] == d.mul(phi[a], phi[b])
+    assert set(phi) == set(d.elements())
+    assert [a for a in q.elements() if phi[a] == 0] == [0, n]   # {1, y^n}
+    for j in range(n):
+        assert phi[q.element_from_word(f"y^{j + n}")] == d.element_from_word(f"y^{j}")
+        assert phi[q.element_from_word(f"x*y^{j + n}")] == d.element_from_word(f"x*y^{j}")
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -407,6 +437,8 @@ def test_spec_grammar_errors_cite_token():
         parse_group_spec("D:1")  # dihedral needs n >= 2
     with pytest.raises(GroupError):
         parse_group_spec("Q:-3")
+    with pytest.raises(GroupError, match="too many cyclic factors"):
+        parse_group_spec("CxC:" + ",".join(["1"] * 27))
     assert str(parse_group_spec(" CxC:2,4 ")) == "CxC:2,4"
 
 
@@ -418,6 +450,12 @@ def test_element_word_errors_cite_token():
         g.element_from_word("y^two")
     assert g.element_from_word("y^-1") == g.inverse(g.element_from_word("y"))
     assert g.element_from_word(" x * y^2 ") == g.element_from_word("x*y^2")
+    # The trivial group keeps its word y; factors of 1 have no letter.
+    assert grp("C:1").generators == {"y": 0}
+    assert grp("C:1").element_from_word("y^3") == 0
+    for spec in ("CxC:1", "CxC:3,1,4"):
+        with pytest.raises(GroupError, match="unknown generator 'b'"):
+            grp(spec).element_from_word("b")
 
 
 def multiply_out(g, word):
