@@ -26,8 +26,10 @@ SCHEMA_VERSION = 1
 # Bumped whenever a traversal change alters what a payload holds (its node
 # counts included).  2: the max-length search walks Aut(G)-orbit-minimal
 # roots only.  3: extremal sets come from one collecting search over those
-# roots, closed under the automorphisms.
-ALGORITHM_VERSION = 3
+# roots, closed under the automorphisms.  4: a non-cyclic abelian group
+# whose automorphism group does not fit in groups.CLOSURE_LIMIT collects its
+# extremal set over every root, with no closure.
+ALGORITHM_VERSION = 4
 ENV_CACHE_DIR = "ZEROSUM_CACHE_DIR"
 
 

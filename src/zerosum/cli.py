@@ -3,8 +3,9 @@
 Subcommands: ``group info``, ``free check``, ``reach``, ``davenport``,
 ``extremal``, ``verify``, ``report``.  Exit codes: 0 success (including
 documented discrepancies), 1 verification failure, 2 usage error, 3 node
-budget exhausted, 4 internal error (an unexpected exception, reported in one
-line; the traceback goes to the ``zerosum.cli`` logger at debug level).
+budget exhausted (with ``--json``, also one ``budget_exhausted`` object on
+stdout), 4 internal error (an unexpected exception, reported in one line;
+the traceback goes to the ``zerosum.cli`` logger at debug level).
 """
 
 from __future__ import annotations
@@ -499,6 +500,10 @@ def main(argv=None) -> int:
         return handler(args)
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if args.json:
+            _emit({"schema_version": SCHEMA_VERSION, "error": "budget_exhausted",
+                   "message": str(exc), "best_length": exc.best_length,
+                   "nodes": exc.nodes})
         return EXIT_BUDGET
     except (GroupError, SequenceError, EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

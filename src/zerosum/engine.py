@@ -4,11 +4,12 @@ The compiled lane (``zerosum._kernel``, hand-written C built by ``setup.py``)
 runs every group (orders up to ``groups.TABLE_LIMIT`` = 4096) when the
 extension was built; otherwise the pure-Python twin (``zerosum._pykernel``)
 takes over.  Both lanes follow one traversal contract, so every result (node
-counts included) is identical across lanes.  The max-length search and the
-collection of extremal multisets walk only the Aut(G)-orbit-minimal roots
-(``Group.orbit_roots``); the caller closes the collected multisets under the
-automorphisms (``groups.orbit_closure``).  Only the fixed-length enumeration
-walks every root.
+counts included) is identical across lanes.  The max-length search walks
+only the Aut(G)-orbit-minimal roots (``Group.orbit_roots``).  The collection
+of extremal multisets walks them too and closes what it collects under the
+automorphisms (``groups.orbit_closure``), except on a non-cyclic abelian
+group whose automorphism group does not fit in ``groups.CLOSURE_LIMIT``:
+that one, like the fixed-length enumeration, walks every root.
 
 Set ``ZEROSUM_PURE_KERNEL=1`` to force the pure lane.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from . import _pykernel
 from ._pykernel import LimitExceeded
-from .groups import Group
+from .groups import Group, orbit_closure
 from .sequences import GSequence
 
 try:
@@ -239,30 +240,43 @@ def max_free_search(group: Group, *, budget: int) -> dict:
 
 
 def extremal_search(group: Group, *, budget: int) -> dict:
-    """The longest product-1-free multisets that start at an orbit root,
-    via greedy floor + one collecting DFS over ``group.orbit_roots``.
+    """The longest product-1-free multisets, via greedy floor + one
+    collecting DFS.
 
     Every free multiset has an automorphic image whose least element is an
-    orbit minimum (see :func:`max_free_search`), so the closure of the
-    representatives under ``group.automorphism_maps`` is the whole extremal
-    set.  A length of 0 (the trivial group) has the empty multiset as its
-    one representative.
+    orbit minimum (see :func:`max_free_search`), so the search walks
+    ``group.orbit_roots`` and closes what it collects under the
+    automorphisms (:func:`groups.orbit_closure`).  A non-cyclic abelian
+    group whose automorphism group does not fit in ``groups.CLOSURE_LIMIT``
+    skips the closure: its search walks every root, which collects the
+    whole set, faster than a breadth-first closure would grow it, since
+    that set is large (83,328 multisets on CxC:2,2,2,2,2).  A cyclic group
+    C_n keeps its orbit roots: its set is only the phi(n) multisets g^(n-1)
+    of its generators g, and every root costs over 70 times the nodes
+    (C:257, C:512).  A length of 0 (the trivial group) has the empty multiset as its one
+    extremal multiset.
 
-    Returns keys: complete, length, representatives (index tuples in
-    lexicographic order), nodes.
+    Returns keys: complete, length, found (index tuples in lexicographic
+    order; only what the search collected when it is incomplete), nodes.
     """
+    # An abelian group is cyclic exactly when its exponent is its order.
+    every_root = (group.is_abelian and group.exponent < group.order
+                  and group.closure_maps is None)
     kern = _kernel_for(group)
     ctx = _context(group, kern)
     try:
         g_len, _, g_nodes = kern.greedy(ctx, STATE_LIMIT)
         res = kern.search(ctx, "collect", 0, g_len, budget, STATE_LIMIT,
-                          group.orbit_roots)
+                          None if every_root else group.orbit_roots)
     except LimitExceeded as exc:
         raise EngineLimitError(str(exc)) from None
+    found = res["found"] if res["best_len"] else [()]
+    if res["complete"] and not every_root:
+        found = orbit_closure(group, found)
     return {
         "complete": res["complete"],
         "length": res["best_len"],
-        "representatives": res["found"] if res["best_len"] else [()],
+        "found": found,
         "nodes": g_nodes + res["nodes"],
     }
 

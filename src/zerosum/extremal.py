@@ -28,7 +28,7 @@ from itertools import combinations_with_replacement
 from . import engine
 from .davenport import DEFAULT_NODE_BUDGET
 from .engine import BudgetExhaustedError, is_product1_free
-from .groups import Group, GroupError, build_group, orbit_closure
+from .groups import Group, GroupError, build_group
 from .sequences import GSequence
 
 VERDICT_EXACT = "exact-match"
@@ -108,9 +108,9 @@ def enumerate_extremal(group: Group, *,
     """All product-1-free multisets of the maximal length D(G) - 1, in
     lexicographic order.
 
-    One search collects those that start at an orbit root; their closure
-    under the automorphisms is the whole set.  The least one, the witness of
-    D(G), is re-checked against the reachability engine.
+    One collecting search finds the whole set
+    (:func:`engine.extremal_search`).  The least one, the witness of D(G),
+    is re-checked against the reachability engine.
     """
     t0 = time.perf_counter()
     res = engine.extremal_search(group, budget=budget)
@@ -120,8 +120,7 @@ def enumerate_extremal(group: Group, *,
             f"of {group.key}: D({group.key}) unknown above length "
             f"{res['length']}",
             best_length=res["length"], nodes=res["nodes"])
-    rows = orbit_closure(group, res["representatives"])
-    seqs = tuple(GSequence(group.key, tuple(items)) for items in rows)
+    seqs = tuple(GSequence(group.key, items) for items in res["found"])
     if not is_product1_free(group, seqs[0]):
         raise RuntimeError(f"search returned a non-free witness for {group.key}")
     return ExtremalEnumeration(

@@ -26,7 +26,9 @@ module consumes.  Only the standard library is used.
 Automorphisms found among a few candidate maps, each checked against the
 table (``Group.automorphism_maps``), give the orbit-minimal roots of the
 search (``Group.orbit_roots``) and close the extremal multisets it collects
-(:func:`orbit_closure`).
+(:func:`orbit_closure`): under the whole group they generate
+(``Group.closure_maps``) when it fits in ``CLOSURE_LIMIT``, otherwise
+breadth first under the maps themselves.
 """
 
 from __future__ import annotations
@@ -35,18 +37,18 @@ import functools
 import itertools
 import math
 import string
-import sys
 from array import array
-from collections import Counter
 from dataclasses import dataclass
-from operator import add, itemgetter
+from operator import itemgetter
 
 # Largest group for which a Cayley table is built (and hence the largest
 # group this toolkit constructs at all).
 TABLE_LIMIT = 4096
 
-# Most entries (maps times order) of the automorphisms a group keeps for
-# closing extremal sets (``Group.closure_maps``).
+# Most entries (maps times order) of the automorphism group a group lists
+# for closing extremal sets (``Group.closure_maps``).  A non-cyclic abelian
+# group beyond it takes its extremal set from a search over every root
+# instead (``engine.extremal_search``).
 CLOSURE_LIMIT = 1 << 16
 
 _KINDS = ("C", "D", "Q", "M", "CxC")
@@ -547,21 +549,16 @@ class Group:
         return tuple(phi for phi in automorphisms(self) if phi != identity)
 
     @functools.cached_property
-    def closure_maps(self) -> tuple[tuple[tuple[int, ...], ...], bool]:
-        """Automorphisms for :func:`orbit_closure`, as tuples in
-        lexicographic order, and whether they are the whole group that
-        ``automorphism_maps`` generate.
-
-        That group's elements, found breadth-first from the generators, if
-        they take at most ``CLOSURE_LIMIT`` entries; otherwise the
-        generators.  The identity is among the maps either way.
+    def closure_maps(self) -> tuple[tuple[int, ...], ...] | None:
+        """The group that ``automorphism_maps`` generate, identity included,
+        as tuples in lexicographic order, found breadth first from those
+        maps; ``None`` when it does not fit in ``CLOSURE_LIMIT`` entries.
         """
         n, gens = self.order, self.automorphism_maps
-        maps = {tuple(range(n)), *gens}
-        start, frontier = tuple(sorted(maps)), gens
+        maps, frontier = {tuple(range(n)), *gens}, gens
         while frontier:
             if (len(maps) + len(gens) * len(frontier)) * n > CLOSURE_LIMIT:
-                return start, False
+                return None
             new = []
             for f in frontier:
                 after_f = _getter(f)
@@ -571,7 +568,7 @@ class Group:
                         maps.add(h)
                         new.append(h)
             frontier = new
-        return tuple(sorted(maps)), True
+        return tuple(sorted(maps))
 
     @functools.cached_property
     def orbit_roots(self) -> tuple[int, ...]:
@@ -767,84 +764,27 @@ def orbit_minima(n: int, maps) -> tuple[int, ...]:
     return tuple(roots)
 
 
-def _breadth_first_closure(rows, maps, n: int) -> list[tuple[int, ...]]:
-    """``rows`` (distinct sorted multisets of one length) and their images
-    under the group that the permutations ``maps`` generate, as sorted
-    tuples in no particular order.
-
-    A multiset is keyed by the sum of 1 << (k * a) over its items a, with k
-    the bit length of the highest multiplicity, which no automorphism
-    changes: its counts are its k-bit digits.  Each element a has one
-    weight, the keys of {a} under every map side by side, a slot of
-    ``size`` bytes per map.  A row's weights sum to the keys of all its
-    images at once, with no sort and no carry between slots.  Each round
-    maps the rows that the round before found new, and decodes only those.
-    Keys of one 64-bit word are read as native ints, longer ones as bytes,
-    so keys are written in the native byte order.
-    """
-    k = max(max(Counter(row).values()) for row in rows).bit_length()
-    size = 8 * -(-n * k // 64)
-    identity = tuple(range(n))
-    maps = [phi for phi in maps if phi != identity]
-    width = size * len(maps)
-    weight = [sum(1 << (k * phi[a] + 8 * size * i) for i, phi in enumerate(maps))
-              for a in range(n)]
-
-    def keys(packed: bytes):
-        if size == 8:
-            return memoryview(packed).cast("Q")
-        cuts = range(0, len(packed) + size, size)
-        return map(packed.__getitem__, map(slice, cuts, cuts[1:]))
-
-    def decode(key):
-        """The sorted items of a key."""
-        if size > 8:
-            key = int.from_bytes(key, sys.byteorder)
-        items = []
-        while key:
-            a = ((key & -key).bit_length() - 1) // k
-            count = key >> (k * a) & ((1 << k) - 1)
-            items += [a] * count
-            key ^= count << (k * a)
-        return tuple(items)
-
-    seen = set(keys(b"".join(
-        sum(1 << (k * a) for a in row).to_bytes(size, sys.byteorder) for row in rows)))
-    found, frontier = list(rows), rows
-    # Rows per block: about a megabyte of packed image keys at a time.
-    block = max(1, (1 << 20) // max(1, width))
-    while frontier:
-        fresh = set()
-        for lo in range(0, len(frontier), block):
-            cols = zip(*frontier[lo:lo + block])
-            sums = map(weight.__getitem__, next(cols))
-            for col in cols:
-                sums = map(add, sums, map(weight.__getitem__, col))
-            fresh.update(keys(b"".join([s.to_bytes(width, sys.byteorder) for s in sums])))
-        fresh -= seen
-        seen |= fresh
-        frontier = list(map(decode, fresh))
-        found += frontier
-    return found
-
-
 def orbit_closure(group: Group, rows) -> list[tuple[int, ...]]:
     """The multisets of ``rows`` (equal-length index sequences) and all their
     images under the group that ``group.automorphism_maps`` generate: sorted
     tuples without repeats, in lexicographic order.
 
-    When ``group.closure_maps`` are that whole group, each row not yet
-    covered is mapped by every map at once, which gives its whole orbit.
-    Otherwise the closure is breadth first under the generators
-    (:func:`_breadth_first_closure`).
+    When ``group.closure_maps`` holds that group, each row not yet covered
+    is mapped by every map at once, which gives its whole orbit.  Otherwise
+    the images are found breadth first under ``automorphism_maps``.
     """
-    maps, complete = group.closure_maps
     rows = sorted({tuple(sorted(r)) for r in rows})
     if not rows or not rows[0]:
         # no rows, or only empty multisets: at most one, the empty one
         return rows
-    if not complete:
-        return sorted(_breadth_first_closure(rows, maps, group.order))
+    maps = group.closure_maps
+    if maps is None:
+        found, frontier = set(rows), rows
+        while frontier:
+            frontier = {tuple(sorted(image(phi))) for image in map(_getter, frontier)
+                        for phi in group.automorphism_maps} - found
+            found |= frontier
+        return sorted(found)
     found = set()
     for r in rows:
         if r not in found:

@@ -29,6 +29,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def validate(kind, payload):
+    """Check ``payload`` against ``$defs[kind]`` of the shipped schema."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema_doc = json.loads((ROOT / "docs" / "output-schema.json").read_text())
+    jsonschema.validate(
+        payload, {"$ref": f"#/$defs/{kind}", "$defs": schema_doc["$defs"]})
+
+
 def test_davenport_json_schema(tmp_path, capsys):
     code, out, _ = run(capsys, "davenport", "--group", "Q:3", "--json",
                        "--cache-dir", str(tmp_path))
@@ -239,6 +247,15 @@ def test_budget_exhaustion_exit_3(tmp_path, capsys):
     assert "unknown above" in err
     # nothing cached for the failed run
     assert cache.lookup(tmp_path, "davenport", "D:8") is None
+    # with --json, one object on stdout carries the best length and nodes
+    code, out, json_err = run(capsys, "davenport", "--group", "D:8", "--budget",
+                              "3", "--cache-dir", str(tmp_path), "--json")
+    data = json.loads(out)
+    validate("budget_exhausted", data)
+    assert (code, json_err) == (3, err)
+    assert data["message"] == err.removeprefix("error: ").rstrip("\n")
+    assert data["best_length"] == 8 and data["nodes"] > 0
+    assert cache.lookup(tmp_path, "davenport", "D:8") is None
 
 
 def test_extremal_budget_exhaustion_exit_3(tmp_path, capsys):
@@ -249,6 +266,14 @@ def test_extremal_budget_exhaustion_exit_3(tmp_path, capsys):
     assert (code, out) == (3, "")
     assert err == ("error: node budget exhausted while enumerating the "
                    "extremal sequences of D:8: D(D:8) unknown above length 8\n")
+    assert cache.lookup(tmp_path, "extremal", "D:8") is None
+    code, out, _ = run(capsys, "extremal", "--group", "D:8", "--budget", "5",
+                       "--cache-dir", str(tmp_path), "--json")
+    data = json.loads(out)
+    validate("budget_exhausted", data)
+    assert code == 3 and data["error"] == "budget_exhausted"
+    assert data["message"] == err.removeprefix("error: ").rstrip("\n")
+    assert data["best_length"] == 8 and data["nodes"] > 0
     assert cache.lookup(tmp_path, "extremal", "D:8") is None
 
 
@@ -357,6 +382,12 @@ def test_verify_weighted_budget(capsys):
     code, _, err = run(capsys, "verify", "--target", "weighted", "--param",
                        "n=8", "--no-cache", "--budget", "329")
     assert code == 3 and "budget 329" in err
+    code, out, _ = run(capsys, "verify", "--target", "weighted", "--param",
+                       "n=8", "--no-cache", "--budget", "329", "--json")
+    data = json.loads(out)
+    validate("budget_exhausted", data)
+    assert code == 3 and "budget 329" in data["message"]
+    assert (data["best_length"], data["nodes"]) == (0, 0)
     code, _, _ = run(capsys, "verify", "--target", "weighted", "--param",
                      "n=8", "--no-cache", "--budget", "330", "--json")
     assert code == 0
@@ -463,16 +494,6 @@ def test_cyclic_structure_rechecks_no_shape(capsys, monkeypatch):
 
 
 def test_json_outputs_validate_against_shipped_schema(tmp_path, capsys):
-    jsonschema = pytest.importorskip("jsonschema")
-    from pathlib import Path
-    schema_doc = json.loads(
-        (Path(__file__).resolve().parent.parent / "docs" /
-         "output-schema.json").read_text())
-
-    def validate(kind, payload):
-        jsonschema.validate(
-            payload, {"$ref": f"#/$defs/{kind}", "$defs": schema_doc["$defs"]})
-
     _, out, _ = run(capsys, "davenport", "--group", "D:6", "--json",
                     "--cache-dir", str(tmp_path))
     validate("davenport", json.loads(out))

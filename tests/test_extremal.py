@@ -55,30 +55,29 @@ def test_enumerate_extremal_klein_and_d8():
 
 
 # The groups of the verify targets.  D:2 and Q:2 have finer roots than
-# Aut(G)'s orbits; CxC:2,2,2,2 has too many automorphisms to list, so its
-# closure is breadth first.
+# Aut(G)'s orbits; CxC:2,2,2,2 and CxC:3,3,3 have too many automorphisms to
+# list, so their search walks every root instead of closing.
 VERIFY_SPECS = ([f"D:{n}" for n in range(2, 11)]
                 + [f"Q:{n}" for n in range(2, 7)]
                 + ["M:3,2,2", "M:5,2,4", "M:5,4,2", "M:7,2,6", "M:7,3,2"])
-CLOSURE_SPECS = VERIFY_SPECS + ["CxC:2,2,2,2", "CxC:6,6", "CxC:3,12", "C:12"]
+CLOSURE_SPECS = VERIFY_SPECS + ["CxC:2,2,2,2", "CxC:3,3,3", "CxC:6,6",
+                                "CxC:3,12", "C:12"]
 
 
 @pytest.mark.parametrize("spec", CLOSURE_SPECS)
 def test_closure_equals_every_root_enumeration(spec):
-    """The orbit roots' extremal multisets, closed under the automorphisms,
-    are exactly what the fixed-length enumeration of every root finds, in
-    the same order.  Both run on the compiled kernel when there is one (the
-    parity tests compare the lanes); CxC:6,6 and CxC:3,12 take millions of
-    nodes."""
+    """The extremal set, collected over the orbit roots and closed under the
+    automorphisms or collected over every root, is exactly what the
+    fixed-length enumeration of every root finds, in the same order.  The
+    enumeration runs on the compiled kernel when there is one (the parity
+    tests compare the lanes); CxC:6,6 and CxC:3,12 take millions of nodes."""
     g = grp(spec)
+    enum = enumerate_extremal(g)
     kern = engine._compiled or _pykernel
-    ctx = engine._context(g, kern)
-    floor = kern.greedy(ctx, STATE_LIMIT)[0]
-    reps = kern.search(ctx, "collect", 0, floor, 10 ** 9, STATE_LIMIT,
-                       g.orbit_roots)
-    every = kern.search(ctx, "enum", reps["best_len"], 0, 10 ** 9, STATE_LIMIT)
-    assert reps["complete"] and every["complete"]
-    assert orbit_closure(g, reps["found"]) == every["found"]
+    every = kern.search(engine._context(g, kern), "enum", enum.length, 0,
+                        10 ** 9, STATE_LIMIT)
+    assert every["complete"]
+    assert [s.items for s in enum.sequences] == every["found"]
 
 
 @pytest.mark.parametrize("spec", VERIFY_SPECS + ["CxC:2,2,2,2", "C:12"])
@@ -97,14 +96,26 @@ def test_extremal_set_is_free_and_closed_under_symmetries(spec):
         assert {tuple(r) for r in np.sort(image, axis=1).tolist()} == found
 
 
+def test_cyclic_group_beyond_closure_limit_keeps_its_orbit_roots():
+    """C:257's automorphism group does not fit in CLOSURE_LIMIT, yet its
+    search starts from its one orbit root and closes breadth first: 32,897
+    nodes for the 256 multisets u^256 of the units u, where a search from
+    every root takes 4,211,072."""
+    g = grp("C:257")
+    assert g.closure_maps is None and g.orbit_roots == (1,)
+    enum = enumerate_extremal(g)
+    assert [s.items for s in enum.sequences] == [(u,) * 256 for u in range(1, 257)]
+    assert enum.nodes_expanded == 32_897
+
+
 def test_closure_maps_are_few_image_tuples():
-    """The whole automorphism group when it fits in CLOSURE_LIMIT entries,
-    the identity and the generators otherwise, as sorted tuples."""
-    for spec, size, complete in (("D:10", 40, True), ("CxC:6,6", 288, True),
-                                 ("CxC:2,2,2,2", 13, False)):
+    """The whole automorphism group as sorted tuples when it fits in
+    CLOSURE_LIMIT entries, None otherwise."""
+    assert grp("CxC:2,2,2,2").closure_maps is None
+    for spec, size in (("D:10", 40), ("CxC:6,6", 288)):
         g = grp(spec)
-        maps, whole = g.closure_maps
-        assert (len(maps), whole) == (size, complete), spec
+        maps = g.closure_maps
+        assert len(maps) == size, spec
         assert len(maps) * g.order <= CLOSURE_LIMIT
         assert list(maps) == sorted(set(maps))
         assert tuple(g.elements()) in maps

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from zerosum.davenport import known_constant_roster
-from zerosum.engine import extremal_search
+import zerosum.engine as engine
+from zerosum.engine import STATE_LIMIT
 from zerosum.groups import (
     Group,
     GroupError,
     GroupSpec,
     _basis,
-    _breadth_first_closure,
     _candidate_maps,
     _inverses_and_orders,
     automorphisms,
@@ -634,6 +634,21 @@ def _closed(gens, n):
     return group
 
 
+def _fixpoint(rows, maps):
+    """The sorted multisets of ``rows`` and their images, closed one map at a
+    time until nothing new appears, in lexicographic order."""
+    closed = {tuple(sorted(r)) for r in rows}
+    todo = list(closed)
+    while todo:
+        row = todo.pop()
+        for phi in maps:
+            image = tuple(sorted(phi[a] for a in row))
+            if image not in closed:
+                closed.add(image)
+                todo.append(image)
+    return sorted(closed)
+
+
 CXC_ROSTER = [spec for spec in ROSTER if spec.startswith("CxC")]
 
 
@@ -664,21 +679,22 @@ def test_swaps_of_equal_factors_are_generated(spec):
 
 def test_closure_maps_and_orbit_closures_keep_without_swaps():
     """On the roster's CxC groups of order <= 16, closure_maps is the group
-    that the maps and the swaps generate (or the generators, when it does
-    not fit), and the closure of the extremal representatives is the one
-    under the maps and the swaps."""
+    that the maps and the swaps generate (or None, when it does not fit),
+    and the closure of the representatives that the orbit roots collect is
+    the one under the maps and the swaps."""
     small = [spec for spec in CXC_ROSTER if grp(spec).order <= 16]
     assert "CxC:2,2,2,2" in small
     for spec in small:
         g = grp(spec)
         gens = [*g.automorphism_maps,
                 *(_swap(g, i, j) for i, j in _equal_factor_pairs(g))]
-        maps, whole = g.closure_maps
-        if whole:
-            assert set(maps) == _closed(gens, g.order), spec
-        reps = extremal_search(g, budget=10 ** 7)["representatives"]
-        want = _breadth_first_closure(reps, gens, g.order)
-        assert orbit_closure(g, reps) == sorted(want), spec
+        if g.closure_maps is not None:
+            assert set(g.closure_maps) == _closed(gens, g.order), spec
+        kern = engine._kernel_for(g)
+        ctx = engine._context(g, kern)
+        reps = kern.search(ctx, "collect", 0, kern.greedy(ctx, STATE_LIMIT)[0],
+                           10 ** 7, STATE_LIMIT, g.orbit_roots)["found"]
+        assert orbit_closure(g, reps) == _fixpoint(reps, gens), spec
 
 
 def test_non_automorphism_candidates_are_dropped():
@@ -726,29 +742,20 @@ def test_automorphism_maps_are_homomorphisms(spec):
         assert np.array_equal(phi[t], t[phi[:, None], phi[None, :]]), phi
 
 
-@pytest.mark.parametrize("spec, complete", [("D:6", True), ("Q:4", True),
-                                            ("CxC:2,2,2,2", False),
-                                            ("CxC:3,3,3", False)])
-def test_orbit_closure_matches_a_fixpoint(spec, complete):
-    """Seeded multisets, closed one map at a time under the kept maps
-    until nothing new appears, on both paths of orbit_closure.  The row
-    holding element 1 four times takes 3 bits per count, so the
-    breadth-first keys of CxC:3,3,3 (27 elements) span two 64-bit words and
-    those of CxC:2,2,2,2 one."""
+@pytest.mark.parametrize("spec, listed", [("D:6", True), ("Q:4", True),
+                                          ("D:31", False), ("Q:16", False),
+                                          ("C:257", False), ("C:1100", False)])
+def test_orbit_closure_matches_a_fixpoint(spec, listed):
+    """Seeded multisets, closed one map at a time under the kept maps until
+    nothing new appears, on both paths of orbit_closure: the listed whole
+    group, and breadth first under the maps when the group does not fit in
+    CLOSURE_LIMIT (non-abelian and cyclic groups reach that path from a
+    search)."""
     g = grp(spec)
-    assert g.closure_maps[1] == complete
+    assert (g.closure_maps is not None) == listed
     rng = random.Random(spec)
     rows = [[rng.randrange(g.order) for _ in range(4)] for _ in range(6)] + [[1] * 4]
-    closed = {tuple(sorted(r)) for r in rows}
-    todo = list(closed)
-    while todo:
-        row = todo.pop()
-        for phi in g.automorphism_maps:
-            image = tuple(sorted(phi[a] for a in row))
-            if image not in closed:
-                closed.add(image)
-                todo.append(image)
-    assert orbit_closure(g, rows) == sorted(closed)
+    assert orbit_closure(g, rows) == _fixpoint(rows, g.automorphism_maps)
 
 
 def test_orbit_roots_are_computed_on_first_use():

@@ -495,6 +495,32 @@ def test_collect_parity():
             assert a == b, (spec, budget)
 
 
+# The roster's groups whose automorphism group does not fit in
+# CLOSURE_LIMIT, with the nodes of their extremal search (greedy included).
+# All are non-cyclic abelian, so that search walks every root and closes
+# nothing.
+BEYOND_CLOSURE_NODES = {"CxC:2,2,2,2": 1_384, "CxC:2,2,2,2,2": 114_209,
+                        "CxC:2,2,2,4": 292_986, "CxC:2,4,4": 508_087,
+                        "CxC:3,3,3": 138_430}
+
+
+def test_every_root_extremal_search_parity():
+    """The extremal search of each roster group beyond CLOSURE_LIMIT gives
+    the same nodes and the same sets on both lanes."""
+    nodes = {}
+    for spec, _, _ in known_constant_roster():
+        g = grp(spec)
+        if g.closure_maps is not None:
+            continue
+        runs = []
+        for kern in LANES:
+            with mock.patch.object(engine, "_kernel_for", lambda group: kern):
+                runs.append(engine.extremal_search(g, budget=10 ** 9))
+        assert runs[0] == runs[1] and runs[0]["complete"], spec
+        nodes[spec] = runs[0]["nodes"]
+    assert nodes == BEYOND_CLOSURE_NODES
+
+
 @pytest.mark.parametrize("spec", PARITY_SPECS)
 def test_collect_from_floor_zero_clears_shorter_finds(spec):
     """From a floor of 0 every longer multiset clears the list, so the
