@@ -19,8 +19,18 @@
  * groups walk the set bits instead, through the transposed product table
  * rmul[e*n + r] = r*e and the inverse table.  The byte tables stay for
  * non-abelian groups of one word because the bit walk doubles the roster
- * benchmark's run_s (0.23 -> 0.49 s, 2-vCPU Xeon).  The DFS body is written
- * once over the word count and the compiler specializes it for one word.
+ * benchmark's run_s (0.23 -> 0.49 s, 2-vCPU Xeon).  The DFS is written once
+ * over the word count and the compiler specializes it for one word.
+ *
+ * A node's children are visited in its own loop (expand): enter counts each
+ * child, checks the budget, extends the carried set, updates the best length
+ * and decides whether to descend, inline, and expand recurses only into the
+ * children that descend.  Most nodes are leaves, and a leaf costs no call;
+ * the pure lane likewise pushes a frame only when a node descends.  The
+ * bound needs one popcount per node, so on x86-64 setup.py builds with
+ * -mpopcnt and the module refuses to import on a CPU without POPCNT (the
+ * engine then runs the pure lane); without the flag each count is a call
+ * into libgcc.
  *
  * The feasibility test of a search, "inv(f) not reachable", needs the
  * inverse of the reach set.  On abelian groups search and greedy carry that
@@ -66,6 +76,11 @@
 #define MAX_WORDS (MAX_ORDER / 64)
 #define CONTEXT_NAME "zerosum._kernel.Context"
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
+
+/* setup.py defines the SHA-256 of this file; other builds carry none. */
+#ifndef SOURCE_SHA256
+#define SOURCE_SHA256 ""
+#endif
 
 /* zerosum._pykernel.LimitExceeded: both lanes raise the same class. */
 static PyObject *LimitExceeded;
@@ -578,7 +593,7 @@ table_undo(Table *t)
  * Canonical DFS (max-length search / fixed-length enumeration)
  * ------------------------------------------------------------------------ */
 
-enum { VISIT_OK = 0, VISIT_ABORT = 1, VISIT_ERROR = -1 };
+enum { VISIT_OK = 0, VISIT_ABORT = 1, VISIT_DESCEND = 2, VISIT_ERROR = -1 };
 
 /* The search modes, named as in the pure lane. */
 enum { MODE_MAX, MODE_ENUM, MODE_COLLECT };
@@ -688,8 +703,8 @@ extend(Search *s, int e, const uint64_t *reach, uint64_t *child, int W)
     return 0;
 }
 
-static int visit1(Search *s, int e, uint64_t carried, int length);
-static int visitw(Search *s, int e, int length);
+static int expand1(Search *s, int e, uint64_t carried, int length);
+static int expandw(Search *s, int e, int length);
 
 /* Append the first len path elements to the found list. */
 static int
@@ -701,12 +716,15 @@ collect_path(Search *s, int len)
     return rc;
 }
 
-/* e already passed the feasibility test: e != 1 and inv(e) not in the
- * path's reach set.  `carried` is that reach set, or its inverse set on
- * abelian groups.  One-word sets live in locals, so the compiler keeps them
- * in registers; wider ones live in the arena slot of their depth. */
+/* Visit the node that appends e to a path of `length` elements: e already
+ * passed the feasibility test (e != 1 and inv(e) not in the path's reach
+ * set), and `carried` is that reach set, or its inverse set on abelian
+ * groups.  Counts the node, writes the carried set of the longer path to
+ * child and returns VISIT_DESCEND when its children are to be expanded;
+ * otherwise the DP append is undone here. */
 ALWAYS_INLINE int
-visit_body(Search *s, int e, const uint64_t *carried, int length, int W)
+enter(Search *s, int e, const uint64_t *carried, int length, uint64_t *child,
+      int W)
 {
     const Context *c = s->ctx;
     if (++s->nodes > s->budget)
@@ -717,9 +735,6 @@ visit_body(Search *s, int e, const uint64_t *carried, int length, int W)
     s->path[length] = e;
     if (s->mode == MODE_ENUM && newlen == s->target)
         return collect_path(s, newlen) < 0 ? VISIT_ERROR : VISIT_OK;
-    uint64_t child1, cand1;
-    uint64_t *child = W == 1 ? &child1 : s->reach + (size_t)newlen * W;
-    uint64_t *cand = W == 1 ? &cand1 : s->cand + (size_t)newlen * W;
     if (extend(s, c->abelian ? c->inv[e] : e, carried, child, W) < 0)
         return VISIT_ERROR;
     /* inversion is a bijection: F and the reach set have one size */
@@ -744,15 +759,34 @@ visit_body(Search *s, int e, const uint64_t *carried, int length, int W)
     } else {
         descend = potential >= s->target;
     }
+    if (descend)
+        return VISIT_DESCEND;
+    if (!c->abelian)
+        table_undo(&s->dp);
+    return VISIT_OK;
+}
+
+/* Enter each child f >= e of a path of `length` elements that ends in e and
+ * carries `carried`, in increasing order, and recurse into the children that
+ * descend; then undo the DP append of e.  A leaf costs no call.  One-word
+ * sets live in locals, so the compiler keeps them in registers; wider ones
+ * live in the arena slot of their depth. */
+ALWAYS_INLINE int
+expand(Search *s, int e, const uint64_t *carried, int length, int W)
+{
+    const Context *c = s->ctx;
+    uint64_t child1, cand1;
+    uint64_t *child = W == 1 ? &child1 : s->reach + (size_t)(length + 1) * W;
+    uint64_t *cand = W == 1 ? &cand1 : s->cand + (size_t)length * W;
+    feasible(c, W, carried, e, cand);
     int rc = VISIT_OK;
-    if (descend) {
-        /* f >= e that keep the path free, in increasing order */
-        feasible(c, W, child, e, cand);
-        for (int w = 0; w < W && rc == VISIT_OK; w++) {
-            for (uint64_t bits = cand[w]; bits && rc == VISIT_OK; bits &= bits - 1) {
-                int f = w * 64 + __builtin_ctzll(bits);
-                rc = W == 1 ? visit1(s, f, child1, newlen) : visitw(s, f, newlen);
-            }
+    for (int w = 0; w < W && rc == VISIT_OK; w++) {
+        for (uint64_t bits = cand[w]; bits && rc == VISIT_OK; bits &= bits - 1) {
+            int f = w * 64 + __builtin_ctzll(bits);
+            rc = enter(s, f, carried, length, child, W);
+            if (rc == VISIT_DESCEND)
+                rc = W == 1 ? expand1(s, f, child1, length + 1)
+                            : expandw(s, f, length + 1);
         }
     }
     if (!c->abelian)
@@ -761,16 +795,31 @@ visit_body(Search *s, int e, const uint64_t *carried, int length, int W)
 }
 
 static int
-visit1(Search *s, int e, uint64_t carried, int length)
+expand1(Search *s, int e, uint64_t carried, int length)
 {
-    return visit_body(s, e, &carried, length, 1);
+    return expand(s, e, &carried, length, 1);
 }
 
 static int
-visitw(Search *s, int e, int length)
+expandw(Search *s, int e, int length)
 {
     int W = s->ctx->words;
-    return visit_body(s, e, s->reach + (size_t)length * W, length, W);
+    return expand(s, e, s->reach + (size_t)length * W, length, W);
+}
+
+/* The branch of one root: the root's node on the empty path, then its
+ * subtree.  Slot 0 of the arena is the empty path's set and stays zero. */
+static int
+visit_root(Search *s, int root)
+{
+    int W = s->ctx->words, rc;
+    if (W == 1) {
+        uint64_t empty = 0, child;
+        rc = enter(s, root, &empty, 0, &child, 1);
+        return rc == VISIT_DESCEND ? expand1(s, root, child, 1) : rc;
+    }
+    rc = enter(s, root, s->reach, 0, s->reach + W, W);
+    return rc == VISIT_DESCEND ? expandw(s, root, 1) : rc;
 }
 
 /* The roots of a search into out[] (room for n - 1 entries): 1 .. n-1 when
@@ -869,7 +918,7 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
             s->best = floor_len;
         if (!c->abelian)
             table_reset(&s->dp, c);
-        int rc = c->words == 1 ? visit1(s, root, 0, 0) : visitw(s, root, 0);
+        int rc = visit_root(s, root);
         if (rc == VISIT_ERROR)
             goto done;
         if (rc == VISIT_ABORT)
@@ -1070,6 +1119,14 @@ static struct PyModuleDef kernel_module = {
 PyMODINIT_FUNC
 PyInit__kernel(void)
 {
+#if defined(__x86_64__) && defined(__POPCNT__)
+    if (!__builtin_cpu_supports("popcnt")) {
+        PyErr_SetString(PyExc_ImportError,
+                        "zerosum._kernel was built with -mpopcnt and this CPU "
+                        "has no POPCNT instruction");
+        return NULL;
+    }
+#endif
     PyObject *pure = PyImport_ImportModule("zerosum._pykernel");
     if (pure == NULL)
         return NULL;
@@ -1081,6 +1138,7 @@ PyInit__kernel(void)
     if (m == NULL)
         return NULL;
     if (PyModule_AddStringConstant(m, "LANE", "compiled") < 0
+            || PyModule_AddStringConstant(m, "SOURCE_SHA256", SOURCE_SHA256) < 0
             || PyModule_AddIntConstant(m, "MAX_ORDER", MAX_ORDER) < 0) {
         Py_DECREF(m);
         return NULL;

@@ -24,7 +24,7 @@ from zerosum.davenport import known_constant_roster
 from zerosum.engine import STATE_LIMIT, EngineLimitError
 from zerosum.sequences import GSequence
 
-from conftest import KERNEL_SKIP_REASON, grp
+from conftest import KERNEL_SKIP_REASON, grp, source_digest
 
 pytestmark = pytest.mark.skipif(KERNEL_SKIP_REASON is not None,
                                 reason=KERNEL_SKIP_REASON or "")
@@ -42,8 +42,22 @@ WORD_SPECS = ["C:64", "CxC:8,8", "D:32", "Q:16"]
 WORD_BUDGETS = (1, 5, 50)
 # Orders 65 .. 155: bitsets of two or three words, with a partial last word.
 MULTIWORD_SPECS = ["C:65", "C:130", "D:50", "Q:20", "M:31,5,2"]
+# Budgets that abort each search at every node, inside its parent's loop of
+# children: on CxC:2,4 (abelian) and D:3 (non-abelian) up to the largest node
+# count of any full search there (max 94 and 22 nodes), on C:70 the first
+# 200 nodes of each root.  D:50 takes its first 20: the pure lane needs
+# minutes for the first 200 (about 270 s for max, 200 s for enum at
+# length 8).
+EVERY_NODE_BUDGETS = [("CxC:2,4", range(1, 95)), ("D:3", range(1, 23)),
+                      ("C:70", range(1, 201)), ("D:50", range(1, 21))]
 # Bits either side of the first and second word boundaries.
 BOUNDARY_BITS = (63, 64, 127, 128)
+
+
+def test_compiled_kernel_is_built_from_the_source():
+    """The compiled lane under test is a build of this checkout's own
+    _kernel.c, not one left next to the package from other sources."""
+    assert _kernel.SOURCE_SHA256 == source_digest()
 
 
 def on_both(g, call):
@@ -353,7 +367,8 @@ def test_greedy_state_cap_counts_words():
 
 def test_budget_abort_parity():
     cases = [("D:9", (1, 5, 50, 500))] + [
-        (s, WORD_BUDGETS) for s in WORD_SPECS + MULTIWORD_SPECS]
+        (s, WORD_BUDGETS) for s in WORD_SPECS + MULTIWORD_SPECS
+    ] + EVERY_NODE_BUDGETS
     for spec, budgets in cases:
         g = grp(spec)
         for budget in budgets:
@@ -380,7 +395,8 @@ def test_pure_kernel_env_forces_pure_lane(monkeypatch):
 
 def test_enum_parity_under_budget_aborts():
     cases = [("Q:4", (3, 25, 300))] + [
-        (s, WORD_BUDGETS) for s in WORD_SPECS + MULTIWORD_SPECS]
+        (s, WORD_BUDGETS) for s in WORD_SPECS + MULTIWORD_SPECS
+    ] + EVERY_NODE_BUDGETS
     for spec, budgets in cases:
         g = grp(spec)
         for budget in budgets:
@@ -487,9 +503,10 @@ def collect_search(kern, ctx, budget, roots, floor=None):
 def test_collect_parity():
     """Orbit roots under small per-root budgets: identical nodes, best
     length and found lists on both lanes."""
-    for spec in PARITY_SPECS + MULTIWORD_SPECS:
+    cases = [(s, WORD_BUDGETS) for s in PARITY_SPECS + MULTIWORD_SPECS]
+    for spec, budgets in cases + EVERY_NODE_BUDGETS:
         g = grp(spec)
-        for budget in WORD_BUDGETS:
+        for budget in budgets:
             a, b = on_both(g, lambda k, c: collect_search(k, c, budget,
                                                           g.orbit_roots))
             assert a == b, (spec, budget)
