@@ -58,13 +58,21 @@
  * multiset, up front.
  *
  * search walks one branch per root (first element), 1 .. n-1 unless the
- * caller names the roots.  The engine's max-length search and its
+ * caller names the roots, and it may take a list of automorphisms (maps).
+ * Below the root, a child f of a path s_1 <= ... <= s_k is skipped when
+ * some listed map fixes every s_i and sends f to a smaller index.
+ * read_maps turns each map into two bitsets, the elements it sends
+ * down and the ones it fixes, so a node's children are cand &= ~down over
+ * the maps that fix its path.  Slot d of the alive arena lists those maps
+ * for the path's first d elements; once no map fixes the path, a node costs
+ * what it did without maps.  The engine's max-length search and its
  * collection of extremal multisets name the Aut(G)-orbit minima
- * (groups.Group.orbit_roots): an automorphism moves any free multiset onto
- * one whose least element is an orbit minimum, so the other roots hold
- * nothing longer and no lexicographically smaller witness.  The engine
- * closes the collected multisets under the automorphisms; only the
- * fixed-length enumeration walks every root.
+ * (groups.Group.orbit_roots) and pass the listed automorphism group, or
+ * its generators.  The rule keeps the lexicographically least image of
+ * every free multiset (zerosum.engine has the proof), so the length and
+ * the witness are those of a search with no maps.  The engine closes the
+ * collected multisets under the automorphisms; the fixed-length
+ * enumeration walks every root with no maps.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -614,6 +622,15 @@ typedef struct {
      * DFS recurses up to n - 1 deep, so these live here, not on the stack.
      * Stand-alone reachability uses two slots in turn. */
     uint64_t *reach, *cand;
+    /* The listed automorphisms that send some element down (read_maps):
+     * map k's elements sent to a smaller index at down + k*words and its
+     * fixed points at fixed + k*words.  Slot d (nmaps entries) of alive
+     * lists the maps that fix the path's first d elements, nalive[d] of
+     * them; slot 0 lists every map. */
+    int nmaps;
+    uint64_t *down, *fixed;
+    int *alive;
+    int nalive[MAX_ORDER + 1];
     PyObject *found;
     Table dp;                   /* non-abelian lane only */
 } Search;
@@ -626,6 +643,8 @@ search_free(Search *s)
     Py_XDECREF(s->found);
     PyMem_Free(s->dp.vals);
     PyMem_Free(s->reach);
+    PyMem_Free(s->down);
+    PyMem_Free(s->alive);
     PyMem_Free(s);
 }
 
@@ -639,6 +658,9 @@ search_new(const Context *c, long long state_cap, int slots)
     s->ctx = c;
     s->found = NULL;
     s->dp.vals = NULL;
+    s->nmaps = s->nalive[0] = 0;
+    s->down = s->fixed = NULL;
+    s->alive = NULL;
     size_t words = (size_t)slots * c->words;
     s->reach = PyMem_Calloc(2 * words, sizeof(uint64_t));
     if (s->reach == NULL) {
@@ -766,6 +788,23 @@ enter(Search *s, int e, const uint64_t *carried, int length, uint64_t *child,
     return VISIT_OK;
 }
 
+/* Slot depth of alive: the maps of slot depth - 1 that fix f, the path's
+ * element at index depth - 1. */
+ALWAYS_INLINE void
+keep_fixing(Search *s, int f, int depth)
+{
+    int kept = 0;
+    if (s->nalive[depth - 1] > 0) {
+        const int *from = s->alive + (size_t)(depth - 1) * s->nmaps;
+        int *to = s->alive + (size_t)depth * s->nmaps;
+        const uint64_t *fixed = s->fixed + (f >> 6);
+        for (int i = 0; i < s->nalive[depth - 1]; i++)
+            if (fixed[(size_t)from[i] * s->ctx->words] >> (f & 63) & 1)
+                to[kept++] = from[i];
+    }
+    s->nalive[depth] = kept;
+}
+
 /* Enter each child f >= e of a path of `length` elements that ends in e and
  * carries `carried`, in increasing order, and recurse into the children that
  * descend; then undo the DP append of e.  A leaf costs no call.  One-word
@@ -779,14 +818,22 @@ expand(Search *s, int e, const uint64_t *carried, int length, int W)
     uint64_t *child = W == 1 ? &child1 : s->reach + (size_t)(length + 1) * W;
     uint64_t *cand = W == 1 ? &cand1 : s->cand + (size_t)length * W;
     feasible(c, W, carried, e, cand);
+    for (int i = 0; i < s->nalive[length]; i++) {
+        const uint64_t *down = s->down
+            + (size_t)s->alive[(size_t)length * s->nmaps + i] * W;
+        for (int w = 0; w < W; w++)
+            cand[w] &= ~down[w];
+    }
     int rc = VISIT_OK;
     for (int w = 0; w < W && rc == VISIT_OK; w++) {
         for (uint64_t bits = cand[w]; bits && rc == VISIT_OK; bits &= bits - 1) {
             int f = w * 64 + __builtin_ctzll(bits);
             rc = enter(s, f, carried, length, child, W);
-            if (rc == VISIT_DESCEND)
-                rc = W == 1 ? expand1(s, f, child1, length + 1)
-                            : expandw(s, f, length + 1);
+            if (rc != VISIT_DESCEND)
+                continue;
+            keep_fixing(s, f, length + 1);
+            rc = W == 1 ? expand1(s, f, child1, length + 1)
+                        : expandw(s, f, length + 1);
         }
     }
     if (!c->abelian)
@@ -816,10 +863,16 @@ visit_root(Search *s, int root)
     if (W == 1) {
         uint64_t empty = 0, child;
         rc = enter(s, root, &empty, 0, &child, 1);
-        return rc == VISIT_DESCEND ? expand1(s, root, child, 1) : rc;
+        if (rc != VISIT_DESCEND)
+            return rc;
+        keep_fixing(s, root, 1);
+        return expand1(s, root, child, 1);
     }
     rc = enter(s, root, s->reach, 0, s->reach + W, W);
-    return rc == VISIT_DESCEND ? expandw(s, root, 1) : rc;
+    if (rc != VISIT_DESCEND)
+        return rc;
+    keep_fixing(s, root, 1);
+    return expandw(s, root, 1);
 }
 
 /* The roots of a search into out[] (room for n - 1 entries): 1 .. n-1 when
@@ -856,6 +909,68 @@ read_roots(PyObject *obj, int n, int *out)
     return len;
 }
 
+/* The maps of obj into s: None, or a buffer of native int16 holding whole
+ * maps of n images each, map k at [k*n, (k+1)*n).  Keeps the down and
+ * fixed sets of each map that sends some element down (the others never
+ * prune) and lists them all in slot 0 of alive. */
+static int
+read_maps(Search *s, PyObject *obj)
+{
+    if (obj == Py_None)
+        return 0;
+    int n = s->ctx->n, W = s->ctx->words, kept = 0, rc = -1;
+    Py_buffer buf;
+    if (PyObject_GetBuffer(obj, &buf, PyBUF_SIMPLE) < 0)
+        return -1;
+    if (buf.len % (2 * (Py_ssize_t)n)) {
+        PyErr_Format(PyExc_ValueError,
+                     "maps must hold a multiple of %d int16 entries", n);
+        goto done;
+    }
+    size_t m = (size_t)buf.len / (2 * (size_t)n);
+    s->down = PyMem_New(uint64_t, 2 * m * W);
+    if (s->down == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    s->fixed = s->down + m * W;
+    const char *p = buf.buf;
+    for (size_t k = 0; k < m; k++) {
+        uint64_t *down = s->down + (size_t)kept * W;
+        uint64_t *fixed = s->fixed + (size_t)kept * W;
+        memset(down, 0, W * sizeof *down);
+        memset(fixed, 0, W * sizeof *fixed);
+        int moves = 0;
+        for (int a = 0; a < n; a++, p += sizeof(int16_t)) {
+            int16_t b;
+            memcpy(&b, p, sizeof b);
+            if (b < 0 || b >= n) {
+                PyErr_Format(PyExc_ValueError, "maps entry %d out of range", b);
+                goto done;
+            }
+            if (b < a) {
+                set_bit(down, a, W);
+                moves = 1;
+            } else if (b == a) {
+                set_bit(fixed, a, W);
+            }
+        }
+        kept += moves;
+    }
+    s->alive = PyMem_New(int, (size_t)kept * (n + 1));
+    if (s->alive == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (int k = 0; k < kept; k++)
+        s->alive[k] = k;
+    s->nmaps = s->nalive[0] = kept;
+    rc = 0;
+done:
+    PyBuffer_Release(&buf);
+    return rc;
+}
+
 /* Canonical DFS, one branch per root (first element) 1 .. n-1, or per entry
  * of roots.  Each root has its own node budget.  In mode max each root
  * prunes against max(floor_len, its own best), never against other roots,
@@ -866,14 +981,15 @@ static PyObject *
 search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"ctx", "mode", "target", "floor_len", "budget",
-                             "state_cap", "roots", NULL};
-    PyObject *ctx_obj, *budget_obj, *roots_obj = Py_None;
+                             "state_cap", "roots", "maps", NULL};
+    PyObject *ctx_obj, *budget_obj, *roots_obj = Py_None, *maps_obj = Py_None;
     const char *mode;
     int target, floor_len;
     long long state_cap;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OsiiOL|O:search", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OsiiOL|OO:search", kwlist,
                                      &ctx_obj, &mode, &target, &floor_len,
-                                     &budget_obj, &state_cap, &roots_obj))
+                                     &budget_obj, &state_cap, &roots_obj,
+                                     &maps_obj))
         return NULL;
     const Context *c = get_context(ctx_obj);
     if (c == NULL)
@@ -908,7 +1024,7 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
     int complete = 1, best_len = floor_len;
     long long total_nodes = 0;
     PyObject *witness = Py_NewRef(Py_None), *result = NULL;
-    if (s->found == NULL)
+    if (s->found == NULL || read_maps(s, maps_obj) < 0)
         goto done;
 
     for (int i = 0; i < nroots; i++) {
@@ -1090,12 +1206,15 @@ static PyMethodDef kernel_methods[] = {
      "greedy(ctx, state_cap)\n--\n\n"
      "Leftmost canonical descent; returns (length, witness, nodes)."},
     {"search", (PyCFunction)(void (*)(void))search, METH_VARARGS | METH_KEYWORDS,
-     "search(ctx, mode, target, floor_len, budget, state_cap, roots=None)\n"
+     "search(ctx, mode, target, floor_len, budget, state_cap, roots=None,\n"
+     "       maps=None)\n"
      "--\n\n"
      "Canonical DFS in mode 'max', 'enum' or 'collect', one branch per root\n"
      "1 .. n-1, or per entry of roots (strictly increasing indices in\n"
      "1 .. n-1; the engine passes the Aut(G)-orbit minima to 'max' and\n"
-     "'collect'); same contract as the pure lane."},
+     "'collect').  maps, a buffer of native int16 holding whole maps of n\n"
+     "images, lists automorphisms: a child that a map fixing the path sends\n"
+     "to a smaller index is skipped.  Same contract as the pure lane."},
     {"reachable", (PyCFunction)(void (*)(void))reachable,
      METH_VARARGS | METH_KEYWORDS,
      "reachable(ctx, elems, counts, until_mask, state_cap)\n--\n\n"

@@ -321,7 +321,7 @@ def greedy(ctx, state_cap):
     path = []
     start = 1
     while True:
-        e = next(_feasible(ctx, carried, start), None)
+        e = next(_feasible(ctx, carried, start, 0), None)
         if e is None:
             return len(path), tuple(path), len(path)
         carried = _push(ctx, table, carried, e)
@@ -329,20 +329,21 @@ def greedy(ctx, state_cap):
         start = e
 
 
-def _feasible(ctx, carried, start):
-    """Elements f >= start, in increasing order, that keep the path free:
-    on abelian groups those outside the inverse set ``carried``, otherwise
-    those whose inverse is outside the reach set ``carried``."""
+def _feasible(ctx, carried, start, banned):
+    """Elements f >= start outside the bitset ``banned``, in increasing
+    order, that keep the path free: on abelian groups those outside the
+    inverse set ``carried``, otherwise those whose inverse is outside the
+    reach set ``carried``."""
     n, inv = ctx.n, ctx.inv
     if ctx.abelian:
-        free = ~carried & ((1 << n) - (1 << start))
+        free = ~(carried | banned) & ((1 << n) - (1 << start))
         while free:
             low = free & -free
             yield low.bit_length() - 1
             free ^= low
         return
     for f in range(start, n):
-        if not (carried >> inv[f]) & 1:
+        if not (carried >> inv[f]) & 1 and not (banned >> f) & 1:
             yield f
 
 
@@ -359,10 +360,35 @@ def _check_roots(n, roots):
     return roots
 
 
+def _read_maps(n, maps):
+    """The maps of ``maps`` (a buffer of native int16, map k holding the
+    images of 0 .. n-1 at [k*n, (k+1)*n)) as (down, fixed) bitset pairs:
+    the elements a map sends to a smaller index and those it fixes.  A map
+    that sends nothing down can never prune and is left out."""
+    raw = memoryview(maps).cast("B")
+    if len(raw) % (2 * n):
+        raise ValueError(f"maps must hold a multiple of {n} int16 entries")
+    images = raw.cast("h")
+    pairs = []
+    for k in range(0, len(images), n):
+        down = fixed = 0
+        for a, b in enumerate(images[k:k + n]):
+            if not 0 <= b < n:
+                raise ValueError(f"maps entry {b} out of range")
+            if b < a:
+                down |= 1 << a
+            elif b == a:
+                fixed |= 1 << a
+        if down:
+            pairs.append((down, fixed))
+    return pairs
+
+
 MODES = ("max", "enum", "collect")
 
 
-def search(ctx, mode, target, floor_len, budget, state_cap, roots=None):
+def search(ctx, mode, target, floor_len, budget, state_cap, roots=None,
+           maps=None):
     """Canonical DFS, one branch per first element (root) 1 .. n-1, or per
     entry of ``roots`` (strictly increasing indices in 1 .. n-1) when given.
 
@@ -371,6 +397,17 @@ def search(ctx, mode, target, floor_len, budget, state_cap, roots=None):
     automorphism moves every free multiset onto one whose least element is
     an orbit minimum, so the other roots can find nothing longer and no
     lexicographically smaller witness.
+
+    ``maps`` (None, or a buffer of native int16 holding whole maps of n
+    images each, map k at [k*n, (k+1)*n)) lists automorphisms that prune
+    below the root: a child f of a path s_1 <= ... <= s_k (k >= 1) is
+    skipped when some listed map fixes every s_i and sends f to a smaller
+    index.  The maps that fix the path are kept per depth, so once none is
+    left a node costs what it did without maps.  The rule keeps, for every
+    free multiset, the lexicographically least of its images under the
+    group the maps generate; the engine's docstring has the proof.  At
+    k = 0 the same rule under the whole group keeps only the orbit minima,
+    which the caller names as ``roots``.
 
     mode 'max': find the longest free multiset.  Pruning within each root
     measures against max(floor_len, best found in that root), never against
@@ -394,8 +431,10 @@ def search(ctx, mode, target, floor_len, budget, state_cap, roots=None):
     best_witness = None
     total_nodes = 0
     complete = True
+    roots = range(1, n) if roots is None else _check_roots(n, roots)
+    pairs = [] if maps is None else _read_maps(n, maps)
 
-    for root in range(1, n) if roots is None else _check_roots(n, roots):
+    for root in roots:
         nodes = 0
         # collect: the best over every root so far; max: this root's best
         root_best = best_len if collect else floor_len
@@ -403,9 +442,10 @@ def search(ctx, mode, target, floor_len, budget, state_cap, roots=None):
         table = None if ctx.abelian else _Table(ctx, state_cap)
         # One frame per path element below the node being visited: (the
         # element, the set carried after it, an iterator over its feasible
-        # children f >= it).
+        # children f >= it, the indices of the maps that fix the path up to
+        # it).
         stack = []
-        e, carried = root, 0
+        e, carried, alive = root, 0, range(len(pairs))
         while True:
             # e already passed the feasibility test: e != 1, inv(e) not
             # reachable
@@ -436,12 +476,17 @@ def search(ctx, mode, target, floor_len, budget, state_cap, roots=None):
                         root_witness = (*[fr[0] for fr in stack], e)
                     descend = potential > root_best
                 if descend:
-                    stack.append((e, child, _feasible(ctx, child, e)))
+                    fixing = [k for k in alive if (pairs[k][1] >> e) & 1]
+                    banned = 0
+                    for k in fixing:
+                        banned |= pairs[k][0]
+                    children = _feasible(ctx, child, e, banned)
+                    stack.append((e, child, children, fixing))
                 elif table is not None:
                     table.undo()
             # Visit the top frame's next candidate; pop frames that are spent.
             while stack:
-                _, carried, children = stack[-1]
+                _, carried, children, alive = stack[-1]
                 e = next(children, None)
                 if e is not None:
                     break

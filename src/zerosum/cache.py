@@ -28,8 +28,10 @@ SCHEMA_VERSION = 1
 # roots only.  3: extremal sets come from one collecting search over those
 # roots, closed under the automorphisms.  4: a non-cyclic abelian group
 # whose automorphism group does not fit in groups.CLOSURE_LIMIT collects its
-# extremal set over every root, with no closure.
-ALGORITHM_VERSION = 4
+# extremal set over every root, with no closure.  5: below the orbit roots,
+# the max-length search and the orbit-root collection skip every child that
+# an automorphism fixing the path moves to a smaller index.
+ALGORITHM_VERSION = 5
 ENV_CACHE_DIR = "ZEROSUM_CACHE_DIR"
 
 

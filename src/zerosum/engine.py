@@ -4,20 +4,49 @@ The compiled lane (``zerosum._kernel``, hand-written C built by ``setup.py``)
 runs every group (orders up to ``groups.TABLE_LIMIT`` = 4096) when the
 extension was built; otherwise the pure-Python twin (``zerosum._pykernel``)
 takes over.  Both lanes follow one traversal contract, so every result (node
-counts included) is identical across lanes.  The max-length search walks
-only the Aut(G)-orbit-minimal roots (``Group.orbit_roots``).  The collection
-of extremal multisets walks them too and closes what it collects under the
-automorphisms (``groups.orbit_closure``), except on a non-cyclic abelian
-group whose automorphism group does not fit in ``groups.CLOSURE_LIMIT``:
-that one, like the fixed-length enumeration, walks every root.
+counts included) is identical across lanes.
+
+The searches walk free multisets as non-decreasing index sequences
+s_1 <= s_2 <= ..., and automorphisms prune them.  An automorphism maps a
+free multiset onto a free multiset of the same length.  The stabilizer
+rule: a child f of a path s_1 .. s_k is skipped when some listed
+automorphism psi fixes every s_i and has psi(f) < f.  At k = 0, under the
+whole group, it keeps only the orbit minima: the roots the engine names
+(``Group.orbit_roots``), so the kernels apply it below the root.  The
+max-length search and the collection of extremal multisets walk the
+orbit roots with the rule (``_search_maps``: the whole automorphism group
+``Group.closure_maps`` when it is listed, else its generators), and the
+collection closes what it collects under that group
+(``groups.orbit_closure``).  A non-cyclic abelian group whose automorphism
+group does not fit in ``groups.CLOSURE_LIMIT`` collects over every root with
+no maps and closes nothing, as the fixed-length enumeration does.
+
+The rule is sound for any set of automorphisms, and it keeps the
+lexicographically least witness.  Let S* = (s_1, ..., s_L) be the
+lexicographically least sorted image of a free multiset under the group
+the listed maps generate, and let psi in that group fix s_1 .. s_k.  The
+sorted psi(S*) starts with s_1 .. s_k, by induction: if it agrees with S*
+before place i <= k, its remaining entries still hold psi(s_i) = s_i, so
+its i-th entry is at most s_i, and S* <=lex psi(S*) makes it at least s_i.
+Its next entry is then at most psi(s_{k+1}), and S* <=lex psi(S*) gives
+s_{k+1} <= psi(s_{k+1}).  So the rule skips no prefix of S*: the image S*
+of every free multiset survives.  The least longest multiset W is its own
+S*.  Every node the walk visits before a prefix of W is shorter than W (a
+free multiset of W's length that precedes it would be less than W), so the
+bound, which cuts a node only when no extension of it beats the best length
+found, keeps every prefix of W as well: the length and the witness are
+those of a search with no maps.  The collecting mode cuts only what cannot
+reach the best length, so it collects the S* of every longest multiset.
 
 Set ``ZEROSUM_PURE_KERNEL=1`` to force the pure lane.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+from array import array
 from dataclasses import dataclass
 
 from . import _pykernel
@@ -209,16 +238,28 @@ def oracle_reachable(group: Group, seq: GSequence) -> ReachableSet:
 # Canonical DFS searches (max length, extremal collection, fixed length)
 # ---------------------------------------------------------------------------
 
+def _search_maps(group: Group):
+    """The automorphisms that prune the search (the stabilizer rule in the
+    module docstring): the whole group ``group.closure_maps`` when it is
+    listed, else its generators ``group.automorphism_maps``, as one flat
+    ``array('h')`` of whole maps."""
+    maps = group.closure_maps
+    if maps is None:
+        maps = array("h", itertools.chain.from_iterable(group.automorphism_maps))
+    return maps
+
+
 def max_free_search(group: Group, *, budget: int) -> dict:
     """Longest product-1-free multiset via greedy floor + per-root DFS.
 
     The DFS walks only the roots in ``group.orbit_roots``, the Aut(G)-orbit
-    minima.  Given a free multiset S, pick s in S whose orbit minimum m is
-    least and an automorphism phi with phi(s) = m: phi(S) is free, as long
-    as S, and its least element is m.  So the root m finds a multiset as
-    long as S, and the lexicographically least longest multiset starts at
-    an orbit minimum: length and witness are those of a search over every
-    root; only the node count is smaller.
+    minima, and below them skips every child that an automorphism fixing
+    the path moves lower (``_search_maps``; the rule and its proof are in
+    the module docstring).  The lexicographically least longest multiset
+    is the least of its own images, so every prefix of it survives the
+    rule, and a pruned tree finds no other multiset first: length and
+    witness are those of a search over every root with no maps; only the
+    node count is smaller.
 
     Returns keys: complete, max_len, witness (index tuple), nodes.
     """
@@ -227,7 +268,7 @@ def max_free_search(group: Group, *, budget: int) -> dict:
     try:
         g_len, g_wit, g_nodes = kern.greedy(ctx, STATE_LIMIT)
         res = kern.search(ctx, "max", 0, g_len, budget, STATE_LIMIT,
-                          group.orbit_roots)
+                          group.orbit_roots, _search_maps(group))
     except LimitExceeded as exc:
         raise EngineLimitError(str(exc)) from None
     witness = res["witness"] if res["best_len"] > g_len else g_wit
@@ -243,10 +284,11 @@ def extremal_search(group: Group, *, budget: int) -> dict:
     """The longest product-1-free multisets, via greedy floor + one
     collecting DFS.
 
-    Every free multiset has an automorphic image whose least element is an
-    orbit minimum (see :func:`max_free_search`), so the search walks
-    ``group.orbit_roots`` and closes what it collects under the
-    automorphisms (:func:`groups.orbit_closure`).  A non-cyclic abelian
+    Every free multiset has an automorphic image that survives the orbit
+    roots and the stabilizer rule (module docstring): the least of its
+    images.  So the search walks ``group.orbit_roots`` with the maps of
+    :func:`max_free_search` and closes what it collects under the group
+    they generate (:func:`groups.orbit_closure`).  A non-cyclic abelian
     group whose automorphism group does not fit in ``groups.CLOSURE_LIMIT``
     skips the closure: its search walks every root, which collects the
     whole set, faster than a breadth-first closure would grow it, since
@@ -262,12 +304,14 @@ def extremal_search(group: Group, *, budget: int) -> dict:
     # An abelian group is cyclic exactly when its exponent is its order.
     every_root = (group.is_abelian and group.exponent < group.order
                   and group.closure_maps is None)
+    roots, maps = ((None, None) if every_root
+                   else (group.orbit_roots, _search_maps(group)))
     kern = _kernel_for(group)
     ctx = _context(group, kern)
     try:
         g_len, _, g_nodes = kern.greedy(ctx, STATE_LIMIT)
         res = kern.search(ctx, "collect", 0, g_len, budget, STATE_LIMIT,
-                          None if every_root else group.orbit_roots)
+                          roots, maps)
     except LimitExceeded as exc:
         raise EngineLimitError(str(exc)) from None
     found = res["found"] if res["best_len"] else [()]

@@ -549,26 +549,43 @@ class Group:
         return tuple(phi for phi in automorphisms(self) if phi != identity)
 
     @functools.cached_property
-    def closure_maps(self) -> tuple[tuple[int, ...], ...] | None:
-        """The group that ``automorphism_maps`` generate, identity included,
-        as tuples in lexicographic order, found breadth first from those
-        maps; ``None`` when it does not fit in ``CLOSURE_LIMIT`` entries.
+    def closure_maps(self) -> array | None:
+        """The group that ``automorphism_maps`` generate, identity first,
+        found breadth first from those maps: one flat ``array('h')`` in
+        which map k holds the images of 0 .. order-1 at [k*order,
+        (k+1)*order), 2 bytes per image.  ``None`` when it does not fit in
+        ``CLOSURE_LIMIT`` entries.  Computed on first use, never while the
+        group is built.
+
+        An automorphism is known by its images of the basis generators, so
+        those images alone tell a new map from one already listed.
         """
         n, gens = self.order, self.automorphism_maps
-        maps, frontier = {tuple(range(n)), *gens}, gens
+        on_basis = _getter([g for g, _ in self.basis])
+        images, seen = array("h"), set()
+
+        def add(phi) -> bool:
+            key = on_basis(phi)
+            if key in seen:
+                return False
+            seen.add(key)
+            images.extend(phi)
+            return True
+
+        for phi in (range(n), *gens):
+            add(phi)
+        frontier = range(1, len(images) // n)
         while frontier:
-            if (len(maps) + len(gens) * len(frontier)) * n > CLOSURE_LIMIT:
+            if (len(images) // n + len(gens) * len(frontier)) * n > CLOSURE_LIMIT:
                 return None
             new = []
-            for f in frontier:
-                after_f = _getter(f)
+            for k in frontier:
+                after_f = _getter(images[k * n:(k + 1) * n])
                 for g in gens:
-                    h = after_f(g)          # a -> g(f(a))
-                    if h not in maps:
-                        maps.add(h)
-                        new.append(h)
+                    if add(after_f(g)):     # a -> g(f(a))
+                        new.append(len(images) // n - 1)
             frontier = new
-        return tuple(sorted(maps))
+        return images
 
     @functools.cached_property
     def orbit_roots(self) -> tuple[int, ...]:
@@ -769,9 +786,10 @@ def orbit_closure(group: Group, rows) -> list[tuple[int, ...]]:
     images under the group that ``group.automorphism_maps`` generate: sorted
     tuples without repeats, in lexicographic order.
 
-    When ``group.closure_maps`` holds that group, each row not yet covered
-    is mapped by every map at once, which gives its whole orbit.  Otherwise
-    the images are found breadth first under ``automorphism_maps``.
+    When ``group.closure_maps`` lists that group, each row not yet covered
+    is mapped by every listed map at once, which gives its whole orbit.
+    Otherwise the images are found breadth first under
+    ``automorphism_maps``.
     """
     rows = sorted({tuple(sorted(r)) for r in rows})
     if not rows or not rows[0]:
@@ -785,11 +803,12 @@ def orbit_closure(group: Group, rows) -> list[tuple[int, ...]]:
                         for phi in group.automorphism_maps} - found
             found |= frontier
         return sorted(found)
-    found = set()
+    n, found = group.order, set()
     for r in rows:
         if r not in found:
-            image = _getter(r)
-            found.update(tuple(sorted(image(phi))) for phi in maps)
+            # the images of r's entries under map k, column by column
+            found.update(tuple(sorted(image))
+                         for image in zip(*(maps[a::n] for a in r)))
     return sorted(found)
 
 

@@ -133,16 +133,17 @@ def test_schema_version_bump_invalidates(tmp_path):
     assert cache.lookup(tmp_path, "davenport", "C:4") is None
 
 
-@pytest.mark.parametrize("stale", [cache.ALGORITHM_VERSION - 1, None])
+@pytest.mark.parametrize("stale", [3, 4, None])
 def test_outdated_algorithm_version_is_recomputed(tmp_path, capsys, stale):
-    """A record from another algorithm version (None: written before records
-    carried one) is ignored with a warning, recomputed and overwritten;
-    the fresh record is a hit, and report skips an outdated one."""
+    """A record from an earlier algorithm version (None: written before
+    records carried one) is ignored with a warning, recomputed and
+    overwritten; the fresh record is a hit, and report skips an outdated
+    one."""
     payload = {"group": "D:5", "davenport": 99, "max_free_length": 98,
                "witness": "[y]", "nodes": 1, "millis": 0.1}
     path = cache.store(tmp_path, cache.CacheRecord(
         cache.SCHEMA_VERSION, "D:5", "davenport", payload,
-        cache.payload_hash(payload), cache.ALGORITHM_VERSION - 1))
+        cache.payload_hash(payload), stale or cache.ALGORITHM_VERSION - 1))
     if stale is None:
         raw = json.loads(path.read_text())
         del raw["algorithm_version"]

@@ -108,18 +108,19 @@ def test_cyclic_group_beyond_closure_limit_keeps_its_orbit_roots():
     assert enum.nodes_expanded == 32_897
 
 
-def test_closure_maps_are_few_image_tuples():
-    """The whole automorphism group as sorted tuples when it fits in
-    CLOSURE_LIMIT entries, None otherwise."""
+def test_closure_maps_are_one_flat_array():
+    """The whole automorphism group, identity first, as one array('h') of
+    whole maps, 2 bytes per image, when it fits in CLOSURE_LIMIT entries;
+    None otherwise.  The maps are distinct and closed under composition."""
     assert grp("CxC:2,2,2,2").closure_maps is None
     for spec, size in (("D:10", 40), ("CxC:6,6", 288)):
         g = grp(spec)
-        maps = g.closure_maps
-        assert len(maps) == size, spec
-        assert len(maps) * g.order <= CLOSURE_LIMIT
-        assert list(maps) == sorted(set(maps))
-        assert tuple(g.elements()) in maps
-        assert all(type(phi) is tuple for phi in maps)
+        n, maps = g.order, g.closure_maps
+        assert maps.typecode == "h" and maps.itemsize == 2, spec
+        assert len(maps) == size * n <= CLOSURE_LIMIT, spec
+        rows = [tuple(maps[k * n:(k + 1) * n]) for k in range(size)]
+        assert rows[0] == tuple(g.elements()) and len(set(rows)) == size
+        assert {tuple(f[a] for a in h) for f in rows for h in rows} == set(rows)
 
 
 def test_orbit_closure_of_nothing_and_of_the_empty_multiset():

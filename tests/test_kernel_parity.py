@@ -11,6 +11,7 @@ import hashlib
 import os
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 from unittest import mock
 
@@ -22,6 +23,7 @@ import zerosum.engine as engine
 from zerosum import _pykernel
 from zerosum.davenport import known_constant_roster
 from zerosum.engine import STATE_LIMIT, EngineLimitError
+from zerosum.groups import orbit_closure
 from zerosum.sequences import GSequence
 
 from conftest import KERNEL_SKIP_REASON, grp, source_digest
@@ -414,10 +416,11 @@ def test_parity_fuzz_mixed_workload():
         assert a == b
 
 
-def roots_search(kern, ctx, budget, roots):
+def roots_search(kern, ctx, budget, roots, maps=None):
     """Greedy floor, then the max-length DFS over ``roots`` above it."""
     floor = kern.greedy(ctx, STATE_LIMIT)
-    return kern.search(ctx, "max", 0, floor[0], budget, STATE_LIMIT, roots)
+    return kern.search(ctx, "max", 0, floor[0], budget, STATE_LIMIT, roots,
+                       maps)
 
 
 def test_search_roots_parity():
@@ -460,6 +463,97 @@ def test_search_roots_refused_alike(roots, message):
         assert str(info.value) == message, kern.LANE
 
 
+@pytest.mark.parametrize("maps, message", [
+    (array("h", range(9)), "maps must hold a multiple of 10 int16 entries"),
+    (bytes(21), "maps must hold a multiple of 10 int16 entries"),
+    (array("h", [*range(9), 10]), "maps entry 10 out of range"),
+    (array("h", [*range(10), -1, *range(1, 10)]), "maps entry -1 out of range")])
+def test_search_maps_refused_alike(maps, message):
+    """A maps buffer must hold whole maps of n int16 images in 0 .. n-1."""
+    g = grp("D:5")
+    for kern in LANES:
+        with pytest.raises(ValueError) as info:
+            kern.search(engine._context(g, kern), "max", 0, 0, 10, STATE_LIMIT,
+                        g.orbit_roots, maps)
+        assert str(info.value) == message, kern.LANE
+
+
+def test_maps_that_move_nothing_down_prune_nothing():
+    """No maps, an empty buffer and the identity map search alike."""
+    g = grp("D:7")
+    for kern in LANES:
+        ctx = engine._context(g, kern)
+        runs = [kern.search(ctx, "collect", 0, 0, 10 ** 6, STATE_LIMIT, None,
+                            maps)
+                for maps in (None, array("h"), array("h", g.elements()))]
+        assert runs[0] == runs[1] == runs[2], kern.LANE
+
+
+# The roster (the 19 groups of the extremal workload are among it) and two
+# groups of order 32.
+MAPS_SPECS = [spec for spec, _, _ in known_constant_roster()] + ["D:16", "Q:8"]
+# The pure lane repeats the searches with no maps only where the compiled
+# lane's take at most this many nodes (under 1 s on the pure lane); its
+# searches with maps are compared with the compiled lane's on every group.
+PURE_NO_MAPS_NODES = 20_000
+
+
+def max_and_collect(kern, g, maps):
+    """The engine's max and orbit-root collect searches, with ``maps``."""
+    ctx = engine._context(g, kern)
+    floor = kern.greedy(ctx, STATE_LIMIT)[0]
+    return [kern.search(ctx, mode, 0, floor, 10 ** 8, STATE_LIMIT,
+                        g.orbit_roots, maps) for mode in ("max", "collect")]
+
+
+@pytest.mark.parametrize("spec", MAPS_SPECS)
+def test_maps_keep_length_witness_and_extremal_set(spec):
+    """With the engine's maps (the whole listed automorphism group, or its
+    generators) the max search keeps its length, witness and completeness;
+    the collecting search keeps a subset of what it collects with no maps,
+    which closes to the whole extremal set; and neither visits more nodes
+    than with no maps.  Both lanes give the same results with maps, node
+    counts included."""
+    g = grp(spec)
+    maps = engine._search_maps(g)
+    pruned = max_and_collect(_kernel, g, maps)
+    assert pruned == max_and_collect(_pykernel, g, maps)
+    plain = [max_and_collect(_kernel, g, None)]
+    if max(r["nodes"] for r in plain[0]) <= PURE_NO_MAPS_NODES:
+        plain.append(max_and_collect(_pykernel, g, None))
+    max_m, col_m = pruned
+    assert max_m["complete"] and col_m["complete"]
+    for max_0, col_0 in plain:
+        assert (max_m["best_len"], max_m["witness"]) == (
+            max_0["best_len"], max_0["witness"])
+        assert col_m["best_len"] == col_0["best_len"]
+        assert set(col_m["found"]) <= set(col_0["found"])
+        assert max_m["nodes"] <= max_0["nodes"]
+        assert col_m["nodes"] <= col_0["nodes"]
+    if g.closure_maps is None:
+        # the engine's own path for these groups: every root, no maps
+        ctx = engine._context(g, _kernel)
+        want = _kernel.search(ctx, "collect", 0, _kernel.greedy(
+            ctx, STATE_LIMIT)[0], 10 ** 8, STATE_LIMIT)["found"]
+    else:
+        want = orbit_closure(g, plain[0][1]["found"])
+    assert orbit_closure(g, col_m["found"]) == want
+
+
+def test_maps_budget_abort_parity():
+    """Max and collect with the engine's maps, aborted at every node of
+    EVERY_NODE_BUDGETS: identical results on both lanes."""
+    for spec, budgets in EVERY_NODE_BUDGETS:
+        g = grp(spec)
+        maps = engine._search_maps(g)
+        for budget in budgets:
+            for mode in ("max", "collect"):
+                a, b = on_both(g, lambda k, c: k.search(
+                    c, mode, 0, k.greedy(c, STATE_LIMIT)[0], budget,
+                    STATE_LIMIT, g.orbit_roots, maps))
+                assert a == b, (spec, budget, mode)
+
+
 def test_orbit_roots_keep_length_witness_and_completeness():
     """From floor 0, the orbit roots give the max length, witness and
     completeness of every root on each roster group of order <= 16."""
@@ -480,15 +574,20 @@ def test_orbit_roots_keep_length_witness_and_completeness():
 
 
 def test_engine_max_search_walks_the_orbit_roots():
+    """The engine walks the orbit roots and prunes below them with the
+    listed automorphism group: fewer nodes than the orbit roots alone, which
+    take fewer than every root."""
     g = grp("D:9")
     assert g.orbit_roots == (1, 3, 9)
     res = engine.max_free_search(g, budget=10 ** 7)
     for kern in LANES:
         ctx = engine._context(g, kern)
         floor = kern.greedy(ctx, STATE_LIMIT)
+        pruned = roots_search(kern, ctx, 10 ** 7, g.orbit_roots, g.closure_maps)
         part = roots_search(kern, ctx, 10 ** 7, g.orbit_roots)
         full = roots_search(kern, ctx, 10 ** 7, None)
-        assert res["nodes"] == floor[2] + part["nodes"] < floor[2] + full["nodes"]
+        assert res["nodes"] == floor[2] + pruned["nodes"]
+        assert pruned["nodes"] < part["nodes"] < full["nodes"]
         assert res["max_len"] == full["best_len"] == 9
 
 
@@ -731,3 +830,25 @@ def test_roster_searches_unchanged():
         collect += _kernel.search(ctx, "collect", 0, g_len, 10 ** 7,
                                   STATE_LIMIT, roots)["nodes"]
     assert (greedy, search, collect) == ROSTER_NODES
+
+
+# (greedy, full max search, full collect) nodes of the roster on the compiled
+# lane with the engine's maps (engine._search_maps).
+ROSTER_NODES_WITH_MAPS = (762, 700_318, 778_280)
+
+
+def test_roster_searches_with_maps():
+    """The roster's node totals with the stabilizer rule, next to the ones
+    without it (ROSTER_NODES)."""
+    greedy = search = collect = 0
+    for spec, _, _ in known_constant_roster():
+        g = grp(spec)
+        ctx = engine._context(g, _kernel)
+        g_len, _, g_nodes = _kernel.greedy(ctx, STATE_LIMIT)
+        maps = engine._search_maps(g)
+        greedy += g_nodes
+        search += _kernel.search(ctx, "max", 0, g_len, 10 ** 7, STATE_LIMIT,
+                                 g.orbit_roots, maps)["nodes"]
+        collect += _kernel.search(ctx, "collect", 0, g_len, 10 ** 7,
+                                  STATE_LIMIT, g.orbit_roots, maps)["nodes"]
+    assert (greedy, search, collect) == ROSTER_NODES_WITH_MAPS
