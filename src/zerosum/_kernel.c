@@ -2,9 +2,14 @@
  *
  * Implements the traversal contract of zerosum._pykernel exactly: the same
  * DFS order, pruning, budgets and node accounting, so every result (node
- * counts included) is identical across lanes.  A bitset is an array of
- * words = (n + 63) / 64 64-bit words; element index i is bit i % 64 of
- * word i / 64.
+ * counts included) is identical across lanes.  Both lanes raise
+ * zerosum.engine.EngineLimitError, with the same messages, when a DP would
+ * exceed its state cap.  This module imports nothing of the package at init
+ * and the engine imports the pure kernel only when it picks that lane, so a
+ * process on the compiled lane never loads zerosum._pykernel.
+ *
+ * A bitset is an array of words = (n + 63) / 64 64-bit words; element index
+ * i is bit i % 64 of word i / 64.
  *
  * translate(mask, e) = { r*e : r in mask }.  A group is abelian exactly
  * when its context is built with the (stride, order) pairs of its cyclic
@@ -90,8 +95,21 @@
 #define SOURCE_SHA256 ""
 #endif
 
-/* zerosum._pykernel.LimitExceeded: both lanes raise the same class. */
-static PyObject *LimitExceeded;
+/* Raise zerosum.engine.EngineLimitError, looked up at the raise rather than
+ * at init (the engine is loaded by then: it is what calls the kernel). */
+static void
+limit_error(const char *what, long long state_cap)
+{
+    PyObject *engine = PyImport_ImportModule("zerosum.engine");
+    if (engine == NULL)
+        return;
+    PyObject *cls = PyObject_GetAttrString(engine, "EngineLimitError");
+    Py_DECREF(engine);
+    if (cls == NULL)
+        return;
+    PyErr_Format(cls, "%s DP exceeds the state cap %lld", what, state_cap);
+    Py_DECREF(cls);
+}
 
 /* ------------------------------------------------------------------------
  * Context: product tables for one group
@@ -531,8 +549,7 @@ table_append(Table *t, const Context *c, int e, uint64_t *gain, int W)
     }
     long long block = t->stride[pos], base = t->size;
     if (base + block > t->max_states) {
-        PyErr_Format(LimitExceeded, "search DP exceeds the state cap %lld",
-                     t->state_cap);
+        limit_error("search", t->state_cap);
         return -1;
     }
     if (base + block > t->cap) {
@@ -1155,8 +1172,7 @@ reachable(PyObject *self, PyObject *args, PyObject *kwargs)
         states = states > max_states / factor ? max_states + 1 : states * factor;
     }
     if (states > max_states) {
-        PyErr_Format(LimitExceeded,
-                     "reachability DP exceeds the state cap %lld", state_cap);
+        limit_error("reachability", state_cap);
         goto done;
     }
     for (int j = 0; j < k; j++)
@@ -1222,7 +1238,7 @@ static PyMethodDef kernel_methods[] = {
      "appended in increasing element order with the search's own step, which\n"
      "stops after the first append that reaches until_mask or fills the\n"
      "whole group (the full mask is then exact).  A state space above\n"
-     "state_cap words is refused up front with LimitExceeded."},
+     "state_cap words is refused up front with zerosum.engine.EngineLimitError."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1246,13 +1262,6 @@ PyInit__kernel(void)
         return NULL;
     }
 #endif
-    PyObject *pure = PyImport_ImportModule("zerosum._pykernel");
-    if (pure == NULL)
-        return NULL;
-    LimitExceeded = PyObject_GetAttrString(pure, "LimitExceeded");
-    Py_DECREF(pure);
-    if (LimitExceeded == NULL)
-        return NULL;
     PyObject *m = PyModule_Create(&kernel_module);
     if (m == NULL)
         return NULL;

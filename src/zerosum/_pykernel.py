@@ -27,7 +27,12 @@ is the whole group.
 State caps count 64-bit words, as in the compiled kernel, where each DP state
 holds one bitset of ``words`` = ceil(n / 64) words: a cap of N admits
 N // words states.  Every entry point takes the cap from its caller
-(``engine.STATE_LIMIT``); the kernels hold no default of their own.
+(``engine.STATE_LIMIT``); the kernels hold no default of their own.  A DP
+that would exceed its cap raises ``engine.EngineLimitError``, the class the
+compiled kernel raises, with the same message.
+
+The engine imports this module only when it picks the pure lane
+(``engine._kernel_for``), so a process on the compiled lane never loads it.
 
 The DFS is a loop over an explicit stack with one frame per path element
 (the element, the set it carries, an iterator over the children not yet
@@ -47,6 +52,8 @@ from __future__ import annotations
 
 import math
 
+from .engine import EngineLimitError
+
 LANE = "pure"
 
 # Chunked translate tables get too large past this order; beyond it a
@@ -60,10 +67,6 @@ _INT_MAX = 2 ** 31 - 1
 # kernel, which has at most 6 factors > 1 there.
 _WORD_ORDER = 64
 _MAX_FACTORS = 6
-
-
-class LimitExceeded(Exception):
-    """Raised when a search or DP would exceed its configured state cap."""
 
 
 class Context:
@@ -224,7 +227,7 @@ class _Table:
         pos = len(support) - 1
         block, base = stride[pos], len(vals)
         if (base + block) * self.words > self.cap:
-            raise LimitExceeded(f"search DP exceeds the state cap {self.cap}")
+            raise EngineLimitError(f"search DP exceeds the state cap {self.cap}")
         counts[pos] += 1
         lower = list(zip(stride[:pos], support[:pos]))
         dig = [0] * pos
@@ -294,7 +297,7 @@ def reachable(ctx, elems, counts, until_mask, state_cap):
         if not 0 <= c < _INT_MAX:
             raise ValueError(f"counts entry {c} out of range")
     if math.prod(c + 1 for c in counts) * ctx.words > state_cap:
-        raise LimitExceeded(f"reachability DP exceeds the state cap {state_cap}")
+        raise EngineLimitError(f"reachability DP exceeds the state cap {state_cap}")
     table = None if ctx.abelian else _Table(ctx, state_cap)
     full = (1 << ctx.n) - 1
     reach = 0

@@ -19,7 +19,7 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -39,14 +39,9 @@ class CacheWarning(UserWarning):
     """A cache record was ignored (corrupt, tampered or outdated)."""
 
 
-@dataclass(frozen=True)
-class CacheRecord:
-    schema_version: int
-    group_spec: str
-    kind: str
-    payload: dict
-    content_hash: str
-    algorithm_version: int = ALGORITHM_VERSION
+CacheRecord = namedtuple("CacheRecord", [
+    "schema_version", "group_spec", "kind", "payload", "content_hash",
+    "algorithm_version"], defaults=(ALGORITHM_VERSION,))
 
 
 def payload_hash(payload: dict) -> str:

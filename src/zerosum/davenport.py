@@ -10,7 +10,7 @@ desk scale and diffs the measured values against those forms.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import engine
 from .engine import BudgetExhaustedError
@@ -20,8 +20,9 @@ from .sequences import GSequence
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(namedtuple("SearchResult", [
+        "group_key", "max_free_length", "davenport", "witness",
+        "nodes_expanded", "elapsed", "complete"])):
     """Outcome of a max-free-length search.
 
     When ``complete`` is false the search ran out of budget: then
@@ -29,13 +30,7 @@ class SearchResult:
     and ``davenport`` is None.
     """
 
-    group_key: str
-    max_free_length: int
-    davenport: int | None
-    witness: GSequence
-    nodes_expanded: int
-    elapsed: float
-    complete: bool
+    __slots__ = ()
 
 
 def max_free_length(group: Group, *,
@@ -79,15 +74,8 @@ def davenport(group: Group, *, budget: int = DEFAULT_NODE_BUDGET) -> int:
 # Known-constant regression roster
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantCheck:
-    group: str
-    formula: str
-    expected: int
-    computed: int | None
-    ok: bool
-    nodes: int
-    millis: float
+ConstantCheck = namedtuple("ConstantCheck", [
+    "group", "formula", "expected", "computed", "ok", "nodes", "millis"])
 
 
 def known_constant_roster() -> list[tuple[str, int, str]]:

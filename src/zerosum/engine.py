@@ -3,8 +3,11 @@
 The compiled lane (``zerosum._kernel``, hand-written C built by ``setup.py``)
 runs every group (orders up to ``groups.TABLE_LIMIT`` = 4096) when the
 extension was built; otherwise the pure-Python twin (``zerosum._pykernel``)
-takes over.  Both lanes follow one traversal contract, so every result (node
-counts included) is identical across lanes.
+takes over.  ``_kernel_for`` imports the pure kernel the first time it picks
+that lane, so a process on the compiled lane never loads it.  Both lanes
+follow one traversal contract, so every result (node counts included) is
+identical across lanes, and both raise this module's ``EngineLimitError``
+themselves, with the same messages, when a DP would exceed its state cap.
 
 The searches walk free multisets as non-decreasing index sequences
 s_1 <= s_2 <= ..., and automorphisms prune them.  An automorphism maps a
@@ -47,11 +50,8 @@ import itertools
 import math
 import os
 from array import array
-from dataclasses import dataclass
 
-from . import _pykernel
-from ._pykernel import LimitExceeded
-from .groups import Group, orbit_closure
+from .groups import Frozen, Group, orbit_closure
 from .sequences import GSequence
 
 try:
@@ -72,7 +72,10 @@ class EngineError(ValueError):
 
 
 class EngineLimitError(EngineError):
-    """A cost guard refused the computation (too many states or elements)."""
+    """A cost guard refused the computation (too many states or elements).
+
+    The kernels of both lanes raise it when a DP would exceed its state cap.
+    """
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -91,8 +94,15 @@ def default_kernel_name() -> str:
 
 
 def _kernel_for(group: Group):
-    """The kernel module that runs ``group``: the one lane-selection point."""
-    return _compiled if default_kernel_name() == "compiled" else _pykernel
+    """The kernel module that runs ``group``: the one lane-selection point.
+
+    The pure kernel is imported here, the first time the pure lane runs, so
+    a process on the compiled lane never loads it.
+    """
+    if default_kernel_name() == "compiled":
+        return _compiled
+    from . import _pykernel
+    return _pykernel
 
 
 def _context(group: Group, kern):
@@ -113,12 +123,22 @@ def _context(group: Group, kern):
 # Reachable sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReachableSet:
+class ReachableSet(Frozen):
     """Products attainable from some nonempty sub-multiset, in some order."""
 
-    group_key: str
-    mask: int
+    __slots__ = ("group_key", "mask")
+
+    def __init__(self, group_key: str, mask: int):
+        object.__setattr__(self, "group_key", group_key)
+        object.__setattr__(self, "mask", mask)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask == other.mask and self.group_key == other.group_key
+
+    def __hash__(self):
+        return hash((self.group_key, self.mask))
 
     def __contains__(self, idx: int) -> bool:
         return bool((self.mask >> idx) & 1)
@@ -160,10 +180,7 @@ def _run_reachable(group: Group, seq: GSequence, until_mask: int):
     _guard(group, elems, counts)
     kern = _kernel_for(group)
     ctx = _context(group, kern)
-    try:
-        return kern.reachable(ctx, elems, counts, until_mask, STATE_LIMIT)
-    except LimitExceeded as exc:
-        raise EngineLimitError(str(exc)) from None
+    return kern.reachable(ctx, elems, counts, until_mask, STATE_LIMIT)
 
 
 def reachable_products(group: Group, seq: GSequence) -> ReachableSet:
@@ -265,12 +282,9 @@ def max_free_search(group: Group, *, budget: int) -> dict:
     """
     kern = _kernel_for(group)
     ctx = _context(group, kern)
-    try:
-        g_len, g_wit, g_nodes = kern.greedy(ctx, STATE_LIMIT)
-        res = kern.search(ctx, "max", 0, g_len, budget, STATE_LIMIT,
-                          group.orbit_roots, _search_maps(group))
-    except LimitExceeded as exc:
-        raise EngineLimitError(str(exc)) from None
+    g_len, g_wit, g_nodes = kern.greedy(ctx, STATE_LIMIT)
+    res = kern.search(ctx, "max", 0, g_len, budget, STATE_LIMIT,
+                      group.orbit_roots, _search_maps(group))
     witness = res["witness"] if res["best_len"] > g_len else g_wit
     return {
         "complete": res["complete"],
@@ -308,12 +322,9 @@ def extremal_search(group: Group, *, budget: int) -> dict:
                    else (group.orbit_roots, _search_maps(group)))
     kern = _kernel_for(group)
     ctx = _context(group, kern)
-    try:
-        g_len, _, g_nodes = kern.greedy(ctx, STATE_LIMIT)
-        res = kern.search(ctx, "collect", 0, g_len, budget, STATE_LIMIT,
-                          roots, maps)
-    except LimitExceeded as exc:
-        raise EngineLimitError(str(exc)) from None
+    g_len, _, g_nodes = kern.greedy(ctx, STATE_LIMIT)
+    res = kern.search(ctx, "collect", 0, g_len, budget, STATE_LIMIT,
+                      roots, maps)
     found = res["found"] if res["best_len"] else [()]
     if res["complete"] and not every_root:
         found = orbit_closure(group, found)
@@ -335,10 +346,7 @@ def enumerate_free(group: Group, length: int, *, budget: int) -> dict:
     if length == 0:
         return {"complete": True, "found": [()], "nodes": 0}
     kern = _kernel_for(group)
-    try:
-        res = kern.search(_context(group, kern), "enum", length, 0, budget,
-                          STATE_LIMIT)
-    except LimitExceeded as exc:
-        raise EngineLimitError(str(exc)) from None
+    res = kern.search(_context(group, kern), "enum", length, 0, budget,
+                      STATE_LIMIT)
     return {"complete": res["complete"], "found": res["found"],
             "nodes": res["nodes"]}

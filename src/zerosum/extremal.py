@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import combinations_with_replacement
 
 from . import engine
@@ -36,18 +35,16 @@ VERDICT_DISCREPANCY = "documented-discrepancy"
 VERDICT_FAILURE = "failure"
 
 
-@dataclass(frozen=True)
-class CharacterizationFamily:
+class CharacterizationFamily(namedtuple("CharacterizationFamily", [
+        "name", "group", "sequences", "parameter_note"])):
     """Finite generator of the multisets predicted for one group family."""
 
-    name: str
-    group: Group = field(repr=False)
-    sequences: tuple[GSequence, ...]
-    parameter_note: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", [
+        "target", "group", "enumerated_count", "predicted_count", "missing",
+        "extra", "verdict", "details", "nodes", "millis"], defaults=(0, 0.0))):
     """Diff between enumerated truth and a predicted family or property.
 
     ``missing`` holds predictions that failed (absent sequences, violated
@@ -55,16 +52,7 @@ class VerificationReport:
     The verdict is 'failure' exactly when ``missing`` is nonempty.
     """
 
-    target: str
-    group: str
-    enumerated_count: int
-    predicted_count: int
-    missing: tuple[str, ...]
-    extra: tuple[str, ...]
-    verdict: str
-    details: dict
-    nodes: int = 0
-    millis: float = 0.0
+    __slots__ = ()
 
     def to_payload(self) -> dict:
         return {
@@ -93,14 +81,9 @@ def _verdict(missing, extra) -> str:
 # Extremal enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtremalEnumeration:
-    group_key: str
-    davenport: int
-    length: int
-    sequences: tuple[GSequence, ...]
-    nodes_expanded: int
-    elapsed: float
+ExtremalEnumeration = namedtuple("ExtremalEnumeration", [
+    "group_key", "davenport", "length", "sequences", "nodes_expanded",
+    "elapsed"])
 
 
 def enumerate_extremal(group: Group, *,

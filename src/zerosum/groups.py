@@ -38,7 +38,6 @@ import itertools
 import math
 import string
 from array import array
-from dataclasses import dataclass
 from operator import itemgetter
 
 # Largest group for which a Cayley table is built (and hence the largest
@@ -82,47 +81,80 @@ def _ord_mod(s: int, q: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class Frozen:
+    """Base of the package's immutable value records.
+
+    A subclass names its fields in ``__slots__``, sets them in ``__init__``
+    through ``object.__setattr__`` and writes its own ``__eq__`` and
+    ``__hash__``.  Assigning to a field afterwards raises AttributeError.
+    The repr lists the fields in slot order, as ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class GroupSpec(Frozen):
     """One of the supported group families plus its parameters."""
 
-    kind: str
-    params: tuple[int, ...]
+    __slots__ = ("kind", "params")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise GroupError(f"unknown group kind {self.kind!r}")
-        if any(p <= 0 for p in self.params):
-            raise GroupError(f"group parameters must be positive, got {self.params}")
-        if self.kind in ("C", "D", "Q"):
-            if len(self.params) != 1:
-                raise GroupError(f"{self.kind} spec takes exactly one parameter")
-            if self.kind != "C" and self.params[0] < 2:
+    def __init__(self, kind: str, params: tuple[int, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+        if kind not in _KINDS:
+            raise GroupError(f"unknown group kind {kind!r}")
+        if any(p <= 0 for p in params):
+            raise GroupError(f"group parameters must be positive, got {params}")
+        if kind in ("C", "D", "Q"):
+            if len(params) != 1:
+                raise GroupError(f"{kind} spec takes exactly one parameter")
+            if kind != "C" and params[0] < 2:
                 raise GroupError(
-                    f"{'dihedral' if self.kind == 'D' else 'dicyclic'} groups require n >= 2, "
-                    f"got n={self.params[0]}")
-        elif self.kind == "M":
-            if len(self.params) != 3:
+                    f"{'dihedral' if kind == 'D' else 'dicyclic'} groups require n >= 2, "
+                    f"got n={params[0]}")
+        elif kind == "M":
+            if len(params) != 3:
                 raise GroupError("metacyclic spec takes parameters q,m,s")
-            if self.params[1] < 2:
-                raise GroupError(f"metacyclic parameter m={self.params[1]} must be >= 2")
-        elif not self.params:
+            if params[1] < 2:
+                raise GroupError(f"metacyclic parameter m={params[1]} must be >= 2")
+        elif not params:
             raise GroupError("product-of-cyclics spec needs at least one factor")
-        elif len(self.params) > len(string.ascii_lowercase):
-            raise GroupError(f"too many cyclic factors: {len(self.params)}, "
+        elif len(params) > len(string.ascii_lowercase):
+            raise GroupError(f"too many cyclic factors: {len(params)}, "
                              f"at most {len(string.ascii_lowercase)} (one letter each)")
         # Before the number theory below, which is linear in q.
         if self.order > TABLE_LIMIT:
             raise GroupError(
                 f"group order {self.order} exceeds the table limit {TABLE_LIMIT}")
-        if self.kind == "M":
-            q, m, s = self.params
+        if kind == "M":
+            q, m, s = params
             if not _is_prime(q):
                 raise GroupError(f"metacyclic parameter q={q} must be prime")
             if _ord_mod(s, q) != m:
                 raise GroupError(
                     f"metacyclic relation ord_q(s) = m violated: "
                     f"ord_{q}({s}) = {_ord_mod(s, q)} != {m}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.params == other.params
+
+    def __hash__(self):
+        return hash((self.kind, self.params))
 
     @property
     def order(self) -> int:
@@ -142,10 +174,11 @@ def parse_group_spec(text: str) -> GroupSpec:
         raise GroupError(f"unknown group kind {head!r} in spec {text!r}")
     params = []
     for tok in rest.split(","):
-        tok = tok.strip()
-        if not tok.lstrip("-").isdigit():
-            raise GroupError(f"invalid integer {tok!r} in group spec {text!r}")
-        params.append(int(tok))
+        try:
+            params.append(int(tok))
+        except ValueError:
+            raise GroupError(
+                f"invalid integer {tok.strip()!r} in group spec {text!r}") from None
     return GroupSpec(head, tuple(params))
 
 
@@ -618,12 +651,10 @@ class Group:
             gen, sep, exp = token.partition("^")
             if gen not in self.generators:
                 raise GroupError(f"unknown generator {gen!r} in word {word!r}")
-            if sep:
-                if not exp.lstrip("-").isdigit():
-                    raise GroupError(f"invalid exponent {exp!r} in word {word!r}")
-                k = int(exp)
-            else:
-                k = 1
+            try:
+                k = int(exp) if sep else 1
+            except ValueError:
+                raise GroupError(f"invalid exponent {exp!r} in word {word!r}") from None
             acc = self.mul(acc, self.power(self.generators[gen], k))
         return acc
 

@@ -12,22 +12,58 @@ Whitespace is ignored; ``[]`` is the empty sequence.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable
 
-from .groups import Group
+from .groups import Frozen, Group
 
 
 class SequenceError(ValueError):
     """Malformed sequence text or an invalid sequence operation."""
 
 
-@dataclass(frozen=True, order=True)
-class GSequence:
-    """A finite multiset of group elements in normal form."""
+# Bound once: GSequence.__init__ runs once per multiset an enumeration returns.
+_set = object.__setattr__
 
-    group_key: str
-    items: tuple[int, ...]
+
+class GSequence(Frozen):
+    """A finite multiset of group elements in normal form.
+
+    Immutable and hashable; sequences compare and order by
+    ``(group_key, items)``, and only with other sequences.
+    """
+
+    __slots__ = ("group_key", "items")
+
+    def __init__(self, group_key: str, items: tuple[int, ...]):
+        _set(self, "group_key", group_key)
+        _set(self, "items", items)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items and self.group_key == other.group_key
+
+    def __hash__(self):
+        return hash((self.group_key, self.items))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group_key, self.items) < (other.group_key, other.items)
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group_key, self.items) <= (other.group_key, other.items)
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group_key, self.items) > (other.group_key, other.items)
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group_key, self.items) >= (other.group_key, other.items)
 
     @staticmethod
     def from_indices(group: Group, indices: Iterable[int]) -> "GSequence":

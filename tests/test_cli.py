@@ -77,6 +77,22 @@ def test_verify_cache_hit_reports_zero_nodes(tmp_path, capsys):
     assert cache.lookup(tmp_path, "verify", "dihedral:n=4")["nodes"] == first["nodes"]
 
 
+def test_cache_record_is_a_named_tuple():
+    assert cache.CacheRecord._fields == (
+        "schema_version", "group_spec", "kind", "payload", "content_hash",
+        "algorithm_version")
+    assert cache.CacheRecord._field_defaults == {
+        "algorithm_version": cache.ALGORITHM_VERSION}
+    rec = cache.make_record("davenport", "C:4", {"davenport": 4})
+    assert rec == cache.CacheRecord(
+        schema_version=cache.SCHEMA_VERSION, group_spec="C:4", kind="davenport",
+        payload={"davenport": 4}, content_hash=cache.payload_hash({"davenport": 4}))
+    assert rec.algorithm_version == cache.ALGORITHM_VERSION
+    assert rec._replace(algorithm_version=1).algorithm_version == 1
+    with pytest.raises(AttributeError):
+        rec.kind = "extremal"
+
+
 def test_cache_round_trip_and_tampering(tmp_path, capsys):
     run(capsys, "davenport", "--group", "D:5", "--cache-dir", str(tmp_path))
     payload1 = cache.lookup(tmp_path, "davenport", "D:5")
@@ -218,6 +234,17 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["davenport"])  # missing --group
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("davenport", "--group", "C:--5"),
+    ("verify", "--target", "minzero", "--param", "group=C:--2", "--no-cache"),
+    ("reach", "--group", "D:5", "--seq", "[y^--2]"),
+    ("reach", "--group", "D:5", "--seq", "[y^\u00b2]"),
+])
+def test_integers_int_refuses_exit_2(argv, capsys):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "invalid" in err and "internal error" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 
 import pytest
 
 from zerosum.davenport import (
+    ConstantCheck,
+    SearchResult,
     davenport,
     known_constant_roster,
     max_free_length,
@@ -53,11 +54,39 @@ def test_witness_tightness_small_groups(spec):
         assert not is_product1_free(g, extended)
 
 
+def test_search_result_is_a_named_tuple():
+    res = max_free_length(grp("D:3"))
+    assert SearchResult._fields == (
+        "group_key", "max_free_length", "davenport", "witness",
+        "nodes_expanded", "elapsed", "complete")
+    assert SearchResult._field_defaults == {}
+    assert res == SearchResult(*res) == SearchResult(**res._asdict())
+    assert res[:3] == ("D:3", 3, 4) and res.complete is True
+    moved = res._replace(elapsed=-1.0)
+    assert moved.elapsed == -1.0 and moved[:5] == res[:5]
+    assert repr(res).startswith("SearchResult(group_key='D:3', max_free_length=3, ")
+    with pytest.raises(AttributeError):
+        res.davenport = 5
+
+
+def test_constant_check_is_a_named_tuple():
+    assert ConstantCheck._fields == (
+        "group", "formula", "expected", "computed", "ok", "nodes", "millis")
+    assert ConstantCheck._field_defaults == {}
+    check = ConstantCheck(group="C:4", formula="D(C_n) = n", expected=4,
+                          computed=4, ok=True, nodes=3, millis=0.5)
+    assert check == ("C:4", "D(C_n) = n", 4, 4, True, 3, 0.5)
+    assert check._replace(ok=False, computed=None) == (
+        "C:4", "D(C_n) = n", 4, None, False, 3, 0.5)
+    [first] = verify_known_constants(roster=[("C:4", 4, "D(C_n) = n")])
+    assert first._replace(millis=0.5, nodes=3) == check
+
+
 def test_determinism():
     g = grp("Q:4")
     a = max_free_length(g)
     b = max_free_length(g)
-    assert dataclasses.replace(a, elapsed=0.0) == dataclasses.replace(b, elapsed=0.0)
+    assert a._replace(elapsed=0.0) == b._replace(elapsed=0.0)
 
 
 def test_davenport_submodule_is_not_shadowed():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 import random
 from itertools import combinations_with_replacement, product
 from unittest import mock
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from zerosum.engine import (
     EngineError,
     EngineLimitError,
+    ReachableSet,
     has_product_in,
     is_product1_free,
     oracle_reachable,
@@ -224,6 +226,21 @@ def test_reachable_set_container():
     assert 1 in r and 2 in r and 0 not in r
     assert len(r) == 2
     assert sorted(r) == [1, 2]
+
+
+def test_reachable_set_is_an_immutable_value():
+    g = grp("C:6")
+    r = reachable_products(g, seq(g, "[y, y]"))
+    assert r == ReachableSet("C:6", 0b110) == ReachableSet(group_key="C:6", mask=6)
+    assert hash(r) == hash(ReachableSet("C:6", 6))
+    assert r != ReachableSet("C:7", 6) and r != ReachableSet("C:6", 7)
+    assert r != ("C:6", 6) and r != 6
+    assert repr(r) == "ReachableSet(group_key='C:6', mask=6)"
+    with pytest.raises(AttributeError):
+        r.mask = 0
+    with pytest.raises(AttributeError):
+        del r.group_key
+    assert pickle.loads(pickle.dumps(r)) == r
 
 
 @pytest.mark.parametrize("spec", ["C:6", "D:3", "Q:2", "M:3,2,2", "CxC:2,4"])

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import Counter
 
@@ -17,6 +16,9 @@ from zerosum.extremal import (
     VERDICT_DISCREPANCY,
     VERDICT_EXACT,
     VERDICT_FAILURE,
+    CharacterizationFamily,
+    ExtremalEnumeration,
+    VerificationReport,
     check_cyclic_structure,
     check_minimal_zero_sum_order,
     check_weighted_lemma,
@@ -202,13 +204,61 @@ def test_verify_theorem_dicyclic_inverse_parameter_extras():
         assert set(rep.extra) == mirrored
 
 
+def test_characterization_family_is_a_named_tuple():
+    assert CharacterizationFamily._fields == (
+        "name", "group", "sequences", "parameter_note")
+    assert CharacterizationFamily._field_defaults == {}
+    fam = family_cyclic(5)
+    g = grp("C:5")
+    assert fam == CharacterizationFamily(
+        name="cyclic", group=g,
+        sequences=tuple(GSequence("C:5", (t,) * 4) for t in range(1, 5)),
+        parameter_note="(g)^4 with gcd(g, 5) = 1")
+    assert fam._replace(sequences=()) == ("cyclic", g, (), fam.parameter_note)
+    with pytest.raises(AttributeError):
+        fam.name = "dihedral"
+
+
+def test_verification_report_is_a_named_tuple():
+    assert VerificationReport._fields == (
+        "target", "group", "enumerated_count", "predicted_count", "missing",
+        "extra", "verdict", "details", "nodes", "millis")
+    assert VerificationReport._field_defaults == {"nodes": 0, "millis": 0.0}
+    rep = VerificationReport(target="t", group="C:2", enumerated_count=1,
+                             predicted_count=1, missing=(), extra=(),
+                             verdict=VERDICT_EXACT, details={})
+    assert (rep.nodes, rep.millis) == (0, 0.0)
+    assert rep == ("t", "C:2", 1, 1, (), (), VERDICT_EXACT, {}, 0, 0.0)
+    moved = rep._replace(nodes=7, extra=("[y]",), verdict=VERDICT_DISCREPANCY)
+    assert moved.to_payload() == {
+        "target": "t", "group": "C:2", "enumerated_count": 1,
+        "predicted_count": 1, "missing": [], "extra": ["[y]"],
+        "verdict": VERDICT_DISCREPANCY, "details": {}, "nodes": 7,
+        "millis": 0.0}
+    assert moved._asdict()["extra"] == ("[y]",)
+
+
+def test_extremal_enumeration_is_a_named_tuple():
+    assert ExtremalEnumeration._fields == (
+        "group_key", "davenport", "length", "sequences", "nodes_expanded",
+        "elapsed")
+    assert ExtremalEnumeration._field_defaults == {}
+    enum = enumerate_extremal(grp("C:3"))
+    assert enum[:4] == ("C:3", 3, 2, (GSequence("C:3", (1, 1)),
+                                       GSequence("C:3", (2, 2))))
+    assert ExtremalEnumeration(**enum._asdict()) == enum
+    assert enum._replace(elapsed=0.0).elapsed == 0.0
+    with pytest.raises(AttributeError):
+        enum.length = 3
+
+
 def test_verify_theorem_raises_when_the_enumeration_misses_a_prediction(
         monkeypatch):
     real = extremal.enumerate_extremal
 
     def short(group, **kwargs):
         enum = real(group, **kwargs)
-        return dataclasses.replace(enum, sequences=enum.sequences[1:])
+        return enum._replace(sequences=enum.sequences[1:])
 
     monkeypatch.setattr(extremal, "enumerate_extremal", short)
     with pytest.raises(RuntimeError,
@@ -226,7 +276,7 @@ def test_verify_theorem_reports_wrong_predictions(monkeypatch):
 
     def padded(group):
         fam = real(group)
-        return dataclasses.replace(fam, sequences=tuple(
+        return fam._replace(sequences=tuple(
             sorted(fam.sequences + (not_free, too_short))))
 
     monkeypatch.setattr(extremal, "family_for", padded)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 import tracemalloc
 import types
@@ -456,6 +457,46 @@ def test_element_word_errors_cite_token():
     for spec in ("CxC:1", "CxC:3,1,4"):
         with pytest.raises(GroupError, match="unknown generator 'b'"):
             grp(spec).element_from_word("b")
+
+
+@pytest.mark.parametrize("text, token", [
+    ("C:--5", "--5"), ("C:\u00b2", "\u00b2"), ("D:5-", "5-"), ("CxC:2,-", "-"),
+    ("C:5.0", "5.0"), ("M:5,4,2e0", "2e0"), ("C:", "")])
+def test_spec_integers_int_refuses_are_group_errors(text, token):
+    """Each token is refused by ``int``; the spec gets a GroupError that
+    cites it, not the ``int`` ValueError."""
+    with pytest.raises(GroupError) as info:
+        parse_group_spec(text)
+    assert str(info.value) == f"invalid integer {token!r} in group spec {text!r}"
+
+
+@pytest.mark.parametrize("word, exp", [
+    ("y^--2", "--2"), ("y^\u00b2", "\u00b2"), ("x*y^-+1", "-+1"), ("y^2.0", "2.0"),
+    ("y^1e3", "1e3")])
+def test_exponents_int_refuses_are_group_errors(word, exp):
+    with pytest.raises(GroupError) as info:
+        grp("D:5").element_from_word(word)
+    assert str(info.value) == f"invalid exponent {exp!r} in word {word!r}"
+
+
+def test_group_spec_is_an_immutable_value():
+    a, b = GroupSpec("D", (5,)), parse_group_spec("D:5")
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert GroupSpec(kind="D", params=(5,)) == a
+    assert a != GroupSpec("Q", (5,)) and a != GroupSpec("D", (6,))
+    assert a != ("D", (5,)) and a != "D:5"
+    assert len({a, b, GroupSpec("D", (6,))}) == 2
+    assert repr(a) == "GroupSpec(kind='D', params=(5,))"
+    with pytest.raises(AttributeError):
+        a.kind = "Q"
+    with pytest.raises(AttributeError):
+        del a.params
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert pickle.loads(pickle.dumps(a)) == a
+    # The validation runs on construction.
+    with pytest.raises(GroupError, match="dihedral groups require n >= 2"):
+        GroupSpec("D", (1,))
 
 
 def multiply_out(g, word):

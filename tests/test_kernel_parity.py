@@ -10,9 +10,12 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from array import array
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -263,10 +266,10 @@ def test_reachable_refuses_above_the_cap_even_when_a_prefix_fills():
     full = (1 << g.order) - 1
     for kern in LANES:
         ctx = engine._context(g, kern)
-        with pytest.raises(_pykernel.LimitExceeded):
+        with pytest.raises(EngineLimitError):
             kern.reachable(ctx, elems, [1] * 24, 0, STATE_LIMIT)
         # Ten elements: 2^10 states of 7 words each.
-        with pytest.raises(_pykernel.LimitExceeded):
+        with pytest.raises(EngineLimitError):
             kern.reachable(ctx, elems[:10], [1] * 10, 0, 1024 * 7 - 1)
         assert kern.reachable(ctx, elems[:10], [1] * 10, 0, 1024 * 7) == (
             full, False)
@@ -337,7 +340,7 @@ def test_state_cap_counts_words(monkeypatch):
         ctx = engine._context(g, kern)
         tracemalloc.start()
         try:
-            with pytest.raises(_pykernel.LimitExceeded):
+            with pytest.raises(EngineLimitError):
                 kern.reachable(ctx, elems, [1] * 24, 0, STATE_LIMIT)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -350,7 +353,7 @@ def test_search_state_cap_counts_words():
     states: a cap of 63 words refuses it on both lanes, 64 admits it."""
     g = grp("D:50")
     for kern in LANES:
-        with pytest.raises(_pykernel.LimitExceeded):
+        with pytest.raises(EngineLimitError):
             kern.search(engine._context(g, kern), "max", 0, 0, 5, 63)
     a, b = on_both(g, lambda k, c: k.search(c, "max", 0, 0, 5, 64))
     assert a == b
@@ -361,7 +364,7 @@ def test_greedy_state_cap_counts_words():
     cap of 199 words refuses it on both lanes, 200 admits it."""
     g = grp("D:50")
     for kern in LANES:
-        with pytest.raises(_pykernel.LimitExceeded):
+        with pytest.raises(EngineLimitError):
             kern.greedy(engine._context(g, kern), 199)
     a, b = on_both(g, lambda k, c: k.greedy(c, 200))
     assert a == b and a[0] == 50
@@ -393,6 +396,35 @@ def test_pure_kernel_env_forces_pure_lane(monkeypatch):
     monkeypatch.setenv("ZEROSUM_PURE_KERNEL", "1")
     assert engine._kernel_for(g) is _pykernel
     assert engine.max_free_search(g, budget=10 ** 6)["max_len"] == 5
+
+
+# Imports zerosum with the directory of the kernel under test first on the
+# package path, as tests/conftest.py does, runs one davenport command on the
+# default lane and prints the lane and whether the pure kernel was loaded.
+COMPILED_ONLY = """
+import importlib.util, sys
+spec = importlib.util.find_spec("zerosum")
+spec.submodule_search_locations.insert(0, sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+sys.modules["zerosum"] = module
+spec.loader.exec_module(module)
+from zerosum.cli import main
+assert main(["davenport", "--group", "D:9", "--no-cache"]) == 0
+print(sys.modules["zerosum.engine"].default_kernel_name(),
+      "zerosum._pykernel" in sys.modules)
+"""
+
+
+def test_compiled_lane_never_loads_the_pure_kernel():
+    env = {k: v for k, v in os.environ.items() if k != "ZEROSUM_PURE_KERNEL"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(engine.__file__).parents[1]),
+                    os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", COMPILED_ONLY, str(Path(_kernel.__file__).parent)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "compiled False"
 
 
 def test_enum_parity_under_budget_aborts():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import operator
+import pickle
 import random
 
 import pytest
@@ -51,3 +54,41 @@ def test_text_errors():
         GSequence.from_indices(g, [7])
 
 
+def test_gsequence_is_an_immutable_value():
+    s = GSequence("D:5", (1, 2))
+    same = GSequence(group_key="D:5", items=(1, 2))
+    assert s == same and hash(s) == hash(same) and s is not same
+    assert s != GSequence("D:6", (1, 2)) and s != GSequence("D:5", (1, 3))
+    # Not equal to a tuple of its fields or of its items.
+    assert s != ("D:5", (1, 2)) and s != (1, 2)
+    assert len({s, same, GSequence("D:5", (2,))}) == 2
+    assert repr(s) == "GSequence(group_key='D:5', items=(1, 2))"
+    assert tuple(s) == (1, 2) and len(s) == 2 and list(s) == [1, 2]
+    with pytest.raises(AttributeError):
+        s.items = (3,)
+    with pytest.raises(AttributeError):
+        del s.group_key
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    assert pickle.loads(pickle.dumps(s)) == s
+    assert copy.deepcopy(s) == s and copy.copy(s) == s
+
+
+def test_gsequence_orders_by_group_key_then_items():
+    a, b, c = (GSequence("D:5", (2,)), GSequence("D:4", (3,)),
+               GSequence("D:5", (1, 9)))
+    assert sorted([a, b, c]) == [b, c, a]
+    assert c < a and c <= a and c <= c and not c < c
+    assert a > c and a >= c and a >= a and not a > a
+    assert max([a, b, c]) is a and min([a, b, c]) is b
+
+
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt,
+                                operator.ge])
+@pytest.mark.parametrize("other", [("D:5", (1, 2)), (1, 2), "D:5", 0])
+def test_gsequence_orders_only_against_gsequences(op, other):
+    s = GSequence("D:5", (1, 2))
+    with pytest.raises(TypeError):
+        op(s, other)
+    with pytest.raises(TypeError):
+        op(other, s)

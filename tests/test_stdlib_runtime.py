@@ -75,3 +75,19 @@ def test_commands_run_with_numpy_blocked(tmp_path, monkeypatch):
             assert cli.main(argv) == 0
         assert rc == 0, argv
         assert _answer(text) == _answer(here.getvalue()), argv
+
+
+def test_importing_the_package_loads_no_heavy_stdlib_modules():
+    """No record generates its methods at import, and no annotation needs
+    ``typing``.  ``-S`` skips site-packages, whose ``.pth`` files may load
+    such modules on their own."""
+    code = ("import sys, zerosum, zerosum.cli, zerosum.cache, "
+            "zerosum.davenport, zerosum.extremal\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') "
+            "if m in sys.modules))")
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
