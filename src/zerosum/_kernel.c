@@ -78,6 +78,23 @@
  * the witness are those of a search with no maps.  The engine closes the
  * collected multisets under the automorphisms; the fixed-length
  * enumeration walks every root with no maps.
+ *
+ * Mode max on an abelian context also keeps a failure memo: a
+ * direct-mapped table of MEMO_SLOTS (4096) entries, allocated per search
+ * call, at any word count.  Each entry holds a node's carried set C, its
+ * last element, its depth and the root it was written in.  After a descended
+ * node's subtree is walked to the end (not on a budget abort or an error)
+ * the node overwrites the slot of its C.  A later node of the same root
+ * whose slot holds the same C, a last element <= its own and a depth >=
+ * its own is counted and updates the best length, but is not descended:
+ * below a node of an abelian group, the subtree depends only on C and the
+ * last element (zerosum.engine has the proof that length and witness are
+ * kept).  The slot of C is h >> 52, where h = 0 and, for each word w of C
+ * from the lowest, h = (h ^ w) * 0x9E3779B97F4A7C15 mod 2^64; the pure
+ * lane hashes the same way, so node counts agree.  The root stamp keeps
+ * each root's node count and budget use independent of the other roots.
+ * Modes enum and collect must reach every multiset of a length, and a
+ * non-abelian subtree depends on the whole DP table, so they keep no memo.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -87,6 +104,11 @@
 
 #define MAX_ORDER 4096
 #define MAX_WORDS (MAX_ORDER / 64)
+/* The failure memo of mode max on abelian contexts: MEMO_SLOTS entries,
+ * indexed by the top bits of a multiplicative hash. */
+#define MEMO_SHIFT 52
+#define MEMO_SLOTS (1 << (64 - MEMO_SHIFT))
+#define MEMO_MULT 0x9E3779B97F4A7C15ULL
 #define CONTEXT_NAME "zerosum._kernel.Context"
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
 
@@ -648,6 +670,10 @@ typedef struct {
     uint64_t *down, *fixed;
     int *alive;
     int nalive[MAX_ORDER + 1];
+    /* The failure memo, NULL unless mode max runs on an abelian context:
+     * MEMO_SLOTS entries of memo_size(words) bytes (see MemoEntry). */
+    char *memo;
+    int root;                   /* the root being walked */
     PyObject *found;
     Table dp;                   /* non-abelian lane only */
 } Search;
@@ -662,6 +688,7 @@ search_free(Search *s)
     PyMem_Free(s->reach);
     PyMem_Free(s->down);
     PyMem_Free(s->alive);
+    PyMem_Free(s->memo);
     PyMem_Free(s);
 }
 
@@ -678,6 +705,7 @@ search_new(const Context *c, long long state_cap, int slots)
     s->nmaps = s->nalive[0] = 0;
     s->down = s->fixed = NULL;
     s->alive = NULL;
+    s->memo = NULL;
     size_t words = (size_t)slots * c->words;
     s->reach = PyMem_Calloc(2 * words, sizeof(uint64_t));
     if (s->reach == NULL) {
@@ -742,6 +770,56 @@ extend(Search *s, int e, const uint64_t *reach, uint64_t *child, int W)
     return 0;
 }
 
+/* One memo slot: a walked node's root, last element and depth (all below
+ * MAX_ORDER), then its carried set, in one run of 8 + 8 * words bytes, so a
+ * lookup at one word reads a single cache line.  A root of 0 marks an
+ * empty slot (roots are >= 1). */
+typedef struct {
+    uint16_t root, last, depth;
+    uint64_t set[];
+} MemoEntry;
+
+ALWAYS_INLINE size_t
+memo_size(int W)
+{
+    return sizeof(MemoEntry) + W * sizeof(uint64_t);
+}
+
+/* The memo entry of a carried set's slot. */
+ALWAYS_INLINE MemoEntry *
+memo_entry(const Search *s, const uint64_t *set, int W)
+{
+    uint64_t h = 0;
+    for (int w = 0; w < W; w++)
+        h = (h ^ set[w]) * MEMO_MULT;
+    return (MemoEntry *)(s->memo + (size_t)(h >> MEMO_SHIFT) * memo_size(W));
+}
+
+/* Whether a node of this root that carried `set`, ended in an element
+ * <= e and was at least `depth` deep has had its whole subtree walked. */
+ALWAYS_INLINE int
+memo_covers(const Search *s, const uint64_t *set, int e, int depth, int W)
+{
+    const MemoEntry *m = memo_entry(s, set, W);
+    if (m->root != s->root || m->last > e || m->depth < depth)
+        return 0;
+    for (int w = 0; w < W; w++)
+        if (m->set[w] != set[w])
+            return 0;
+    return 1;
+}
+
+/* Record a node whose whole subtree was walked, over its slot's entry. */
+ALWAYS_INLINE void
+memo_store(Search *s, const uint64_t *set, int e, int depth, int W)
+{
+    MemoEntry *m = memo_entry(s, set, W);
+    m->root = (uint16_t)s->root;
+    m->last = (uint16_t)e;
+    m->depth = (uint16_t)depth;
+    memcpy(m->set, set, W * sizeof *set);
+}
+
 static int expand1(Search *s, int e, uint64_t carried, int length);
 static int expandw(Search *s, int e, int length);
 
@@ -776,6 +854,9 @@ enter(Search *s, int e, const uint64_t *carried, int length, uint64_t *child,
         return collect_path(s, newlen) < 0 ? VISIT_ERROR : VISIT_OK;
     if (extend(s, c->abelian ? c->inv[e] : e, carried, child, W) < 0)
         return VISIT_ERROR;
+    /* the memo slot is read only if the node descends; fetch it meanwhile */
+    if (s->memo)
+        __builtin_prefetch(memo_entry(s, child, W));
     /* inversion is a bijection: F and the reach set have one size */
     int potential = newlen + (c->n - 1 - popcount(child, W));
     int descend;
@@ -784,7 +865,8 @@ enter(Search *s, int e, const uint64_t *carried, int length, uint64_t *child,
             s->best = newlen;
             memcpy(s->witness, s->path, newlen * sizeof(int));
         }
-        descend = potential > s->best;
+        descend = potential > s->best
+            && !(s->memo && memo_covers(s, child, e, newlen, W));
     } else if (s->mode == MODE_COLLECT) {
         /* a longer multiset clears the list; ties are kept and explored */
         if (newlen > s->best) {
@@ -824,9 +906,10 @@ keep_fixing(Search *s, int f, int depth)
 
 /* Enter each child f >= e of a path of `length` elements that ends in e and
  * carries `carried`, in increasing order, and recurse into the children that
- * descend; then undo the DP append of e.  A leaf costs no call.  One-word
- * sets live in locals, so the compiler keeps them in registers; wider ones
- * live in the arena slot of their depth. */
+ * descend, recording in the memo (when there is one) each child whose
+ * subtree was walked to the end; then undo the DP append of e.  A leaf
+ * costs no call.  One-word sets live in locals, so the compiler keeps them
+ * in registers; wider ones live in the arena slot of their depth. */
 ALWAYS_INLINE int
 expand(Search *s, int e, const uint64_t *carried, int length, int W)
 {
@@ -851,6 +934,8 @@ expand(Search *s, int e, const uint64_t *carried, int length, int W)
             keep_fixing(s, f, length + 1);
             rc = W == 1 ? expand1(s, f, child1, length + 1)
                         : expandw(s, f, length + 1);
+            if (rc == VISIT_OK && s->memo)
+                memo_store(s, child, f, length + 1, W);
         }
     }
     if (!c->abelian)
@@ -990,10 +1075,10 @@ done:
 
 /* Canonical DFS, one branch per root (first element) 1 .. n-1, or per entry
  * of roots.  Each root has its own node budget.  In mode max each root
- * prunes against max(floor_len, its own best), never against other roots,
- * so each root's node count and budget use depend on that root alone; in
- * mode collect the best length, from floor_len up, is shared by all roots.
- * See the pure lane for the modes. */
+ * prunes against max(floor_len, its own best) and reads only its own memo
+ * entries, never other roots', so each root's node count and budget use
+ * depend on that root alone; in mode collect the best length, from
+ * floor_len up, is shared by all roots.  See the pure lane for the modes. */
 static PyObject *
 search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
@@ -1043,9 +1128,17 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
     PyObject *witness = Py_NewRef(Py_None), *result = NULL;
     if (s->found == NULL || read_maps(s, maps_obj) < 0)
         goto done;
+    if (s->mode == MODE_MAX && c->abelian) {
+        s->memo = PyMem_Calloc(MEMO_SLOTS, memo_size(c->words));
+        if (s->memo == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+    }
 
     for (int i = 0; i < nroots; i++) {
         int root = roots[i];
+        s->root = root;
         s->nodes = 0;
         if (s->mode != MODE_COLLECT)
             s->best = floor_len;
@@ -1230,7 +1323,9 @@ static PyMethodDef kernel_methods[] = {
      "1 .. n-1; the engine passes the Aut(G)-orbit minima to 'max' and\n"
      "'collect').  maps, a buffer of native int16 holding whole maps of n\n"
      "images, lists automorphisms: a child that a map fixing the path sends\n"
-     "to a smaller index is skipped.  Same contract as the pure lane."},
+     "to a smaller index is skipped.  Mode 'max' on an abelian context keeps\n"
+     "a failure memo of 4096 walked subtrees.  Same contract as the pure\n"
+     "lane."},
     {"reachable", (PyCFunction)(void (*)(void))reachable,
      METH_VARARGS | METH_KEYWORDS,
      "reachable(ctx, elems, counts, until_mask, state_cap)\n--\n\n"

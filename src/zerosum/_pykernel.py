@@ -68,6 +68,13 @@ _INT_MAX = 2 ** 31 - 1
 _WORD_ORDER = 64
 _MAX_FACTORS = 6
 
+# The failure memo of mode 'max' on abelian contexts: MEMO_SLOTS slots,
+# indexed by the top bits of the compiled kernel's multiplicative hash.
+MEMO_SLOTS = 4096
+_MEMO_SHIFT = 64 - (MEMO_SLOTS.bit_length() - 1)
+_MEMO_MULT = 0x9E3779B97F4A7C15
+_WORD_MASK = (1 << 64) - 1
+
 
 class Context:
     """Per-group data consumed by the kernel functions.
@@ -387,6 +394,17 @@ def _read_maps(n, maps):
     return pairs
 
 
+def _memo_slot(carried, words):
+    """The memo slot of a carried set: h = 0, then for each 64-bit word w
+    of the set from the lowest, h = (h ^ w) * _MEMO_MULT mod 2 ** 64; the
+    slot is the top bits of h."""
+    h = 0
+    for _ in range(words):
+        h = ((h ^ (carried & _WORD_MASK)) * _MEMO_MULT) & _WORD_MASK
+        carried >>= 64
+    return h >> _MEMO_SHIFT
+
+
 MODES = ("max", "enum", "collect")
 
 
@@ -415,11 +433,21 @@ def search(ctx, mode, target, floor_len, budget, state_cap, roots=None,
     mode 'max': find the longest free multiset.  Pruning within each root
     measures against max(floor_len, best found in that root), never against
     other roots, so each root's node count and budget use depend on that
-    root alone.  mode 'enum': collect every free multiset of length exactly
+    root alone.  On an abelian context it also keeps a failure memo, cleared
+    per root: ``MEMO_SLOTS`` slots, direct-mapped by ``_memo_slot`` (the
+    compiled kernel's hash), each holding the carried set C, last element and
+    depth of a node whose subtree was walked to the end (a budget abort
+    records nothing), written over whatever the slot held.  A later node
+    whose slot holds the same C, a last element <= its own and a depth >=
+    its own is counted and updates the best, but is not descended; the
+    engine's docstring proves that length and witness are kept.  mode
+    'enum': collect every free multiset of length exactly
     ``target`` (>= 1).  mode 'collect': collect every free multiset of the
     greatest length found, at least ``floor_len``; a longer one clears the
     list.  Its best length is shared by all roots, and a branch is pruned
-    only when its potential is below it, so ties are explored.
+    only when its potential is below it, so ties are explored.  Modes 'enum'
+    and 'collect' must reach every multiset of a length, and a non-abelian
+    subtree depends on the whole DP table, so neither keeps a memo.
 
     The node budget applies to each root branch separately; an exhausted
     branch is abandoned and the result is flagged incomplete.  A node is
@@ -427,8 +455,10 @@ def search(ctx, mode, target, floor_len, budget, state_cap, roots=None,
     """
     if mode not in MODES:
         raise ValueError(f"unknown search mode {mode!r}")
-    n = ctx.n
+    n, words = ctx.n, ctx.words
     enum, collect = mode == "enum", mode == "collect"
+    # slot -> (carried set, last element, depth) of a walked subtree
+    memo = {} if mode == "max" and ctx.abelian else None
     found = []
     best_len = floor_len
     best_witness = None
@@ -443,6 +473,8 @@ def search(ctx, mode, target, floor_len, budget, state_cap, roots=None,
         root_best = best_len if collect else floor_len
         root_witness = None
         table = None if ctx.abelian else _Table(ctx, state_cap)
+        if memo is not None:
+            memo.clear()
         # One frame per path element below the node being visited: (the
         # element, the set carried after it, an iterator over its feasible
         # children f >= it, the indices of the maps that fix the path up to
@@ -478,6 +510,10 @@ def search(ctx, mode, target, floor_len, budget, state_cap, roots=None,
                         root_best = newlen
                         root_witness = (*[fr[0] for fr in stack], e)
                     descend = potential > root_best
+                    if descend and memo is not None:
+                        held = memo.get(_memo_slot(child, words))
+                        descend = not (held is not None and held[0] == child
+                                       and held[1] <= e and held[2] >= newlen)
                 if descend:
                     fixing = [k for k in alive if (pairs[k][1] >> e) & 1]
                     banned = 0
@@ -493,6 +529,10 @@ def search(ctx, mode, target, floor_len, budget, state_cap, roots=None,
                 e = next(children, None)
                 if e is not None:
                     break
+                if memo is not None:
+                    # the top frame's subtree is walked: record it
+                    memo[_memo_slot(carried, words)] = (
+                        carried, stack[-1][0], len(stack))
                 stack.pop()
                 if table is not None:
                     table.undo()

@@ -30,8 +30,10 @@ SCHEMA_VERSION = 1
 # whose automorphism group does not fit in groups.CLOSURE_LIMIT collects its
 # extremal set over every root, with no closure.  5: below the orbit roots,
 # the max-length search and the orbit-root collection skip every child that
-# an automorphism fixing the path moves to a smaller index.
-ALGORITHM_VERSION = 5
+# an automorphism fixing the path moves to a smaller index.  6: the
+# max-length search of an abelian group does not descend again from a
+# carried set, last element and depth that a walked node of its root covers.
+ALGORITHM_VERSION = 6
 ENV_CACHE_DIR = "ZEROSUM_CACHE_DIR"
 
 

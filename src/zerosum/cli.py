@@ -15,7 +15,6 @@ import csv
 import functools
 import io
 import json
-import logging
 import sys
 from pathlib import Path
 
@@ -47,8 +46,6 @@ EXIT_VERIFY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-
-log = logging.getLogger(__name__)
 
 # verify targets and the --param keys each takes, in group-spec order
 VERIFY_PARAMS = {
@@ -509,7 +506,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
-        log.debug("internal error", exc_info=True)
+        # imported here, the one place that logs: it costs start-up time
+        import logging
+        logging.getLogger(__name__).debug("internal error", exc_info=True)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:

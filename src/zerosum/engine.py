@@ -41,6 +41,26 @@ found, keeps every prefix of W as well: the length and the witness are
 those of a search with no maps.  The collecting mode cuts only what cannot
 reach the best length, so it collects the S* of every longest multiset.
 
+On an abelian group the max-length search also keeps a failure memo (the
+kernels describe the table).  Once a node P of depth d and last element e
+has had its whole subtree walked, a later node P' of the same root that
+carries the same set C, with depth d' <= d and last element e' >= e, is
+counted but not descended.  This keeps the length and the witness.  On an
+abelian group, whether P.T is free depends only on T and on the reach set
+of P, and C is a bijective image of that set (the inverse set).  So every
+free tail T of P', whose entries are all >= e' >= e, is also a free tail of
+P, and |P.T| >= |P'.T|.  Let W be the least longest free multiset; the
+stabilizer rule keeps every prefix of it, as shown above.  Suppose the memo
+skipped a prefix P' of W = P'.T.  If d > d', then P.T is free and longer
+than W, against W being longest.  Otherwise d = d', so P != P' and, as P
+was walked first, P <lex P'; then P.T (sorted, as T >= e) has W's length
+and P.T <lex W, against W being least.  So no prefix of W is skipped, and
+the bound keeps them as before: length and witness are those of a search
+without the memo.  The collecting mode and the fixed-length enumeration
+must reach every multiset of a length, so they keep no memo; a non-abelian
+subtree depends on the path's whole DP table, not on its reach set, so
+those searches keep none either.
+
 Set ``ZEROSUM_PURE_KERNEL=1`` to force the pure lane.
 """
 
@@ -275,8 +295,10 @@ def max_free_search(group: Group, *, budget: int) -> dict:
     the module docstring).  The lexicographically least longest multiset
     is the least of its own images, so every prefix of it survives the
     rule, and a pruned tree finds no other multiset first: length and
-    witness are those of a search over every root with no maps; only the
-    node count is smaller.
+    witness are those of a search over every root with no maps.  On an
+    abelian group the failure memo (module docstring) skips the subtree of
+    a node that an already walked node covers, which keeps them too; only
+    the node count is smaller.
 
     Returns keys: complete, max_len, witness (index tuple), nodes.
     """

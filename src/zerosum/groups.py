@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import string
 from array import array
 from operator import itemgetter
 
@@ -51,6 +50,9 @@ TABLE_LIMIT = 4096
 CLOSURE_LIMIT = 1 << 16
 
 _KINDS = ("C", "D", "Q", "M", "CxC")
+
+# The letters of the cyclic factors of a CxC spec, one each.
+_FACTOR_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 class GroupError(ValueError):
@@ -132,9 +134,9 @@ class GroupSpec(Frozen):
                 raise GroupError(f"metacyclic parameter m={params[1]} must be >= 2")
         elif not params:
             raise GroupError("product-of-cyclics spec needs at least one factor")
-        elif len(params) > len(string.ascii_lowercase):
+        elif len(params) > len(_FACTOR_LETTERS):
             raise GroupError(f"too many cyclic factors: {len(params)}, "
-                             f"at most {len(string.ascii_lowercase)} (one letter each)")
+                             f"at most {len(_FACTOR_LETTERS)} (one letter each)")
         # Before the number theory below, which is linear in q.
         if self.order > TABLE_LIMIT:
             raise GroupError(
@@ -211,7 +213,7 @@ def _letters(spec: GroupSpec) -> str:
     x, y for D, Q and M; for CxC, the letter of each factor > 1 by its
     position in the spec."""
     if spec.kind == "CxC":
-        return "".join(c for c, n_i in zip(string.ascii_lowercase, spec.params)
+        return "".join(c for c, n_i in zip(_FACTOR_LETTERS, spec.params)
                        if n_i > 1)
     return "y" if spec.kind == "C" else "xy"
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -149,7 +150,7 @@ def test_schema_version_bump_invalidates(tmp_path):
     assert cache.lookup(tmp_path, "davenport", "C:4") is None
 
 
-@pytest.mark.parametrize("stale", [3, 4, None])
+@pytest.mark.parametrize("stale", [3, 4, 5, None])
 def test_outdated_algorithm_version_is_recomputed(tmp_path, capsys, stale):
     """A record from an earlier algorithm version (None: written before
     records carried one) is ignored with a warning, recomputed and
@@ -341,6 +342,23 @@ def test_unexpected_error_exit_4(monkeypatch, capsys):
     code, _, err = run(capsys, "davenport", "--group", "D:4", "--no-cache")
     assert code == 4
     assert err == "internal error: RuntimeError: synthetic fault\n"
+
+
+def test_unexpected_error_logs_its_traceback(monkeypatch, capsys, caplog):
+    """The internal-error path, which imports logging only when it runs,
+    logs the traceback at debug level to the zerosum.cli logger."""
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic fault")
+
+    monkeypatch.setattr(cli, "max_free_length", boom)
+    with caplog.at_level(logging.DEBUG, logger="zerosum.cli"):
+        code, _, _ = run(capsys, "davenport", "--group", "D:4", "--no-cache")
+    assert code == 4
+    [record] = [r for r in caplog.records if r.name == "zerosum.cli"]
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == "internal error"
+    assert record.exc_info[0] is RuntimeError
+    assert str(record.exc_info[1]) == "synthetic fault"
 
 
 def test_verify_exit_codes(tmp_path, capsys):

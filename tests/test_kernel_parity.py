@@ -544,8 +544,10 @@ def test_maps_keep_length_witness_and_extremal_set(spec):
     generators) the max search keeps its length, witness and completeness;
     the collecting search keeps a subset of what it collects with no maps,
     which closes to the whole extremal set; and neither visits more nodes
-    than with no maps.  Both lanes give the same results with maps, node
-    counts included."""
+    than with no maps.  The max search over the orbit roots with no maps
+    visits no more nodes than over every root, with the same length and
+    witness.  Both lanes give the same results with maps, node counts
+    included."""
     g = grp(spec)
     maps = engine._search_maps(g)
     pruned = max_and_collect(_kernel, g, maps)
@@ -562,9 +564,15 @@ def test_maps_keep_length_witness_and_extremal_set(spec):
         assert set(col_m["found"]) <= set(col_0["found"])
         assert max_m["nodes"] <= max_0["nodes"]
         assert col_m["nodes"] <= col_0["nodes"]
+    ctx = engine._context(g, _kernel)
+    every = _kernel.search(ctx, "max", 0, _kernel.greedy(ctx, STATE_LIMIT)[0],
+                           10 ** 8, STATE_LIMIT)
+    max_0 = plain[0][0]
+    assert (every["best_len"], every["witness"]) == (
+        max_0["best_len"], max_0["witness"])
+    assert max_0["nodes"] <= every["nodes"]
     if g.closure_maps is None:
         # the engine's own path for these groups: every root, no maps
-        ctx = engine._context(g, _kernel)
         want = _kernel.search(ctx, "collect", 0, _kernel.greedy(
             ctx, STATE_LIMIT)[0], 10 ** 8, STATE_LIMIT)["found"]
     else:
@@ -838,19 +846,28 @@ def roster_results(kern):
     return out
 
 
-# Recorded from the kernels that kept the reach set and byte tables at one
-# word: (greedy, full max search, full collect) nodes on the compiled lane.
-ROSTER_DIGEST = "49c62db42dc51ffb43c07fb2c14138d37ddb91a366a862a4fecf3370cfcbd525"
-ROSTER_NODES = (762, 3_326_762, 3_593_485)
+# The greedy, collect and enum results of roster_results: those of the
+# kernels that kept the reach set and byte tables at one word.
+ROSTER_DIGEST = "fad3a7b09c6b8e8927d027bea2626d49ab80b12b08eb98c3158a13b08821b4a2"
+# The max results of roster_results: the failure memo changes node counts.
+ROSTER_MAX_DIGEST = (
+    "17f03eddd8bf6c844d81fe9c836acd60f6240cfdab48d0f69a6d661563e453ac")
+# (greedy, full max search, full collect) nodes on the compiled lane.
+ROSTER_NODES = (762, 1_565_867, 3_593_485)
 
 
 def test_roster_searches_unchanged():
-    """The roster's greedy and search results on both lanes, node counts
-    included, are those of the kernels before translate turned factors and
-    search carried the inverse set."""
+    """The roster's greedy, collect and enum results on both lanes, node
+    counts included, are those of the kernels before translate turned
+    factors and search carried the inverse set; the max results agree
+    across lanes."""
     a, b = (roster_results(kern) for kern in LANES)
     assert a == b
-    assert hashlib.sha256(repr(a).encode()).hexdigest() == ROSTER_DIGEST
+    kept = [(spec, floor, runs[1:]) for spec, floor, runs in a]
+    assert hashlib.sha256(repr(kept).encode()).hexdigest() == ROSTER_DIGEST
+    maxes = [(spec, runs[0]) for spec, _, runs in a]
+    assert hashlib.sha256(repr(maxes).encode()).hexdigest() == (
+        ROSTER_MAX_DIGEST)
     greedy = search = collect = 0
     for spec, _, _ in known_constant_roster():
         ctx = engine._context(grp(spec), _kernel)
@@ -866,7 +883,7 @@ def test_roster_searches_unchanged():
 
 # (greedy, full max search, full collect) nodes of the roster on the compiled
 # lane with the engine's maps (engine._search_maps).
-ROSTER_NODES_WITH_MAPS = (762, 700_318, 778_280)
+ROSTER_NODES_WITH_MAPS = (762, 375_667, 778_280)
 
 
 def test_roster_searches_with_maps():
@@ -884,3 +901,156 @@ def test_roster_searches_with_maps():
         collect += _kernel.search(ctx, "collect", 0, g_len, 10 ** 7,
                                   STATE_LIMIT, g.orbit_roots, maps)["nodes"]
     assert (greedy, search, collect) == ROSTER_NODES_WITH_MAPS
+
+
+# ---------------------------------------------------------------------------
+# The failure memo of mode max on abelian groups
+# ---------------------------------------------------------------------------
+
+class _Spent(Exception):
+    """The model's node budget ran out."""
+
+
+def memo_model(g, floor, budget, roots, maps, memo=True):
+    """Mode max on the abelian group g as the kernels document it, written
+    out recursively from the group's tables: the inverse set, the bound,
+    the stabilizer rule and (when ``memo``) the failure memo with its hash.
+    Returns the kernels' result dict and the number of memo skips."""
+    n, table, inv = g.order, g.table, g.inv_table
+    words = (n + 63) // 64
+    images = [] if maps is None else [maps[k:k + n]
+                                      for k in range(0, len(maps), n)]
+
+    def slot(carried):
+        h = 0
+        for _ in range(words):
+            h = (h ^ (carried % 2 ** 64)) * 0x9E3779B97F4A7C15 % 2 ** 64
+            carried >>= 64
+        return h >> 52
+
+    def enter(path, carried, alive):
+        state["nodes"] += 1
+        if state["nodes"] > budget:
+            raise _Spent
+        e, x = path[-1], inv[path[-1]]
+        carried |= 1 << x | sum({1 << table[r, x] for r in range(n)
+                                 if carried >> r & 1})
+        if len(path) > state["best"]:
+            state["best"], state["witness"] = len(path), tuple(path)
+        if len(path) + n - 1 - carried.bit_count() <= state["best"]:
+            return
+        held = walked.get(slot(carried))
+        if memo and held is not None and held[0] == carried and (
+                held[1] <= e and held[2] >= len(path)):
+            state["skips"] += 1
+            return
+        alive = [m for m in alive if m[e] == e]
+        for f in range(e, n):
+            if not carried >> f & 1 and all(m[f] >= f for m in alive):
+                enter(path + [f], carried, alive)
+        walked[slot(carried)] = (carried, e, len(path))
+
+    res = {"complete": True, "best_len": floor, "witness": None, "found": [],
+           "nodes": 0}
+    skips = 0
+    for root in range(1, n) if roots is None else roots:
+        state = {"best": floor, "witness": None, "nodes": 0, "skips": 0}
+        walked = {}
+        try:
+            enter([root], 0, images)
+        except _Spent:
+            res["complete"] = False
+        res["nodes"] += state["nodes"]
+        skips += state["skips"]
+        if state["best"] > res["best_len"]:
+            res["best_len"], res["witness"] = state["best"], state["witness"]
+    return res, skips
+
+
+def engine_max(g, kern, budget):
+    """The engine's max search of g above the greedy floor on ``kern``."""
+    ctx = engine._context(g, kern)
+    floor = kern.greedy(ctx, STATE_LIMIT)[0]
+    return floor, kern.search(ctx, "max", 0, floor, budget, STATE_LIMIT,
+                              g.orbit_roots, engine._search_maps(g))
+
+
+# Per group: the engine's max-search nodes (greedy left out), the nodes of
+# the same search without the memo (those of the kernels before it), and
+# the memo's skips.
+MEMO_NODES = {"CxC:2,6": (121, 175, 20), "CxC:4,4": (180, 237, 30),
+              "CxC:2,2,8": (8_194, 19_072, 1_855)}
+
+
+@pytest.mark.parametrize("spec", sorted(MEMO_NODES))
+def test_memo_follows_the_model(spec):
+    """Both lanes' max searches are the model's, node counts included; the
+    model without the memo gives the kernels' counts from before it, with
+    the same length and witness."""
+    g = grp(spec)
+    floor, res = engine_max(g, _pykernel, 10 ** 8)
+    assert res == engine_max(g, _kernel, 10 ** 8)[1]
+    model, skips = memo_model(g, floor, 10 ** 8, g.orbit_roots,
+                              engine._search_maps(g))
+    plain, _ = memo_model(g, floor, 10 ** 8, g.orbit_roots,
+                          engine._search_maps(g), memo=False)
+    assert res == model and res["complete"]
+    assert (res["best_len"], res["witness"]) == (
+        plain["best_len"], plain["witness"])
+    assert (res["nodes"], plain["nodes"], skips) == MEMO_NODES[spec]
+
+
+def test_memo_budget_abort_parity():
+    """Max searches as the engine runs them, aborted at every node: the
+    same results on both lanes and in the model."""
+    for spec in ("CxC:2,6", "CxC:4,4"):
+        g = grp(spec)
+        for budget in range(1, MEMO_NODES[spec][0] + 1):
+            floor, res = engine_max(g, _pykernel, budget)
+            assert res == engine_max(g, _kernel, budget)[1], (spec, budget)
+            assert res == memo_model(g, floor, budget, g.orbit_roots,
+                                     engine._search_maps(g))[0], (spec, budget)
+
+
+# Two-word groups, 5,000 nodes per root: the memo skips this often within
+# the budget.
+MEMO_TWO_WORD_SKIPS = {"CxC:3,3,3,3": 2_279, "CxC:2,6,6": 7_129}
+
+
+@pytest.mark.parametrize("spec", sorted(MEMO_TWO_WORD_SKIPS))
+def test_memo_two_word_parity(spec):
+    g = grp(spec)
+    assert g.order > 64
+    floor, res = engine_max(g, _pykernel, 5_000)
+    assert res == engine_max(g, _kernel, 5_000)[1]
+    model, skips = memo_model(g, floor, 5_000, g.orbit_roots,
+                              engine._search_maps(g))
+    assert res == model and not res["complete"]
+    assert skips == MEMO_TWO_WORD_SKIPS[spec]
+
+
+# (spec, length, witness) of the engine's max search on every roster group,
+# recorded from the kernels before the failure memo.
+ROSTER_WITNESS_DIGEST = (
+    "5c63914e39470be07fbee520e751b015ad1764af32b198c6c80277aba608df78")
+
+
+def test_memo_keeps_the_least_longest_witness():
+    """On both lanes, the engine's max search of each roster group gives the
+    length and witness it gave before the memo, and the witness is the
+    least multiset of the extremal set (the orbit closure of what the
+    collecting search, which keeps no memo, collects)."""
+    rows = []
+    for kern in LANES:
+        with mock.patch.object(engine, "_kernel_for", lambda group: kern):
+            rows.append([(spec, *(engine.max_free_search(
+                grp(spec), budget=10 ** 8)[k] for k in ("max_len", "witness")))
+                for spec, _, _ in known_constant_roster()])
+    assert rows[0] == rows[1]
+    assert hashlib.sha256(repr(rows[0]).encode()).hexdigest() == (
+        ROSTER_WITNESS_DIGEST)
+    for spec, length, witness in rows[0]:
+        ext = engine.extremal_search(grp(spec), budget=10 ** 8)
+        assert ext["complete"] and ext["length"] == length, spec
+        assert witness == min(ext["found"]), spec
+
