@@ -21,11 +21,17 @@
  * byte by byte through per-element tables, and one extra table row maps a
  * set to the set of its inverses.  Byte tables for more words would take
  * (n + 1) * n/8 * 256 * words * 8 bytes (4.3 GB at n = 1024), so larger
- * groups walk the set bits instead, through the transposed product table
- * rmul[e*n + r] = r*e and the inverse table.  The byte tables stay for
- * non-abelian groups of one word because the bit walk doubles the roster
- * benchmark's run_s (0.23 -> 0.49 s, 2-vCPU Xeon).  The DFS is written once
- * over the word count and the compiler specializes it for one word.
+ * groups walk the set bits instead, through rmul[e*n + r] = r*e and the
+ * inverse table.  On an abelian group r*e = e*r, so rmul is the product
+ * table as it is, copied and range-checked; otherwise it is the transposed
+ * table, written in tiles.  This adds no trust: the kernel already takes a
+ * given radix to mean an abelian group (the inverse set F below and the
+ * one-bitset reachable rely on it), and the engine passes one only when
+ * groups.Group.is_abelian, read off the verified generators, holds.  The
+ * byte tables stay for non-abelian groups of one word because the bit walk
+ * doubles the roster benchmark's run_s (0.23 -> 0.49 s, 2-vCPU Xeon).  The
+ * DFS is written once over the word count and the compiler specializes it
+ * for one word.
  *
  * A node's children are visited in its own loop (expand): enter counts each
  * child, checks the budget, extends the carried set, updates the best length
@@ -80,11 +86,13 @@
  * enumeration walks every root with no maps.
  *
  * Mode max on an abelian context also keeps a failure memo: a
- * direct-mapped table of MEMO_SLOTS (4096) entries, allocated per search
- * call, at any word count.  Each entry holds a node's carried set C, its
- * last element, its depth and the root it was written in.  After a descended
- * node's subtree is walked to the end (not on a budget abort or an error)
- * the node overwrites the slot of its C.  A later node of the same root
+ * direct-mapped table of MEMO_SLOTS (4096) entries per search call, at
+ * any word count, allocated at its first store (a search that never walks
+ * a subtree to the end, as on most cyclic groups, allocates none).  Each
+ * entry holds a node's carried set C, its last element, its depth and the
+ * root it was written in.  After a descended node's subtree is walked to
+ * the end (not on a budget abort or an error) the node overwrites the slot
+ * of its C.  A later node of the same root
  * whose slot holds the same C, a last element <= its own and a depth >=
  * its own is counted and updates the best length, but is not descended:
  * below a node of an abelian group, the subtree depends only on C and the
@@ -256,8 +264,31 @@ get_context(PyObject *obj)
     return (const Context *)PyCapsule_GetPointer(obj, CONTEXT_NAME);
 }
 
-/* Read a buffer of `count` native int16 values, each in [0, n): value i
- * goes to out[(i % n) * n + i / n] when transpose is set, else to out[i]. */
+/* Report the first entry of in[0 .. count) outside [0, n), in buffer order,
+ * as a ValueError; in is a buffer already known to hold one. */
+static int
+bad_entry(const char *in, Py_ssize_t count, int n, const char *what)
+{
+    for (Py_ssize_t i = 0; i < count; i++) {
+        int16_t v;
+        memcpy(&v, in + i * sizeof v, sizeof v);
+        if (v < 0 || v >= n) {
+            PyErr_Format(PyExc_ValueError, "%s entry %d out of range", what, v);
+            break;
+        }
+    }
+    return -1;
+}
+
+/* The side of the square tiles an n x n table is transposed in (8 KB of
+ * int16); 64 beat 32 by a third at n = 4096 (2-vCPU Xeon). */
+#define TILE 64
+
+/* Read a buffer of `count` native int16 values, each in [0, n), into out[]:
+ * as they are, or, when transpose is set, as the transpose of an n x n table
+ * (out[c*n + r] = in[r*n + c]), tile by tile, with no division per entry.
+ * An entry out of range is reported as the first such in buffer order on
+ * either path, so both give the same message. */
 static int
 read_int16(const Py_buffer *buf, Py_ssize_t count, int n, int transpose,
            uint16_t *out, const char *what)
@@ -267,17 +298,44 @@ read_int16(const Py_buffer *buf, Py_ssize_t count, int n, int transpose,
                      what, count);
         return -1;
     }
-    const char *p = buf->buf;
-    for (Py_ssize_t i = 0; i < count; i++) {
-        int16_t v;
-        memcpy(&v, p + i * sizeof v, sizeof v);
-        if (v < 0 || v >= n) {
-            PyErr_Format(PyExc_ValueError, "%s entry %d out of range", what, v);
-            return -1;
+    const char *in = buf->buf;
+    /* as unsigned, a negative entry is above every order */
+    uint16_t top = 0;
+    if (!transpose) {
+        for (Py_ssize_t i = 0; i < count; i++) {
+            uint16_t v;
+            memcpy(&v, in + i * sizeof v, sizeof v);
+            top = v > top ? v : top;
+            out[i] = v;
         }
-        out[transpose ? (i % n) * n + i / n : i] = (uint16_t)v;
+    } else {
+        /* Each tile goes through a local copy, so each of its rows is read,
+         * and each of its columns written, in one run: rows n * 2 bytes
+         * apart share a few cache sets when n is a power of two, and a
+         * direct transpose revisits each of the tile's lines once per row
+         * or column. */
+        uint16_t tile[TILE][TILE];
+        for (int r0 = 0; r0 < n; r0 += TILE) {
+            int rows = n - r0 < TILE ? n - r0 : TILE;
+            for (int c0 = 0; c0 < n; c0 += TILE) {
+                int cols = n - c0 < TILE ? n - c0 : TILE;
+                for (int r = 0; r < rows; r++) {
+                    const char *row = in
+                        + ((size_t)(r0 + r) * n + c0) * sizeof *out;
+                    for (int c = 0; c < cols; c++) {
+                        uint16_t v;
+                        memcpy(&v, row + c * sizeof v, sizeof v);
+                        top = v > top ? v : top;
+                        tile[c][r] = v;
+                    }
+                }
+                for (int c = 0; c < cols; c++)
+                    memcpy(out + (size_t)(c0 + c) * n + r0, tile[c],
+                           rows * sizeof *out);
+            }
+        }
     }
-    return 0;
+    return top < n ? 0 : bad_entry(in, count, n, what);
 }
 
 /* Read a radix of at most MAX_FACTORS (stride, order) pairs, each with
@@ -321,14 +379,15 @@ read_radix(PyObject *obj, int n, int *stride, int *order)
     return (int)len;
 }
 
-/* The turns of every element, checked against every product: element e
- * has digit d = e / stride % order in each factor, and a translate by it
- * moves the bits of digit below order - d up by d * stride and wraps the
- * others down by (order - d) * stride.  Both shifts are below
- * stride * order <= 64 when d > 0. */
+/* The turns of every element, checked against every product of the
+ * product table mul: element e has digit d = e / stride % order in each
+ * factor, and a translate by it moves the bits of digit below order - d up
+ * by d * stride and wraps the others down by (order - d) * stride.  Both
+ * shifts are below stride * order <= 64 when d > 0.  The turns commute, so
+ * r turned by e must be e*r as well as r*e: a non-abelian table fails. */
 static int
 fill_turns(Context *c, Turn *turns, const int *stride, const int *order,
-           const uint16_t *rmul)
+           const uint16_t *mul)
 {
     int n = c->n;
     for (int e = 0; e < n; e++) {
@@ -349,7 +408,7 @@ fill_turns(Context *c, Turn *turns, const int *stride, const int *order,
     }
     for (int e = 0; e < n; e++)
         for (int r = 0; r < n; r++)
-            if (rotate(c, 1ULL << r, e) != 1ULL << rmul[e * n + r]) {
+            if (rotate(c, 1ULL << r, e) != 1ULL << mul[e * n + r]) {
                 PyErr_SetString(PyExc_ValueError,
                                 "radix does not match the product table");
                 return -1;
@@ -414,7 +473,8 @@ build_context(PyObject *self, PyObject *args, PyObject *kwargs)
     c->tables = rows ? tables : NULL;
     c->rmul = words == 1 ? NULL : rmul;
     c->inv = inverse;
-    if (read_int16(&mul, (Py_ssize_t)n * n, n, 1, rmul, "mul_flat") < 0
+    /* r*e = e*r on an abelian group, so rmul is the table as it is */
+    if (read_int16(&mul, (Py_ssize_t)n * n, n, !abelian, rmul, "mul_flat") < 0
             || read_int16(&inv, n, n, 0, inverse, "inv") < 0)
         goto done;
     if (turning && fill_turns(c, turns, stride, order, rmul) < 0)
@@ -670,8 +730,11 @@ typedef struct {
     uint64_t *down, *fixed;
     int *alive;
     int nalive[MAX_ORDER + 1];
-    /* The failure memo, NULL unless mode max runs on an abelian context:
-     * MEMO_SLOTS entries of memo_size(words) bytes (see MemoEntry). */
+    /* The failure memo, kept when memoize is set (mode max on an abelian
+     * context): MEMO_SLOTS entries of memo_size(words) bytes (see
+     * MemoEntry), allocated at the first store, so NULL until then, and a
+     * lookup before it misses. */
+    int memoize;
     char *memo;
     int root;                   /* the root being walked */
     PyObject *found;
@@ -705,6 +768,7 @@ search_new(const Context *c, long long state_cap, int slots)
     s->nmaps = s->nalive[0] = 0;
     s->down = s->fixed = NULL;
     s->alive = NULL;
+    s->memoize = 0;
     s->memo = NULL;
     size_t words = (size_t)slots * c->words;
     s->reach = PyMem_Calloc(2 * words, sizeof(uint64_t));
@@ -809,15 +873,24 @@ memo_covers(const Search *s, const uint64_t *set, int e, int depth, int W)
     return 1;
 }
 
-/* Record a node whose whole subtree was walked, over its slot's entry. */
-ALWAYS_INLINE void
+/* Record a node whose whole subtree was walked, over its slot's entry;
+ * the first store allocates the memo.  Returns VISIT_OK or VISIT_ERROR. */
+ALWAYS_INLINE int
 memo_store(Search *s, const uint64_t *set, int e, int depth, int W)
 {
+    if (s->memo == NULL) {
+        s->memo = PyMem_Calloc(MEMO_SLOTS, memo_size(W));
+        if (s->memo == NULL) {
+            PyErr_NoMemory();
+            return VISIT_ERROR;
+        }
+    }
     MemoEntry *m = memo_entry(s, set, W);
     m->root = (uint16_t)s->root;
     m->last = (uint16_t)e;
     m->depth = (uint16_t)depth;
     memcpy(m->set, set, W * sizeof *set);
+    return VISIT_OK;
 }
 
 static int expand1(Search *s, int e, uint64_t carried, int length);
@@ -934,8 +1007,8 @@ expand(Search *s, int e, const uint64_t *carried, int length, int W)
             keep_fixing(s, f, length + 1);
             rc = W == 1 ? expand1(s, f, child1, length + 1)
                         : expandw(s, f, length + 1);
-            if (rc == VISIT_OK && s->memo)
-                memo_store(s, child, f, length + 1, W);
+            if (rc == VISIT_OK && s->memoize)
+                rc = memo_store(s, child, f, length + 1, W);
         }
     }
     if (!c->abelian)
@@ -1128,13 +1201,7 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
     PyObject *witness = Py_NewRef(Py_None), *result = NULL;
     if (s->found == NULL || read_maps(s, maps_obj) < 0)
         goto done;
-    if (s->mode == MODE_MAX && c->abelian) {
-        s->memo = PyMem_Calloc(MEMO_SLOTS, memo_size(c->words));
-        if (s->memo == NULL) {
-            PyErr_NoMemory();
-            goto done;
-        }
-    }
+    s->memoize = s->mode == MODE_MAX && c->abelian;
 
     for (int i = 0; i < nroots; i++) {
         int root = roots[i];

@@ -14,7 +14,6 @@ Records written before the field existed count as version 1.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -47,6 +46,9 @@ CacheRecord = namedtuple("CacheRecord", [
 
 
 def payload_hash(payload: dict) -> str:
+    # imported here, where a cache read or write needs it: hashlib loads
+    # OpenSSL, which costs start-up time
+    import hashlib
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -11,7 +11,6 @@ the traceback goes to the ``zerosum.cli`` logger at debug level).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -461,6 +460,7 @@ def cmd_report(args) -> int:
         _emit({"schema_version": SCHEMA_VERSION, "rows": rows})
         return EXIT_OK
     if args.format == "csv":
+        import csv      # imported here, the one place that writes CSV
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_HEADER)
         writer.writeheader()

@@ -15,8 +15,10 @@ for D, Q and M, that presentation; the order, the element names and the
 generator letters follow from them.  The Cayley table is written
 blockwise into one flat ``array('h')``: each row is a few slices of
 "doubled cosets", runs of consecutive indices written out twice so that a
-cyclic shift of a run is one contiguous slice.  The table is then verified
-exactly at every order from its entries alone (``Group._verify``): identity,
+cyclic shift of a run is one contiguous slice; a row of a product of
+cyclic factors is one such slice or one gather of blocks.  The table is
+then verified exactly at every order from its entries alone
+(``Group._verify``): identity,
 generation by the basis generators, associativity (Light's test, row by
 runs of consecutive indices; for products of several cyclic factors, a
 direct product of two verified tables), the defining relations and
@@ -277,24 +279,52 @@ def _split(ns) -> int:
 def _product_table(ns) -> array:
     """The table of C_ns[0] x C_ns[1] x ... (factors > 1; mixed radix, the
     first factor most significant) as A x B, cut by :func:`_split`: row
-    (i1, j1) is the blocks c * |B| + row j1 of B for c along row i1 of A."""
+    (i1, j1) is the blocks c * |B| + row j1 of B for c along row i1 of A,
+    gathered a row at a time (:func:`_product_rows`) into the one array."""
     if len(ns) < 2:
         n = ns[0] if ns else 1
         run = _doubled(0, n)
         return _write(n, (run[a:a + n] for a in range(n)))
     p = _split(ns)
     a, b = math.prod(ns[:p]), math.prod(ns[p:])
-    a_tab = _product_table(ns[:p])
     if len(ns) - p == 1:
-        rows = [[run[j:j + b] for j in range(b)]
-                for run in (_doubled(c * b, b) for c in range(a))]
+        runs = [_doubled(c * b, b) for c in range(a)]
+        cols = [[run[j:j + b] for run in runs] for j in range(b)]
     else:
         b_tab = _product_table(ns[p:])
-        rows = [[off[j * b:(j + 1) * b] for j in range(b)]
-                for off in (memoryview(array("h", [v + c * b for v in b_tab]))
-                            for c in range(a))]
-    return _write(a * b, (rows[c][j1] for i1 in range(a) for j1 in range(b)
-                          for c in a_tab[i1 * a:(i1 + 1) * a]))
+        offs = [memoryview(array("h", [v + c * b for v in b_tab]))
+                for c in range(a)]
+        cols = [[off[j * b:(j + 1) * b] for off in offs] for j in range(b)]
+    flat = array("h", [0]) * (a * b) ** 2
+    out, w = memoryview(flat).cast("B"), 2 * a * b
+    for x, row in _product_rows(_product_table(ns[:p]), cols):
+        out[x * w:(x + 1) * w] = row
+    return flat
+
+
+def _product_rows(a_tab, cols):
+    """The rows of a table of A x B in which row (i1, j1) is the join of the
+    blocks cols[j1][c] for c along row i1 of A (``a_tab``, flat, of order
+    a = len(cols[j1])), as (index, bytes) pairs, j1 outermost; row
+    (i1, j1) has index i1 * b + j1, b = len(cols).
+
+    Each row is one operation, not one per block: a gather of cols[j1] or,
+    where row i1 of A is 0 .. a-1 rotated left by i1 (every row of a
+    cyclic A; row 0 of any), a slice of cols[j1] joined and written out
+    twice."""
+    a, b = len(cols[0]), len(cols)
+    ring = array("h", range(a)) * 2
+    gathers = []
+    for i in range(a):
+        row = a_tab[i * a:(i + 1) * a]
+        gathers.append(None if row == ring[i:i + a] else _getter(row))
+    for j1, col in enumerate(cols):
+        doubled = b"".join(col) * 2
+        w, step = len(doubled) // 2, len(doubled) // (2 * a)
+        for i1, gather in enumerate(gathers):
+            row = (doubled[i1 * step:i1 * step + w] if gather is None
+                   else b"".join(gather(col)))
+            yield i1 * b + j1, row
 
 
 def _fill(spec: GroupSpec) -> array:
@@ -384,7 +414,9 @@ def _check_product(raw: memoryview, vals: memoryview, ns):
     1. first blocks: T[(i1, j1), (0, j2)] = i1 b + B[j1, j2];
     2. every block: T[(i1, j1), (i2, j2)] = T[(A[i1, i2], j1), (0, j2)],
        so row (i1, j1) is the join of the first blocks of the rows
-       (c, j1), c along row i1 of A.
+       (c, j1), c along row i1 of A; each row is built in one gather, or
+       one slice where row i1 of A is a rotation (:func:`_product_rows`),
+       and compared whole.
 
     Together, T[(i1, j1), (i2, j2)] = A[i1, i2] b + B[j1, j2]: T is the
     table of A x B, which is associative with identity (0, 0) = 0 because
@@ -413,10 +445,8 @@ def _check_product(raw: memoryview, vals: memoryview, ns):
     first = [raw[x * w:x * w + 2 * b] for x in range(n)]
     if b"".join(first) != want:
         raise GroupError("the table is not the direct product of its factors")
-    for x in range(n):
-        i1, j1 = divmod(x, b)
-        if b"".join([first[c * b + j1] for c in a_tab[i1 * a:(i1 + 1) * a]]) \
-                != raw[x * w:(x + 1) * w].tobytes():
+    for x, row in _product_rows(a_tab, [first[j1::b] for j1 in range(b)]):
+        if row != raw[x * w:(x + 1) * w].tobytes():
             raise GroupError("the table is not the direct product of its factors")
 
 

@@ -21,6 +21,7 @@ from zerosum.groups import (
     GroupSpec,
     _basis,
     _candidate_maps,
+    _fill,
     _inverses_and_orders,
     automorphisms,
     build_group,
@@ -165,9 +166,10 @@ def test_verify_rejects_a_row_or_column_that_is_not_a_permutation():
 
 def test_group_build_peak_stays_near_the_table():
     """The table is written into one int16 array in place, and Light's
-    test and the inverses read it a row or a column at a time, never as
-    n * n Python ints or a second copy; up to the table limit."""
-    for spec in ("C:1024", "C:4096"):
+    test, the direct-product check and the inverses read it a row or a
+    column at a time, never as n * n Python ints or a second copy; up to
+    the table limit."""
+    for spec in ("C:1024", "C:4096", "CxC:64,64"):
         tracemalloc.start()
         try:
             g = build_group(spec)
@@ -254,6 +256,44 @@ def test_product_check_rejects_the_table_of_another_group(spec, wrong):
     product of CxC:2,2 with C:4, which fails as the low factor CxC:2,2."""
     with pytest.raises(GroupError, match="direct product"):
         Group._verify(_fake_group(spec, np.asarray(grp(wrong).table)))
+
+
+def _addition_table(ns) -> np.ndarray:
+    """The table of C_ns[0] x C_ns[1] x ..., mixed radix with the first
+    factor most significant, by digitwise addition."""
+    n = math.prod(ns)
+    table = np.zeros((n, n), dtype=np.int16)
+    for n_i, digit in zip(ns, np.unravel_index(np.arange(n), ns)):
+        digit = digit.astype(np.int16)
+        table *= n_i
+        table += (digit[:, None] + digit[None, :]) % n_i
+    return table
+
+
+@pytest.mark.parametrize("spec", ["CxC:32,32", "CxC:2,2,2,2,2,2", "CxC:3,4,5",
+                                  "CxC:64,64"])
+def test_fill_is_the_addition_table(spec):
+    """The table written a row at a time, cyclic high factor (slices of a
+    doubled row) or not (gathers), is digitwise addition."""
+    spec = parse_group_spec(spec)
+    n = spec.order
+    got = np.frombuffer(_fill(spec), dtype=np.int16).reshape(n, n)
+    assert np.array_equal(got, _addition_table(spec.params))
+
+
+@pytest.mark.parametrize("spec, row, cols", [
+    ("CxC:32,32", 37, (67, 69)), ("CxC:2,2,2,2,2,2", 29, (19, 21))])
+def test_product_check_rejects_a_swap_past_the_first_block(spec, row, cols):
+    """Two entries swapped inside block 2 of one row, away from the
+    generators' columns and the factor tables the check reads off: only
+    the every-block check sees it.  The high factor is C:32 (blocks of 32)
+    in CxC:32,32, whose rows are rotations, and CxC:2,2,2 (blocks of 8) in
+    CxC:2,2,2,2,2,2, whose row 3 is not."""
+    t = np.array(grp(spec).table)
+    c1, c2 = cols
+    t[row, c1], t[row, c2] = t[row, c2], t[row, c1]
+    with pytest.raises(GroupError, match="direct product"):
+        Group._verify(_fake_group(spec, t))
 
 
 @pytest.mark.parametrize("col", [3, 11])

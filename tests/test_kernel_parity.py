@@ -803,6 +803,43 @@ def test_radix_is_not_read_above_one_word():
         assert mask == 1 | 1 << 1 | 1 << 64, kern.LANE
 
 
+@pytest.mark.parametrize("spec", ["D:32", "D:100"])
+def test_bad_product_entry_is_refused_alike_copied_or_transposed(spec):
+    """The compiled context copies the product table as it is when a radix
+    is given (an abelian group) and transposes it, tile by tile, when not;
+    either way an entry out of range is refused with the message of the
+    first such entry in table order.  The bad entries sit in the last tile
+    (partial at D:100, order 200), and in the second case also one before
+    it, in the first tile row."""
+    g = grp(spec)
+    n = g.order
+    for bad in ({(n - 1, n - 2): n}, {(n - 1, n - 2): n, (5, n - 1): -3}):
+        table = array("h", g.table.tobytes())
+        for (r, c), v in bad.items():
+            table[r * n + c] = v
+        for radix in (None, ((1, n),)):
+            with pytest.raises(ValueError) as info:
+                _kernel.build_context(n, table, g.inv_table, g.identity, radix)
+            message = f"mul_flat entry {bad[min(bad)]} out of range"
+            assert str(info.value) == message, radix
+
+
+@pytest.mark.parametrize("spec", ["C:65", "M:31,5,2", "D:100"])
+def test_reachable_parity_at_orders_off_the_tile(spec):
+    """Orders 65, 155 and 200, not multiples of 32 or 64: the compiled
+    context copies C:65's table and transposes the others' with a partial
+    last tile.  Each element, with one more and the last element, reaches
+    the same set on both lanes."""
+    g = grp(spec)
+    n = g.order
+    for e in range(n):
+        elems, counts = engine._counts_of(GSequence.from_indices(
+            g, [e, (37 * e + 11) % n, n - 1]))
+        a, b = on_both(g, lambda k, c: k.reachable(c, elems, counts, 0,
+                                                   STATE_LIMIT))
+        assert a == b, (spec, e)
+
+
 def compiled_context_size(g):
     """Bytes the compiled context of ``g`` holds, and its peak while built."""
     tracemalloc.start()
@@ -1010,6 +1047,33 @@ def test_memo_budget_abort_parity():
             assert res == engine_max(g, _kernel, budget)[1], (spec, budget)
             assert res == memo_model(g, floor, budget, g.orbit_roots,
                                      engine._search_maps(g))[0], (spec, budget)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec, stores", [("C:5", False), ("C:30", False),
+                                          ("CxC:2,2,8", True)])
+def test_memo_is_allocated_at_its_first_store(spec, stores):
+    """The compiled max search allocates its memo (4096 slots of 16 bytes
+    at one word) when it first records a walked subtree, so a search that
+    never walks one to the end, as on C:5 and C:30, allocates no more than
+    an enumeration that stops at its first node."""
+    g = grp(spec)
+    ctx = engine._context(g, _kernel)
+    floor = _kernel.greedy(ctx, STATE_LIMIT)[0]
+    maps = engine._search_maps(g)
+    searched = traced_peak(lambda: _kernel.search(
+        ctx, "max", 0, floor, 10 ** 8, STATE_LIMIT, g.orbit_roots, maps))
+    stopped = traced_peak(lambda: _kernel.search(
+        ctx, "enum", floor, 0, 1, STATE_LIMIT, g.orbit_roots, maps))
+    assert (searched - stopped >= 4096 * 16) == stores, (searched, stopped)
 
 
 # Two-word groups, 5,000 nodes per root: the memo skips this often within

@@ -79,13 +79,14 @@ def test_commands_run_with_numpy_blocked(tmp_path, monkeypatch):
 
 def test_importing_the_package_loads_no_heavy_stdlib_modules():
     """No record generates its methods at import, no annotation needs
-    ``typing``, and the CLI imports ``logging`` only on its internal-error
-    path.  ``-S`` skips site-packages, whose ``.pth`` files may load such
-    modules on their own."""
+    ``typing``, the CLI imports ``logging`` only on its internal-error path
+    and ``csv`` only for ``report --format csv``, and the cache imports
+    ``hashlib`` only to hash a payload.  ``-S`` skips site-packages, whose
+    ``.pth`` files may load such modules on their own."""
     code = ("import sys, zerosum, zerosum.cli, zerosum.cache, "
             "zerosum.davenport, zerosum.extremal\n"
             "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', "
-            "'logging') if m in sys.modules))")
+            "'logging', 'hashlib', 'csv') if m in sys.modules))")
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           env={**os.environ, "PYTHONPATH": path},
