@@ -39,7 +39,7 @@ from .groups import (
     parse_group_spec,
     quaternion_names,
 )
-from .sequences import GSequence, SequenceError
+from .sequences import GSequence, SequenceError, items_text
 
 __version__ = "0.1.0"
 
@@ -68,6 +68,7 @@ __all__ = [
     "family_metacyclic",
     "has_product_in",
     "is_product1_free",
+    "items_text",
     "max_free_length",
     "oracle_reachable",
     "parse_group_spec",

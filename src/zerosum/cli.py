@@ -36,7 +36,7 @@ from .groups import (
     parse_group_spec,
     quaternion_names,
 )
-from .sequences import GSequence, SequenceError
+from .sequences import GSequence, SequenceError, items_text
 
 SCHEMA_VERSION = cache_mod.SCHEMA_VERSION
 
@@ -312,7 +312,7 @@ def cmd_extremal(args) -> int:
             "davenport": enum.davenport,
             "length": enum.length,
             "count": len(enum.sequences),
-            "sequences": [s.format(g) for s in enum.sequences],
+            "sequences": [items_text(g, s) for s in enum.sequences],
             "nodes": enum.nodes_expanded,
             "millis": round(enum.elapsed * 1000.0, 3),
         }

@@ -28,7 +28,7 @@ from . import engine
 from .davenport import DEFAULT_NODE_BUDGET
 from .engine import BudgetExhaustedError, is_product1_free
 from .groups import Group, GroupError, build_group
-from .sequences import GSequence
+from .sequences import GSequence, items_text
 
 VERDICT_EXACT = "exact-match"
 VERDICT_DISCREPANCY = "documented-discrepancy"
@@ -37,7 +37,8 @@ VERDICT_FAILURE = "failure"
 
 class CharacterizationFamily(namedtuple("CharacterizationFamily", [
         "name", "group", "sequences", "parameter_note"])):
-    """Finite generator of the multisets predicted for one group family."""
+    """Finite generator of the multisets predicted for one group family;
+    ``sequences`` holds them as sorted index tuples, in lexicographic order."""
 
     __slots__ = ()
 
@@ -88,8 +89,8 @@ ExtremalEnumeration = namedtuple("ExtremalEnumeration", [
 
 def enumerate_extremal(group: Group, *,
                        budget: int = DEFAULT_NODE_BUDGET) -> ExtremalEnumeration:
-    """All product-1-free multisets of the maximal length D(G) - 1, in
-    lexicographic order.
+    """All product-1-free multisets of the maximal length D(G) - 1, as
+    sorted index tuples in lexicographic order (text: ``items_text``).
 
     One collecting search finds the whole set
     (:func:`engine.extremal_search`).  The least one, the witness of D(G),
@@ -103,14 +104,14 @@ def enumerate_extremal(group: Group, *,
             f"of {group.key}: D({group.key}) unknown above length "
             f"{res['length']}",
             best_length=res["length"], nodes=res["nodes"])
-    seqs = tuple(GSequence(group.key, items) for items in res["found"])
-    if not is_product1_free(group, seqs[0]):
+    found = tuple(res["found"])
+    if not is_product1_free(group, GSequence(group.key, found[0])):
         raise RuntimeError(f"search returned a non-free witness for {group.key}")
     return ExtremalEnumeration(
         group_key=group.key,
         davenport=res["length"] + 1,
         length=res["length"],
-        sequences=seqs,
+        sequences=found,
         nodes_expanded=res["nodes"],
         elapsed=time.perf_counter() - t0,
     )
@@ -129,7 +130,7 @@ def family_cyclic(n: int, group: Group | None = None) -> CharacterizationFamily:
     if n < 2:
         raise GroupError("cyclic characterization requires n >= 2")
     group = group or build_group(f"C:{n}")
-    seqs = {GSequence(group.key, (t,) * (n - 1)) for t in _units(n)}
+    seqs = {(t,) * (n - 1) for t in _units(n)}
     return CharacterizationFamily(
         name="cyclic", group=group, sequences=tuple(sorted(seqs)),
         parameter_note=f"(g)^{n - 1} with gcd(g, {n}) = 1")
@@ -148,14 +149,14 @@ def _short_metacyclic_like(group: Group, h: int, note_prefix: str):
     for t in range(1, h):
         ok_for_some_nu = False
         for nu in range(h):
-            cand = GSequence(group.key, tuple(sorted((t, t, h + nu))))
-            if is_product1_free(group, cand):
+            cand = tuple(sorted((t, t, h + nu)))
+            if is_product1_free(group, GSequence(group.key, cand)):
                 seqs.add(cand)
                 ok_for_some_nu = True
         if ok_for_some_nu:
             resolved.append(t)
-    triple = GSequence(group.key, (h, h + 1, h + 2))  # (x, x*y, x*y^2)
-    if is_product1_free(group, triple):
+    triple = (h, h + 1, h + 2)  # (x, x*y, x*y^2)
+    if is_product1_free(group, GSequence(group.key, triple)):
         seqs.add(triple)
     note = (f"{note_prefix}: (y^t)^2 (x*y^nu), t in {resolved}, "
             f"nu in [0, {h - 1}]; plus (x, x*y, x*y^2)")
@@ -170,8 +171,7 @@ def family_dihedral(n: int, group: Group | None = None) -> CharacterizationFamil
     if n == 2:
         # D_4 is the Klein four-group: the three pairs of distinct non-identity
         # elements, written (x,y), (x*y,y), (x,x*y) in the generators.
-        seqs = {GSequence(group.key, (1, 2)), GSequence(group.key, (1, 3)),
-                GSequence(group.key, (2, 3))}
+        seqs = {(1, 2), (1, 3), (2, 3)}
         note = "pairs of distinct non-identity elements of the Klein four-group"
     elif n == 3:
         seqs, note = _short_metacyclic_like(group, n, "n = 3 clause")
@@ -179,7 +179,7 @@ def family_dihedral(n: int, group: Group | None = None) -> CharacterizationFamil
         seqs = set()
         for t in _units(n):
             for s in range(n):
-                seqs.add(GSequence(group.key, tuple(sorted((t,) * (n - 1) + (n + s,)))))
+                seqs.add(tuple(sorted((t,) * (n - 1) + (n + s,))))
         note = f"(y^t)^{n - 1} (x*y^s), gcd(t, {n}) = 1, s in [0, {n - 1}]"
     return CharacterizationFamily(name="dihedral", group=group,
                                   sequences=tuple(sorted(seqs)),
@@ -199,18 +199,17 @@ def family_dicyclic(n: int, group: Group | None = None) -> CharacterizationFamil
         for r in (1, 3):
             for s in range(4):
                 xs = h + s
-                seqs.add(GSequence(group.key, tuple(sorted((r, r, r, xs)))))
-                seqs.add(GSequence(group.key, tuple(sorted((r, xs, xs, xs)))))
+                seqs.add(tuple(sorted((r, r, r, xs))))
+                seqs.add(tuple(sorted((r, xs, xs, xs))))
                 xr = h + (r + s) % 4
-                seqs.add(GSequence(group.key, tuple(sorted((xs, xs, xs, xr)))))
+                seqs.add(tuple(sorted((xs, xs, xs, xr))))
         note = "n = 2 clause: r in Z_4^*, s in Z_4, three shapes"
     else:
         for t in range(1, n):
             if math.gcd(t, h) != 1:
                 continue
             for s in range(h):
-                seqs.add(GSequence(group.key,
-                                   tuple(sorted((t,) * (h - 1) + (h + s,)))))
+                seqs.add(tuple(sorted((t,) * (h - 1) + (h + s,))))
         note = (f"(y^t)^{h - 1} (x*y^s), 1 <= t <= {n - 1}, gcd(t, {h}) = 1, "
                 f"s in [0, {h - 1}]")
     return CharacterizationFamily(name="dicyclic", group=group,
@@ -231,7 +230,7 @@ def family_metacyclic(q: int, m: int, s: int,
             for i in _units(m):
                 for nus in nu_choices:
                     items = (t,) * (q - 1) + tuple(i * q + nu for nu in nus)
-                    seqs.add(GSequence(group.key, tuple(sorted(items))))
+                    seqs.add(tuple(sorted(items)))
         note = (f"(y^t)^{q - 1} (x^i y^nu_1 ... x^i y^nu_{m - 1}), "
                 f"t in [1, {q - 1}], gcd(i, {m}) = 1")
     return CharacterizationFamily(name="metacyclic", group=group,
@@ -271,12 +270,13 @@ def verify_theorem(group: Group, *,
     predicted = set(family.sequences)
 
     missing = sorted(predicted - enumerated)
-    stranded = [s for s in missing
-                if s.length == enum.length and is_product1_free(group, s)]
+    stranded = [items_text(group, s) for s in missing
+                if len(s) == enum.length
+                and is_product1_free(group, GSequence(group.key, s))]
     if stranded:
         raise RuntimeError(
             f"enumeration missed predicted free sequences: {stranded}")
-    missing_text = [s.format(group) for s in missing]
+    missing_text = [items_text(group, s) for s in missing]
     extra = sorted(enumerated - predicted)
     details = {
         "family": family.name,
@@ -291,7 +291,7 @@ def verify_theorem(group: Group, *,
         enumerated_count=len(enumerated),
         predicted_count=len(predicted),
         missing=tuple(missing_text),
-        extra=tuple(s.format(group) for s in extra),
+        extra=tuple(items_text(group, s) for s in extra),
         verdict=_verdict(missing, extra),
         details=details,
         nodes=enum.nodes_expanded,
@@ -391,7 +391,7 @@ def _cyclic_shape_instances(group: Group, n: int, length: int):
             for power, mult in shape:
                 items.extend([(power * g) % n] * mult)
             if len(items) == length and 0 not in items:
-                out.add(GSequence(group.key, tuple(sorted(items))))
+                out.add(tuple(sorted(items)))
     return out
 
 
@@ -422,24 +422,26 @@ def check_cyclic_structure(n: int, *,
                 f"budget exhausted enumerating C:{n} at length {length}",
                 best_length=length, nodes=nodes)
         nodes += enum["nodes"]
-        seqs = [GSequence(group.key, items) for items in enum["found"]]
+        seqs = enum["found"]
         length_counts[length] = len(seqs)
         bound = 2 * length - n + 1
         for seq in seqs:
-            if max(Counter(seq.items).values()) < bound:
+            if max(Counter(seq).values()) < bound:
                 violations.append(
-                    f"multiplicity < {bound} at length {length}: {seq.format(group)}")
+                    f"multiplicity < {bound} at length {length}: "
+                    f"{items_text(group, seq)}")
         if length in (n - 1, n - 2, n - 3):
             shape_lengths.append(length)
             allowed = _cyclic_shape_instances(group, n, length)
             enum_set = set(seqs)
             for seq in sorted(enum_set - allowed):
                 violations.append(
-                    f"unlisted shape at length {length}: {seq.format(group)}")
-            stranded = {s for s in allowed - enum_set if is_product1_free(group, s)}
+                    f"unlisted shape at length {length}: {items_text(group, seq)}")
+            stranded = [items_text(group, s) for s in sorted(allowed - enum_set)
+                        if is_product1_free(group, GSequence(group.key, s))]
             if stranded:
                 raise RuntimeError(
-                    f"enumeration missed predicted free sequences: {sorted(stranded)}")
+                    f"enumeration missed predicted free sequences: {stranded}")
     details = {
         "n": n,
         "lengths_checked": sorted(length_counts),
@@ -484,7 +486,7 @@ def _covered_abelian(group: Group) -> bool:
 
 def minimal_zero_sequences(group: Group, *, budget: int = DEFAULT_NODE_BUDGET):
     """All minimal zero sequences of length D(G) in a small abelian group,
-    in lexicographic order.
+    as sorted index tuples in lexicographic order.
 
     Minimal: the full product is 1 (order irrelevant, the group is abelian)
     and every proper nonempty sub-multiset is product-1-free.  Dropping one
@@ -508,17 +510,16 @@ def minimal_zero_sequences(group: Group, *, budget: int = DEFAULT_NODE_BUDGET):
     enum = enumerate_extremal(group, budget=budget)
     if group.order == 1:
         # D = 1 and the identity singleton is the unique minimal zero sequence
-        return enum, [GSequence(group.key, (group.identity,))]
+        return enum, [(group.identity,)]
     rows, inv = group.table.tolist(), group.inv_table
     minimal = []
-    for base in enum.sequences:
-        items = base.items
+    for items in enum.sequences:
         product = group.identity
         for a in items:
             product = rows[product][a]
         c = inv[product]
         if c >= items[-1]:
-            minimal.append(GSequence(group.key, items + (c,)))
+            minimal.append(items + (c,))
     return enum, minimal
 
 
@@ -532,10 +533,9 @@ def check_minimal_zero_sum_order(
     t0 = time.perf_counter()
     enum, minimal = minimal_zero_sequences(group, budget=budget)
     exponent = group.exponent
-    violations = [
-        seq.format(group) for seq in minimal
-        if max(group.element_orders[a] for a in seq.items) != exponent
-    ]
+    orders = group.element_orders
+    violations = [items_text(group, seq) for seq in minimal
+                  if max(orders[a] for a in seq) != exponent]
     details = {
         "davenport": enum.davenport,
         "exponent": exponent,

@@ -297,7 +297,7 @@ def _product_table(ns) -> array:
         cols = [[off[j * b:(j + 1) * b] for off in offs] for j in range(b)]
     flat = array("h", [0]) * (a * b) ** 2
     out, w = memoryview(flat).cast("B"), 2 * a * b
-    for x, row in _product_rows(_product_table(ns[:p]), cols):
+    for x, row in _product_rows(_product_table(ns[:p]) if p > 1 else None, cols):
         out[x * w:(x + 1) * w] = row
     return flat
 
@@ -305,19 +305,20 @@ def _product_table(ns) -> array:
 def _product_rows(a_tab, cols):
     """The rows of a table of A x B in which row (i1, j1) is the join of the
     blocks cols[j1][c] for c along row i1 of A (``a_tab``, flat, of order
-    a = len(cols[j1])), as (index, bytes) pairs, j1 outermost; row
-    (i1, j1) has index i1 * b + j1, b = len(cols).
+    a = len(cols[j1]), or None for the table of C_a), as (index, bytes)
+    pairs, j1 outermost; row (i1, j1) has index i1 * b + j1, b = len(cols).
 
     Each row is one operation, not one per block: a gather of cols[j1] or,
-    where row i1 of A is 0 .. a-1 rotated left by i1 (every row of a
-    cyclic A; row 0 of any), a slice of cols[j1] joined and written out
-    twice."""
+    where row i1 of A is 0 .. a-1 rotated left by i1 (every row of C_a;
+    row 0 of any A), a slice of cols[j1] joined and written out twice."""
     a, b = len(cols[0]), len(cols)
-    ring = array("h", range(a)) * 2
-    gathers = []
-    for i in range(a):
-        row = a_tab[i * a:(i + 1) * a]
-        gathers.append(None if row == ring[i:i + a] else _getter(row))
+    gathers = [None] * a
+    if a_tab is not None:
+        ring = array("h", range(a)) * 2
+        for i in range(a):
+            row = a_tab[i * a:(i + 1) * a]
+            if row != ring[i:i + a]:
+                gathers[i] = _getter(row)
     for j1, col in enumerate(cols):
         doubled = b"".join(col) * 2
         w, step = len(doubled) // 2, len(doubled) // (2 * a)
@@ -388,16 +389,11 @@ def _light_test(raw: memoryview, vals: memoryview, n: int, gens):
 
 def _check_factor(table, ns):
     """Check that ``table`` (flat int16) is associative with identity 0 as a
-    table of C_ns[0] x C_ns[1] x ...: Light's test for one factor, else
-    :func:`_check_product`."""
+    table of C_ns[0] x C_ns[1] x ..., two factors or more
+    (:func:`_check_product`)."""
     raw, vals = _views(table)
-    n = math.prod(ns)
-    _check_identity(vals, n)
-    if len(ns) > 1:
-        _check_product(raw, vals, ns)
-    else:
-        _check_generation(vals, n, [(1, n)], f"C:{n}")
-        _light_test(raw, vals, n, [1])
+    _check_identity(vals, math.prod(ns))
+    _check_product(raw, vals, ns)
 
 
 def _check_product(raw: memoryview, vals: memoryview, ns):
@@ -405,11 +401,12 @@ def _check_product(raw: memoryview, vals: memoryview, ns):
     associative with identity 0, so that it is one too.
 
     Cut the factors into A = ns[:p] (order a) and B = ns[p:] (order b) by
-    :func:`_split`, so index i*b + j stands for (i, j), and read the factor
-    tables off the table T itself: A[i1, i2] = T[i1 b, i2 b] // b, checked by
-    :func:`_check_factor`; B is the standard table of C_b when B is one
-    factor, else B[j1, j2] = T[j1, j2], checked by :func:`_check_factor`.
-    Then two checks by slice comparison:
+    :func:`_split`, so index i*b + j stands for (i, j).  A factor that is one
+    cyclic group is its standard table, C_a or C_b, a group table by
+    construction; one of several factors is read off the table T itself,
+    A[i1, i2] = T[i1 b, i2 b] // b or B[j1, j2] = T[j1, j2], and checked
+    by :func:`_check_factor`, which recurses until every factor is one
+    cyclic group.  Then two checks by slice comparison:
 
     1. first blocks: T[(i1, j1), (0, j2)] = i1 b + B[j1, j2];
     2. every block: T[(i1, j1), (i2, j2)] = T[(A[i1, i2], j1), (0, j2)],
@@ -421,16 +418,19 @@ def _check_product(raw: memoryview, vals: memoryview, ns):
     Together, T[(i1, j1), (i2, j2)] = A[i1, i2] b + B[j1, j2]: T is the
     table of A x B, which is associative with identity (0, 0) = 0 because
     A and B are (componentwise).  Its entries are in range because A's and
-    B's are.  The work is order * (a + b) entries, where Light's test over
-    the generators of many small factors gathers rows of up to order runs.
+    B's are.  The work is order * (a + b) entries, plus a * a to read off
+    an A of several factors, where Light's test over the generators of many
+    small factors gathers rows of up to order runs.
     """
     p = _split(ns)
     a, b = math.prod(ns[:p]), math.prod(ns[p:])
     n, w = a * b, 2 * a * b
-    a_tab = array("h")
-    for i1 in range(a):
-        a_tab.extend(v // b for v in vals[i1 * b * n:(i1 * b + 1) * n:b].tolist())
-    _check_factor(a_tab, ns[:p])
+    a_tab = None
+    if p > 1:
+        a_tab = array("h")
+        for i1 in range(a):
+            a_tab.extend(v // b for v in vals[i1 * b * n:(i1 * b + 1) * n:b].tolist())
+        _check_factor(a_tab, ns[:p])
     if len(ns) - p == 1:
         # c b + row j of C_b is the run c b .. c b + b - 1 of row 0 (the
         # identity's, already checked) rotated left by j.

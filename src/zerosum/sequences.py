@@ -6,12 +6,15 @@ the normal form is the sorted tuple of element indices, and two sequences are
 equal exactly when their normal forms are.
 
 Text format: comma-separated element words in brackets, e.g. ``[y, y, x*y^2]``.
-Whitespace is ignored; ``[]`` is the empty sequence.
+Whitespace is ignored; ``[]`` is the empty sequence.  :func:`items_text`
+writes it from a sorted index tuple, the form extremal sets are kept in;
+``GSequence.format`` calls it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 
 from .groups import Frozen, Group
 
@@ -20,7 +23,14 @@ class SequenceError(ValueError):
     """Malformed sequence text or an invalid sequence operation."""
 
 
-# Bound once: GSequence.__init__ runs once per multiset an enumeration returns.
+def items_text(group: Group, items: Iterable[int]) -> str:
+    """The text of the multiset of ``group`` elements at indices ``items``,
+    in the order given."""
+    names = group.names
+    return "[" + ", ".join([names[a] for a in items]) + "]"
+
+
+# Bound once: GSequence.__init__ runs once per multiset parsed or re-checked.
 _set = object.__setattr__
 
 
@@ -95,7 +105,7 @@ class GSequence(Frozen):
 
     def format(self, group: Group) -> str:
         self._check_group(group)
-        return "[" + ", ".join(group.names[a] for a in self.items) + "]"
+        return items_text(group, self.items)
 
     def _check_group(self, group: Group):
         if group.key != self.group_key:

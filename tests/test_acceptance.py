@@ -25,7 +25,7 @@ from zerosum.extremal import (
     verify_theorem,
 )
 from zerosum.groups import build_group
-from zerosum.sequences import GSequence
+from zerosum.sequences import GSequence, items_text
 
 from conftest import grp
 
@@ -100,7 +100,7 @@ def test_criterion_3_dicyclic_inverse_theorem():
         else:
             h = 2 * n
             mirrored = {
-                GSequence(g.key, tuple(sorted((h - t,) * (h - 1) + (h + s,)))).format(g)
+                items_text(g, sorted((h - t,) * (h - 1) + (h + s,)))
                 for t in range(1, n) if math.gcd(t, h) == 1
                 for s in range(h)
             }

@@ -11,6 +11,7 @@ import pytest
 import zerosum.engine as engine
 import zerosum.extremal as extremal
 from zerosum import _pykernel
+from zerosum.davenport import DEFAULT_NODE_BUDGET
 from zerosum.engine import STATE_LIMIT, BudgetExhaustedError, is_product1_free
 from zerosum.extremal import (
     VERDICT_DISCREPANCY,
@@ -32,7 +33,7 @@ from zerosum.extremal import (
     verify_theorem,
 )
 from zerosum.groups import CLOSURE_LIMIT, GroupError, orbit_closure
-from zerosum.sequences import GSequence
+from zerosum.sequences import GSequence, items_text
 
 from conftest import grp
 
@@ -41,19 +42,19 @@ def test_enumerate_extremal_cyclic():
     g = grp("C:5")
     enum = enumerate_extremal(g)
     assert enum.davenport == 5
-    assert {s.items for s in enum.sequences} == {(t,) * 4 for t in range(1, 5)}
+    assert set(enum.sequences) == {(t,) * 4 for t in range(1, 5)}
 
 
 def test_enumerate_extremal_klein_and_d8():
     d4 = grp("D:2")
     enum = enumerate_extremal(d4)
-    assert {s.items for s in enum.sequences} == {(1, 2), (1, 3), (2, 3)}
+    assert set(enum.sequences) == {(1, 2), (1, 3), (2, 3)}
     d8 = grp("D:4")
     enum8 = enumerate_extremal(d8)
     # (y^t)^3 (x y^s) with t in {1, 3}, s in Z_4: phi(4) * 4 = 8 sequences
     assert len(enum8.sequences) == 8
     expected = {tuple(sorted((t,) * 3 + (4 + s,))) for t in (1, 3) for s in range(4)}
-    assert {s.items for s in enum8.sequences} == expected
+    assert set(enum8.sequences) == expected
 
 
 # The groups of the verify targets.  D:2 and Q:2 have finer roots than
@@ -79,7 +80,7 @@ def test_closure_equals_every_root_enumeration(spec):
     every = kern.search(engine._context(g, kern), "enum", enum.length, 0,
                         10 ** 9, STATE_LIMIT)
     assert every["complete"]
-    assert [s.items for s in enum.sequences] == every["found"]
+    assert list(enum.sequences) == every["found"]
 
 
 @pytest.mark.parametrize("spec", VERIFY_SPECS + ["CxC:2,2,2,2", "C:12"])
@@ -89,13 +90,36 @@ def test_extremal_set_is_free_and_closed_under_symmetries(spec):
     closed under S -> S^-1 and under every kept automorphism."""
     g = grp(spec)
     enum = enumerate_extremal(g)
-    found = {s.items for s in enum.sequences}
+    found = set(enum.sequences)
     for s in enum.sequences:
-        assert s.length == enum.davenport - 1 and is_product1_free(g, s)
+        assert len(s) == enum.davenport - 1
+        assert is_product1_free(g, GSequence(g.key, s))
     rows = np.array(sorted(found))
     for image in (np.asarray(g.inv_table)[rows],
                   *(np.asarray(m)[rows] for m in g.automorphism_maps)):
         assert {tuple(r) for r in np.sort(image, axis=1).tolist()} == found
+
+
+# Orbit roots closed under Aut(G) (D:6, Q:4, M:5,4,2, which closes 30
+# collected multisets into 280) and every root (CxC:2,2,2,2,2, 83,328 sets).
+TUPLE_SPECS = ["D:6", "Q:4", "M:5,4,2", "CxC:2,2,2,2,2"]
+
+
+@pytest.mark.parametrize("lane", ["1", "0"])  # ZEROSUM_PURE_KERNEL
+@pytest.mark.parametrize("spec", TUPLE_SPECS)
+def test_extremal_sets_are_the_searchs_index_tuples(spec, lane, monkeypatch):
+    """The enumeration hands on what the collecting search found, as sorted
+    tuples of element indices, on either lane; ``items_text`` writes each
+    as its ``GSequence`` would."""
+    monkeypatch.setenv("ZEROSUM_PURE_KERNEL", lane)
+    g = grp(spec)
+    enum = enumerate_extremal(g)
+    found = engine.extremal_search(g, budget=DEFAULT_NODE_BUDGET)["found"]
+    assert enum.sequences == tuple(found)
+    for s in enum.sequences:
+        assert type(s) is tuple and all(type(a) is int for a in s)
+        assert list(s) == sorted(s)
+        assert items_text(g, s) == GSequence(g.key, s).format(g)
 
 
 def test_cyclic_group_beyond_closure_limit_keeps_its_orbit_roots():
@@ -106,7 +130,7 @@ def test_cyclic_group_beyond_closure_limit_keeps_its_orbit_roots():
     g = grp("C:257")
     assert g.closure_maps is None and g.orbit_roots == (1,)
     enum = enumerate_extremal(g)
-    assert [s.items for s in enum.sequences] == [(u,) * 256 for u in range(1, 257)]
+    assert list(enum.sequences) == [(u,) * 256 for u in range(1, 257)]
     assert enum.nodes_expanded == 32_897
 
 
@@ -129,7 +153,7 @@ def test_orbit_closure_of_nothing_and_of_the_empty_multiset():
     g = grp("C:1")
     assert orbit_closure(g, []) == []
     assert orbit_closure(g, [(), ()]) == [()]
-    assert [s.items for s in enumerate_extremal(g).sequences] == [()]
+    assert enumerate_extremal(g).sequences == ((),)
 
 
 def test_extremal_budget_exhaustion_carries_the_best_length():
@@ -159,7 +183,7 @@ def test_dihedral3_resolved_t_range():
     # the published clause says t in {2, 3}, but y^3 = 1 in D_6; the engine
     # resolves the intended range to {1, 2}
     assert "t in [1, 2]" in fam.parameter_note
-    doubles = {s.items[0] for s in fam.sequences if s.items[0] == s.items[1]}
+    doubles = {s[0] for s in fam.sequences if s[0] == s[1]}
     assert doubles == {1, 2}
 
 
@@ -175,8 +199,8 @@ def test_family_soundness(maker, args):
     g = fam.group
     enum = enumerate_extremal(g)
     for s in fam.sequences:
-        assert s.length == enum.length
-        assert is_product1_free(g, s)
+        assert len(s) == enum.length
+        assert is_product1_free(g, GSequence(g.key, s))
     assert len(set(fam.sequences)) == len(fam.sequences)
 
 
@@ -197,7 +221,7 @@ def test_verify_theorem_dicyclic_inverse_parameter_extras():
         assert rep.missing == ()
         h = 2 * n
         mirrored = {
-            GSequence(g.key, tuple(sorted((h - t,) * (h - 1) + (h + s,)))).format(g)
+            items_text(g, sorted((h - t,) * (h - 1) + (h + s,)))
             for t in range(1, n) if math.gcd(t, h) == 1
             for s in range(h)
         }
@@ -212,7 +236,7 @@ def test_characterization_family_is_a_named_tuple():
     g = grp("C:5")
     assert fam == CharacterizationFamily(
         name="cyclic", group=g,
-        sequences=tuple(GSequence("C:5", (t,) * 4) for t in range(1, 5)),
+        sequences=tuple((t,) * 4 for t in range(1, 5)),
         parameter_note="(g)^4 with gcd(g, 5) = 1")
     assert fam._replace(sequences=()) == ("cyclic", g, (), fam.parameter_note)
     with pytest.raises(AttributeError):
@@ -244,8 +268,7 @@ def test_extremal_enumeration_is_a_named_tuple():
         "elapsed")
     assert ExtremalEnumeration._field_defaults == {}
     enum = enumerate_extremal(grp("C:3"))
-    assert enum[:4] == ("C:3", 3, 2, (GSequence("C:3", (1, 1)),
-                                       GSequence("C:3", (2, 2))))
+    assert enum[:4] == ("C:3", 3, 2, ((1, 1), (2, 2)))
     assert ExtremalEnumeration(**enum._asdict()) == enum
     assert enum._replace(elapsed=0.0).elapsed == 0.0
     with pytest.raises(AttributeError):
@@ -270,8 +293,8 @@ def test_verify_theorem_reports_wrong_predictions(monkeypatch):
     """A prediction of the right length that is not free (y^5 = 1 in D_10)
     and a free one of the wrong length are both missing and not free."""
     g = grp("D:5")
-    not_free = GSequence(g.key, (1,) * 5)
-    too_short = GSequence(g.key, (1,) * 4)
+    not_free = (1,) * 5
+    too_short = (1,) * 4
     real = extremal.family_for
 
     def padded(group):
@@ -282,7 +305,7 @@ def test_verify_theorem_reports_wrong_predictions(monkeypatch):
     monkeypatch.setattr(extremal, "family_for", padded)
     rep = verify_theorem(g)
     assert rep.verdict == VERDICT_FAILURE
-    expected = [too_short.format(g), not_free.format(g)]
+    expected = [items_text(g, too_short), items_text(g, not_free)]
     assert list(rep.missing) == rep.details["predicted_not_free"] == expected
 
 
@@ -299,7 +322,7 @@ def test_verify_theorem_rechecks_only_the_witness(monkeypatch):
     calls.clear()
     rep = verify_theorem(grp("M:7,3,2"))
     assert rep.verdict == VERDICT_EXACT
-    assert calls == [enum.sequences[0]]
+    assert [seq.items for seq in calls] == [enum.sequences[0]]
 
 
 def test_verify_theorem_unsupported_group():
@@ -314,7 +337,7 @@ def test_q8_extremal_in_quaternion_names():
     g = grp("Q:2")
     names = quaternion_names(g)
     enum = enumerate_extremal(g)
-    got = {tuple(sorted(names[a] for a in s.items)) for s in enum.sequences}
+    got = {tuple(sorted(names[a] for a in s)) for s in enum.sequences}
     units = ["i", "-i", "j", "-j", "k", "-k"]
     expected = set()
     for w in units:
@@ -382,7 +405,7 @@ def test_cyclic_structure_n10_top_lengths():
 def test_minimal_zero_sequences_examples():
     g = grp("CxC:2,2")
     _, minimal = minimal_zero_sequences(g)
-    assert [s.items for s in minimal] == [(1, 2, 3)]
+    assert minimal == [(1, 2, 3)]
     rep = check_minimal_zero_sum_order(g)
     assert rep.verdict == VERDICT_EXACT
     assert rep.details["minimal_zero_count"] == 1
@@ -407,14 +430,14 @@ def _minimal_zero_brute_force(group, enum):
     out = set()
     for base in enum.sequences:
         for e in range(1, group.order):
-            items = tuple(sorted(base.items + (e,)))
+            items = tuple(sorted(base + (e,)))
             prod = group.identity
             for a in items:
                 prod = group.mul(prod, a)
             if prod == group.identity and all(
                     is_product1_free(group, GSequence(group.key, items[:i] + items[i + 1:]))
                     for i in range(len(items))):
-                out.add(GSequence(group.key, items))
+                out.add(items)
     return sorted(out)
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from zerosum.davenport import known_constant_roster
 import zerosum.engine as engine
+import zerosum.groups as groups
 from zerosum.engine import STATE_LIMIT
 from zerosum.groups import (
     Group,
@@ -282,13 +283,15 @@ def test_fill_is_the_addition_table(spec):
 
 
 @pytest.mark.parametrize("spec, row, cols", [
-    ("CxC:32,32", 37, (67, 69)), ("CxC:2,2,2,2,2,2", 29, (19, 21))])
+    ("CxC:32,32", 37, (67, 69)), ("CxC:2,2,2,2,2,2", 29, (19, 21)),
+    ("CxC:64,2", 37, (10, 11)), ("CxC:2048,2", 37, (10, 11))])
 def test_product_check_rejects_a_swap_past_the_first_block(spec, row, cols):
-    """Two entries swapped inside block 2 of one row, away from the
-    generators' columns and the factor tables the check reads off: only
-    the every-block check sees it.  The high factor is C:32 (blocks of 32)
-    in CxC:32,32, whose rows are rotations, and CxC:2,2,2 (blocks of 8) in
-    CxC:2,2,2,2,2,2, whose row 3 is not."""
+    """Two entries swapped inside block 2 (block 5 on CxC:n,2) of one row,
+    away from the generators' columns and the factor tables the check reads
+    off: only the every-block check sees it.  The high factor is C:32
+    (blocks of 32) in CxC:32,32 and C:n (blocks of 2) in CxC:n,2, the table
+    of C_n by construction, not read off the table, and CxC:2,2,2 (blocks
+    of 8) in CxC:2,2,2,2,2,2, whose row 3 is not a rotation."""
     t = np.array(grp(spec).table)
     c1, c2 = cols
     t[row, c1], t[row, c2] = t[row, c2], t[row, c1]
@@ -320,15 +323,24 @@ def test_an_element_without_inverse_is_refused():
         _inverses_and_orders(array("h", t.tobytes()), 2, ("1", "y"))
 
 
-def test_product_check_verifies_its_factors():
-    """The direct product of a loop of order 16 (C:16 with one intercalate
-    swap, its generator's column kept) with C:2 is exactly the product
-    table of its factors, so only the check of the factor itself fails."""
-    loop = _swapped_cyclic_table(16, [7]).astype(np.int64)
+def test_product_check_verifies_its_factors(monkeypatch):
+    """CxC:2,8,2 is cut into the high factor CxC:2,8, read off the table,
+    and C:2.  The direct product of a loop of order 16 (the table of
+    CxC:2,8 with one intercalate swap, the generators' columns 1 and 8
+    kept) with C:2 is exactly the product table of its factors, so only the
+    check of the factor itself fails: with that check switched off, the
+    table passes."""
+    loop = _addition_table((2, 8)).astype(np.int64)
+    for r in (2, 6):
+        loop[r, 3], loop[r, 7] = loop[r, 7], loop[r, 3]
+    assert not np.array_equal(loop[loop, :], loop[:, loop])
     j = np.arange(2)
     t = loop[:, None, :, None] * 2 + (j[:, None] + j[None, :])[None, :, None, :] % 2
-    with pytest.raises(GroupError, match="associativity"):
-        Group._verify(_fake_group("CxC:16,2", t.reshape(32, 32).astype(np.int16)))
+    table = t.reshape(32, 32).astype(np.int16)
+    with pytest.raises(GroupError, match="direct product"):
+        Group._verify(_fake_group("CxC:2,8,2", table))
+    monkeypatch.setattr(groups, "_check_factor", lambda table, ns: None)
+    groups._check_product(*groups._views(table), [2, 8, 2])
 
 
 @pytest.mark.parametrize("spec, wrong", [("D:4", "Q:2"), ("Q:2", "D:4"),
