@@ -11,27 +11,24 @@
  * A bitset is an array of words = (n + 63) / 64 64-bit words; element index
  * i is bit i % 64 of word i / 64.
  *
- * translate(mask, e) = { r*e : r in mask }.  A group is abelian exactly
- * when its context is built with the (stride, order) pairs of its cyclic
- * factors (radix).  At one word (n <= 64) an abelian translate turns each
- * factor by two masked shifts, with no table: digit d of e moves the bits
- * whose digit is below order - d up by d * stride and wraps the rest down
- * by (order - d) * stride.  build_context checks the turns against every
- * entry of the product table.  Non-abelian one-word groups apply translate
- * byte by byte through per-element tables, and one extra table row maps a
- * set to the set of its inverses.  Byte tables for more words would take
- * (n + 1) * n/8 * 256 * words * 8 bytes (4.3 GB at n = 1024), so larger
- * groups walk the set bits instead, through rmul[e*n + r] = r*e and the
- * inverse table.  On an abelian group r*e = e*r, so rmul is the product
- * table as it is, copied and range-checked; otherwise it is the transposed
- * table, written in tiles.  This adds no trust: the kernel already takes a
- * given radix to mean an abelian group (the inverse set F below and the
- * one-bitset reachable rely on it), and the engine passes one only when
- * groups.Group.is_abelian, read off the verified generators, holds.  The
- * byte tables stay for non-abelian groups of one word because the bit walk
- * doubles the roster benchmark's run_s (0.23 -> 0.49 s, 2-vCPU Xeon).  The
- * DFS is written once over the word count and the compiler specializes it
- * for one word.
+ * translate(mask, e) = { e*r : r in mask }, row e of the product table.  A
+ * group is abelian exactly when its context is built with the (stride,
+ * order) pairs of its cyclic factors (radix); the kernel takes a radix to
+ * mean an abelian group (the one-bitset extend and the failure memo rely on
+ * it), and the engine passes one only when groups.Group.is_abelian, read off
+ * the verified generators, holds.  At one word (n <= 64) an abelian
+ * translate turns each factor by two masked shifts, with no table: digit d
+ * of e moves the bits whose digit is below order - d up by d * stride and
+ * wraps the rest down by (order - d) * stride.  build_context checks the
+ * turns against every entry of the product table.  Non-abelian one-word
+ * groups apply translate byte by byte through per-element tables.  Byte
+ * tables for more words would take n * n/8 * 256 * words * 8 bytes (4.3 GB
+ * at n = 1024), so larger groups walk the set bits instead, through the
+ * product table as it is (mul[e*n + r] = e*r), copied and range-checked.
+ * The byte tables stay for non-abelian groups of one word because the bit
+ * walk doubles the roster benchmark's run_s (0.23 -> 0.49 s, 2-vCPU Xeon).
+ * The DFS is written once over the word count and the compiler specializes
+ * it for one word.
  *
  * A node's children are visited in its own loop (expand): enter counts each
  * child, checks the budget, extends the carried set, updates the best length
@@ -44,18 +41,22 @@
  * into libgcc.
  *
  * The feasibility test of a search, "inv(f) not reachable", needs the
- * inverse of the reach set.  On abelian groups search and greedy carry that
- * inverse set F instead of the reach set: it is the reach set of the path's
- * inverses, so appending e to the path extends F by e^-1, and the feasible
- * children are the complement of F.  Other groups invert the reach set
- * through the extra byte row at one word and bit by bit at more.
+ * inverse of the reach set.  Search and greedy carry that inverse set F
+ * instead of the reach set: reversing an ordering and inverting each factor
+ * inverts its product, so F is the reach set of the path's inverses,
+ * appending e to the path extends F by e^-1, and the feasible children are
+ * the complement of F.  Inversion is a bijection, so F and the reach set
+ * have one size and the bound reads either.
  *
- * A path is extended one copy at a time (extend).  On abelian groups the
- * reach set of the path is one bitset; otherwise extend runs the
- * sub-multiset DP, whose table is a dense array indexed in mixed radix:
- * digit j is the count of the j-th distinct element, with stride
- * prod_{i<j} (c_i + 1).  Canonical paths append elements in non-decreasing
- * order, so only the last digit ever grows; appending a copy of e adds one
+ * A multiset is extended one copy at a time (extend).  On abelian groups
+ * its reach set is one bitset; otherwise extend runs the sub-multiset DP,
+ * whose table is a dense array indexed in mixed radix: digit j is the count
+ * of the j-th distinct element, with stride prod_{i<j} (c_i + 1).  A state
+ * U holds the products of U's orderings, the union over each element u of
+ * U of translate(the state U - u, u): every ordering has a first element.
+ * Every copy of an element is appended before the next distinct one (a
+ * canonical path is non-decreasing, and its inverses arrive in the same
+ * runs), so only the last digit ever grows; appending a copy of e adds one
  * block of states at the end of the array, and undoing it truncates the
  * array again.  Each state holds one bitset, so state caps are counted in
  * words: a cap of N admits N / words states.  Every entry point takes the
@@ -166,12 +167,12 @@ typedef struct {
     uint64_t last;              /* the valid bits of the last word */
     /* words == 1, abelian: turns[e*factors + i] turns factor i by e */
     const Turn *turns;
-    /* words == 1, non-abelian: (n + 1) rows of chunks * 256 words; row
-     * e < n translates by e, row n maps a set to the set of its inverses */
+    /* words == 1, non-abelian: n rows of chunks * 256 words; row e
+     * translates by e */
     const uint64_t *tables;
-    const uint16_t *rmul;       /* words > 1: rmul[e*n + r] = r*e */
+    const uint16_t *mul;        /* words > 1: mul[e*n + r] = e*r */
     const uint16_t *inv;        /* inv[r] = r^-1 */
-    uint64_t data[];            /* turns or tables, then rmul and inv */
+    uint64_t data[];            /* turns or tables, then inv and mul */
 } Context;
 
 static inline uint64_t
@@ -210,33 +211,20 @@ translate_or(const Context *c, int W, const uint64_t *src, int e, uint64_t *dst)
         dst[0] |= c->turns ? rotate(c, src[0], e) : apply_row(c, src[0], e);
         return;
     }
-    const uint16_t *row = c->rmul + (size_t)e * c->n;
+    const uint16_t *row = c->mul + (size_t)e * c->n;
     for (int w = 0; w < W; w++)
         for (uint64_t m = src[w]; m; m &= m - 1)
             set_bit(dst, row[w * 64 + __builtin_ctzll(m)], W);
 }
 
-/* cand = the elements f >= start that keep the path free.  On abelian
- * groups `carried` is the inverse set F of the path and cand its
- * complement; otherwise it is the reach set and cand = { f : inv(f) not
- * in it }. */
+/* cand = the elements f >= start that keep the path free: those outside
+ * the path's inverse set F, `carried`. */
 ALWAYS_INLINE void
 feasible(const Context *c, int W, const uint64_t *carried, int start,
          uint64_t *cand)
 {
-    if (c->abelian) {
-        for (int w = 0; w < W; w++)
-            cand[w] = ~carried[w];
-    } else if (W == 1) {
-        cand[0] = ~apply_row(c, carried[0], c->n);
-    } else {
-        memset(cand, 0, W * sizeof *cand);
-        for (int w = 0; w < W; w++)
-            for (uint64_t m = carried[w]; m; m &= m - 1)
-                set_bit(cand, c->inv[w * 64 + __builtin_ctzll(m)], W);
-        for (int w = 0; w < W; w++)
-            cand[w] = ~cand[w];
-    }
+    for (int w = 0; w < W; w++)
+        cand[w] = ~carried[w];
     for (int w = 0; w < start >> 6; w++)
         cand[w] = 0;
     cand[W - 1] &= c->last;
@@ -264,34 +252,11 @@ get_context(PyObject *obj)
     return (const Context *)PyCapsule_GetPointer(obj, CONTEXT_NAME);
 }
 
-/* Report the first entry of in[0 .. count) outside [0, n), in buffer order,
- * as a ValueError; in is a buffer already known to hold one. */
+/* Read a buffer of `count` native int16 values, each in [0, n), into out[];
+ * an entry out of range is reported as the first such in buffer order. */
 static int
-bad_entry(const char *in, Py_ssize_t count, int n, const char *what)
-{
-    for (Py_ssize_t i = 0; i < count; i++) {
-        int16_t v;
-        memcpy(&v, in + i * sizeof v, sizeof v);
-        if (v < 0 || v >= n) {
-            PyErr_Format(PyExc_ValueError, "%s entry %d out of range", what, v);
-            break;
-        }
-    }
-    return -1;
-}
-
-/* The side of the square tiles an n x n table is transposed in (8 KB of
- * int16); 64 beat 32 by a third at n = 4096 (2-vCPU Xeon). */
-#define TILE 64
-
-/* Read a buffer of `count` native int16 values, each in [0, n), into out[]:
- * as they are, or, when transpose is set, as the transpose of an n x n table
- * (out[c*n + r] = in[r*n + c]), tile by tile, with no division per entry.
- * An entry out of range is reported as the first such in buffer order on
- * either path, so both give the same message. */
-static int
-read_int16(const Py_buffer *buf, Py_ssize_t count, int n, int transpose,
-           uint16_t *out, const char *what)
+read_int16(const Py_buffer *buf, Py_ssize_t count, int n, uint16_t *out,
+           const char *what)
 {
     if (buf->len != count * (Py_ssize_t)sizeof(int16_t)) {
         PyErr_Format(PyExc_ValueError, "%s must hold %zd int16 entries",
@@ -301,41 +266,20 @@ read_int16(const Py_buffer *buf, Py_ssize_t count, int n, int transpose,
     const char *in = buf->buf;
     /* as unsigned, a negative entry is above every order */
     uint16_t top = 0;
-    if (!transpose) {
-        for (Py_ssize_t i = 0; i < count; i++) {
-            uint16_t v;
-            memcpy(&v, in + i * sizeof v, sizeof v);
-            top = v > top ? v : top;
-            out[i] = v;
-        }
-    } else {
-        /* Each tile goes through a local copy, so each of its rows is read,
-         * and each of its columns written, in one run: rows n * 2 bytes
-         * apart share a few cache sets when n is a power of two, and a
-         * direct transpose revisits each of the tile's lines once per row
-         * or column. */
-        uint16_t tile[TILE][TILE];
-        for (int r0 = 0; r0 < n; r0 += TILE) {
-            int rows = n - r0 < TILE ? n - r0 : TILE;
-            for (int c0 = 0; c0 < n; c0 += TILE) {
-                int cols = n - c0 < TILE ? n - c0 : TILE;
-                for (int r = 0; r < rows; r++) {
-                    const char *row = in
-                        + ((size_t)(r0 + r) * n + c0) * sizeof *out;
-                    for (int c = 0; c < cols; c++) {
-                        uint16_t v;
-                        memcpy(&v, row + c * sizeof v, sizeof v);
-                        top = v > top ? v : top;
-                        tile[c][r] = v;
-                    }
-                }
-                for (int c = 0; c < cols; c++)
-                    memcpy(out + (size_t)(c0 + c) * n + r0, tile[c],
-                           rows * sizeof *out);
-            }
-        }
+    for (Py_ssize_t i = 0; i < count; i++) {
+        uint16_t v;
+        memcpy(&v, in + i * sizeof v, sizeof v);
+        top = v > top ? v : top;
+        out[i] = v;
     }
-    return top < n ? 0 : bad_entry(in, count, n, what);
+    if (top < n)
+        return 0;
+    Py_ssize_t i = 0;
+    while (out[i] < n)
+        i++;
+    PyErr_Format(PyExc_ValueError, "%s entry %d out of range", what,
+                 (int)(int16_t)out[i]);
+    return -1;
 }
 
 /* Read a radix of at most MAX_FACTORS (stride, order) pairs, each with
@@ -421,14 +365,15 @@ build_context(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "mul_flat", "inv", "identity", "radix", NULL};
     int n, identity;
-    Py_buffer mul, inv;
+    Py_buffer mul_buf, inv_buf;
     PyObject *radix;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iy*y*iO:build_context",
-                                     kwlist, &n, &mul, &inv, &identity, &radix))
+                                     kwlist, &n, &mul_buf, &inv_buf, &identity,
+                                     &radix))
         return NULL;
     PyObject *capsule = NULL;
     Context *c = NULL;
-    uint16_t *scratch = NULL;   /* rmul of a one-word context, while built */
+    uint16_t *scratch = NULL;   /* mul of a one-word context, while built */
     if (n < 1 || n > MAX_ORDER) {
         PyErr_Format(PyExc_ValueError,
                      "compiled kernel supports orders 1..%d, got %d", MAX_ORDER, n);
@@ -445,13 +390,13 @@ build_context(PyObject *self, PyObject *args, PyObject *kwargs)
     int turning = words == 1 && abelian;
     if (turning && (factors = read_radix(radix, n, stride, order)) < 0)
         goto done;
-    int rows = words == 1 && !abelian ? n + 1 : 0;
+    int rows = words == 1 && !abelian ? n : 0;
     size_t row_words = (size_t)chunks * 256;
     size_t turn_count = turning ? (size_t)n * factors : 0;
-    size_t rmul_count = words == 1 ? 0 : (size_t)n * n;
+    size_t mul_count = words == 1 ? 0 : (size_t)n * n;
     c = PyMem_Malloc(sizeof(Context) + rows * row_words * sizeof(uint64_t)
                      + turn_count * sizeof(Turn)
-                     + (rmul_count + n) * sizeof(uint16_t));
+                     + (n + mul_count) * sizeof(uint16_t));
     if (words == 1)
         scratch = PyMem_New(uint16_t, (size_t)n * n);
     if (c == NULL || (words == 1 && scratch == NULL)) {
@@ -461,7 +406,7 @@ build_context(PyObject *self, PyObject *args, PyObject *kwargs)
     uint64_t *tables = c->data;
     Turn *turns = (Turn *)(tables + rows * row_words);
     uint16_t *inverse = (uint16_t *)(turns + turn_count);
-    uint16_t *rmul = words == 1 ? scratch : inverse + n;
+    uint16_t *mul = words == 1 ? scratch : inverse + n;
     c->n = n;
     c->identity = identity;
     c->abelian = abelian;
@@ -471,13 +416,12 @@ build_context(PyObject *self, PyObject *args, PyObject *kwargs)
     c->last = n % 64 ? (1ULL << n % 64) - 1 : ~0ULL;
     c->turns = turning ? turns : NULL;
     c->tables = rows ? tables : NULL;
-    c->rmul = words == 1 ? NULL : rmul;
+    c->mul = words == 1 ? NULL : mul;
     c->inv = inverse;
-    /* r*e = e*r on an abelian group, so rmul is the table as it is */
-    if (read_int16(&mul, (Py_ssize_t)n * n, n, !abelian, rmul, "mul_flat") < 0
-            || read_int16(&inv, n, n, 0, inverse, "inv") < 0)
+    if (read_int16(&mul_buf, (Py_ssize_t)n * n, n, mul, "mul_flat") < 0
+            || read_int16(&inv_buf, n, n, inverse, "inv") < 0)
         goto done;
-    if (turning && fill_turns(c, turns, stride, order, rmul) < 0)
+    if (turning && fill_turns(c, turns, stride, order, mul) < 0)
         goto done;
     for (int row = 0; row < rows; row++) {
         uint64_t *t = tables + row * row_words;
@@ -486,10 +430,7 @@ build_context(PyObject *self, PyObject *args, PyObject *kwargs)
             for (int v = 1; v < 256; v++) {
                 int low = v & -v;
                 int r = pos * 8 + __builtin_ctz(low);
-                uint64_t img = 0;
-                if (r < n)
-                    img = 1ULL << (row < n ? rmul[row * n + r] : inverse[r]);
-                t[v] = t[v ^ low] | img;
+                t[v] = t[v ^ low] | (r < n ? 1ULL << mul[row * n + r] : 0);
             }
         }
     }
@@ -498,8 +439,8 @@ done:
     if (capsule == NULL)
         PyMem_Free(c);
     PyMem_Free(scratch);
-    PyBuffer_Release(&mul);
-    PyBuffer_Release(&inv);
+    PyBuffer_Release(&mul_buf);
+    PyBuffer_Release(&inv_buf);
     return capsule;
 }
 
@@ -614,11 +555,13 @@ table_init(Table *t, const Context *c, long long state_cap)
     return 0;
 }
 
-/* Add one copy of e (>= every support element).  The new states are those
- * whose last digit is the new count; gain becomes the union of their
- * product sets.  Each is the union over its nonzero digits j of
- * translate(parent with digit j lowered, support[j]); parents with the same
- * last digit lie earlier in the new block, so one forward pass fills it. */
+/* Add one copy of e, the last support element or one not yet in the
+ * support (every copy of an element arrives before the next).  The new
+ * states are those whose last digit is the new count; gain becomes the
+ * union of their product sets.  Each is the union over its nonzero digits j
+ * of translate(parent with digit j lowered, support[j]); parents with the
+ * same last digit lie earlier in the new block, so one forward pass fills
+ * it. */
 ALWAYS_INLINE int
 table_append(Table *t, const Context *c, int e, uint64_t *gain, int W)
 {
@@ -716,10 +659,10 @@ typedef struct {
     int path[MAX_ORDER];
     int witness[MAX_ORDER];
     /* Slot d (words each) of reach holds the set carried for the path's
-     * first d elements (its reach set, or on abelian groups the inverse
-     * set), slot d of cand the feasible children of that path; the
-     * DFS recurses up to n - 1 deep, so these live here, not on the stack.
-     * Stand-alone reachability uses two slots in turn. */
+     * first d elements (the reach set of their inverses), slot d of cand
+     * the feasible children of that path; the DFS recurses up to n - 1
+     * deep, so these live here, not on the stack.  Stand-alone
+     * reachability uses two slots in turn. */
     uint64_t *reach, *cand;
     /* The listed automorphisms that send some element down (read_maps):
      * map k's elements sent to a smaller index at down + k*words and its
@@ -814,8 +757,9 @@ check_depth(const Context *c, int length)
     return -1;
 }
 
-/* child = reach with e appended to the path.  Search and greedy pass e^-1
- * on abelian groups, where they carry the inverse set. */
+/* child = the reach set `reach` of a multiset with e appended to it.
+ * Search and greedy pass e^-1: they carry the reach set of the path's
+ * inverses. */
 ALWAYS_INLINE int
 extend(Search *s, int e, const uint64_t *reach, uint64_t *child, int W)
 {
@@ -908,10 +852,10 @@ collect_path(Search *s, int len)
 
 /* Visit the node that appends e to a path of `length` elements: e already
  * passed the feasibility test (e != 1 and inv(e) not in the path's reach
- * set), and `carried` is that reach set, or its inverse set on abelian
- * groups.  Counts the node, writes the carried set of the longer path to
- * child and returns VISIT_DESCEND when its children are to be expanded;
- * otherwise the DP append is undone here. */
+ * set), and `carried` is the inverse of that reach set.  Counts the node,
+ * writes the carried set of the longer path to child and returns
+ * VISIT_DESCEND when its children are to be expanded; otherwise the DP
+ * append is undone here. */
 ALWAYS_INLINE int
 enter(Search *s, int e, const uint64_t *carried, int length, uint64_t *child,
       int W)
@@ -925,7 +869,7 @@ enter(Search *s, int e, const uint64_t *carried, int length, uint64_t *child,
     s->path[length] = e;
     if (s->mode == MODE_ENUM && newlen == s->target)
         return collect_path(s, newlen) < 0 ? VISIT_ERROR : VISIT_OK;
-    if (extend(s, c->abelian ? c->inv[e] : e, carried, child, W) < 0)
+    if (extend(s, c->inv[e], carried, child, W) < 0)
         return VISIT_ERROR;
     /* the memo slot is read only if the node descends; fetch it meanwhile */
     if (s->memo)
@@ -1266,8 +1210,7 @@ greedy(PyObject *self, PyObject *args, PyObject *kwargs)
             break;
         int e = w * 64 + __builtin_ctzll(s->cand[w]);
         if (check_depth(c, len) < 0
-                || extend(s, c->abelian ? c->inv[e] : e,
-                          s->reach + (size_t)len * W,
+                || extend(s, c->inv[e], s->reach + (size_t)len * W,
                           s->reach + (size_t)(len + 1) * W, W) < 0)
             goto done;
         s->path[len++] = e;
@@ -1302,10 +1245,6 @@ reachable(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_ssize_t k = PySequence_Size(elems_obj);
     if (k < 0)
         return NULL;
-    if (k > MAX_ORDER) {
-        PyErr_Format(PyExc_ValueError, "at most %d distinct elements", MAX_ORDER);
-        return NULL;
-    }
     uint64_t until[MAX_WORDS];
     if (read_mask(until_obj, c, until) < 0)
         return NULL;
@@ -1327,7 +1266,7 @@ reachable(PyObject *self, PyObject *args, PyObject *kwargs)
     /* The full table holds prod (c_j + 1) states of one bitset each;
      * refuse it up front (states saturates at max_states + 1). */
     long long max_states = state_cap / c->words, states = 1;
-    for (int j = 0; j < k && states <= max_states; j++) {
+    for (Py_ssize_t j = 0; j < k && states <= max_states; j++) {
         long long factor = counts[j] + 1LL;
         states = states > max_states / factor ? max_states + 1 : states * factor;
     }
@@ -1335,7 +1274,7 @@ reachable(PyObject *self, PyObject *args, PyObject *kwargs)
         limit_error("reachability", state_cap);
         goto done;
     }
-    for (int j = 0; j < k; j++)
+    for (Py_ssize_t j = 0; j < k; j++)
         copies[elems[j]] += counts[j];
     s = search_new(c, state_cap, 2);
     if (s == NULL)

@@ -1,23 +1,26 @@
 """Pure-Python search kernel: bitset reachability over subsequence products.
 
 Bitsets are Python ints with bit i standing for element index i.  The central
-primitive is ``translate(mask, e)`` = { r*e : r in mask }.  A context is
-abelian exactly when it is built with the (stride, order) pairs of its
-group's cyclic factors (``radix``).  An abelian group of order <= 64 turns
-each factor by two masked shifts, checked against every product when the
-context is built; other groups apply translate byte by byte through
-per-element tables, each built on the first translate by its element.
+primitive is ``translate(mask, e)`` = { e*r : r in mask }, row e of the
+product table.  A context is abelian exactly when it is built with the
+(stride, order) pairs of its group's cyclic factors (``radix``).  An abelian
+group of order <= 64 turns each factor by two masked shifts, checked against
+every product when the context is built; other groups apply translate byte
+by byte through per-element tables, each built on the first translate by
+its element.
 
 A path grows one copy at a time through ``_extend``, the one step that
 ``greedy``, ``search`` and ``reachable`` share (the compiled kernel in
 ``_kernel.c`` implements the same contract, so node counts agree):
 
-* abelian groups: the reachable set of a multiset is closed under a single
-  right-append update, so a path is just one bitset.
+* abelian groups: appending e turns the reachable set R into
+  R | e*R | {e}, so a path is just one bitset.
 * other groups: a path keeps the full sub-multiset DP table, the product
   set of every sub-multiset of the path, in a dense list indexed in mixed
   radix (the layout of the compiled kernel's ``Table``); appending an
   element adds one block of states at the end, and undoing truncates it.
+  A sub-multiset's products are the union, over each of its elements u, of
+  u times the products of the rest: every ordering has a first element.
 
 ``reachable`` appends a multiset's copies in increasing element order, so
 it runs on the same step and the same table as the search.  It stops as soon
@@ -41,11 +44,13 @@ recursion limit.
 
 A multiset S stays product-1-free after appending e iff e != 1 and e^-1 is
 not reachable from S: any product-1 ordering rotates cyclically to one that
-starts with e, and rotations preserve product 1.  On abelian groups
-``search`` and ``greedy`` carry the inverse set F = { r^-1 : r reachable }
-instead of the reach set.  F is the reach set of the path's inverses, so
-appending e to the path extends F by e^-1, and the feasible children are
-the elements outside F.
+starts with e, and rotations preserve product 1.  ``search`` and
+``greedy`` carry the inverse set F = { r^-1 : r reachable } instead of the
+reach set.  Reversing an ordering and inverting each factor inverts its
+product, so F is the reach set of the path's inverses: appending e to the
+path extends F by e^-1, and the feasible children are the elements outside
+F.  The path's inverses arrive in runs of equal elements, as the path's own
+elements do, which is all the DP table needs.
 """
 
 from __future__ import annotations
@@ -113,7 +118,7 @@ class Context:
             for v in range(1, 256):
                 low = v & -v
                 r = pos * 8 + low.bit_length() - 1
-                img = (1 << mul[r * n + e]) if r < n else 0
+                img = (1 << mul[e * n + r]) if r < n else 0
                 tab[v] = tab[v ^ low] | img
             tabs.append(tab)
         return tabs
@@ -148,11 +153,11 @@ def _turns(n, radix):
 
 
 def _check_turns(ctx):
-    """Refuse turns that miss any product r*e of the table."""
+    """Refuse turns that miss any product e*r of the table."""
     n, mul = ctx.n, ctx.mul
     for e in range(n):
         for r in range(n):
-            if translate(ctx, 1 << r, e) != 1 << mul[r * n + e]:
+            if translate(ctx, 1 << r, e) != 1 << mul[e * n + r]:
                 raise ValueError("radix does not match the product table")
 
 
@@ -168,17 +173,17 @@ def build_context(n, mul_flat, inv, identity, radix):
 
 
 def translate(ctx, mask, e):
-    """{ r*e : r in mask } as a bitset."""
+    """{ e*r : r in mask } as a bitset."""
     if ctx.turns is not None:
         for keep, lsh, wrap, rsh in ctx.turns[e]:
             mask = (mask & keep) << lsh | (mask & wrap) >> rsh
         return mask
     if ctx.tables is None:
         out = 0
-        n, mul = ctx.n, ctx.mul
+        row, mul = e * ctx.n, ctx.mul
         while mask:
             low = mask & -mask
-            out |= 1 << mul[(low.bit_length() - 1) * n + e]
+            out |= 1 << mul[row + low.bit_length() - 1]
             mask ^= low
         return out
     tabs = ctx.tables[e]
@@ -201,9 +206,9 @@ class _Table:
 
     ``vals`` is indexed in mixed radix: digit j is the count of
     ``support[j]``, with stride ``stride[j]`` = prod_{i<j} (counts[i] + 1).
-    Only the last digit of a canonical path ever grows, so appending a copy
-    of e adds one block of ``stride[pos]`` states at the end and undoing it
-    truncates that block.
+    Every copy of an element is appended before the next distinct one, so
+    only the last digit ever grows: appending a copy of e adds one block of
+    ``stride[pos]`` states at the end and undoing it truncates that block.
     """
 
     __slots__ = ("vals", "support", "counts", "stride", "cap", "words")
@@ -217,8 +222,8 @@ class _Table:
         self.words = ctx.words
 
     def append(self, ctx, e):
-        """Add one copy of e (>= every support element); return the union of
-        the new states' product sets.
+        """Add one copy of e, the last support element or one not yet in
+        the support; return the union of the new states' product sets.
 
         A new state is the union over its nonzero digits j of
         translate(parent with digit j lowered, support[j]); parents with the
@@ -264,18 +269,13 @@ class _Table:
 
 
 def _extend(ctx, table, reach, e):
-    """The reach set of a path after appending e (>= every path element):
-    one bitset update on abelian groups (``table`` is None), otherwise the
-    union with the new states of the path's DP table."""
+    """The reach set of a multiset after appending e: one bitset update on
+    abelian groups (``table`` is None), otherwise the union with the new
+    states of the multiset's DP table.  Search and greedy pass e^-1: they
+    carry the reach set of the path's inverses."""
     if table is None:
         return reach | translate(ctx, reach, e) | (1 << e)
     return reach | table.append(ctx, e)
-
-
-def _push(ctx, table, carried, e):
-    """The set a search carries after appending e to its path: on abelian
-    groups the inverse set, extended by e^-1, otherwise the reach set."""
-    return _extend(ctx, table, carried, ctx.inv[e] if table is None else e)
 
 
 def reachable(ctx, elems, counts, until_mask, state_cap):
@@ -334,27 +334,20 @@ def greedy(ctx, state_cap):
         e = next(_feasible(ctx, carried, start, 0), None)
         if e is None:
             return len(path), tuple(path), len(path)
-        carried = _push(ctx, table, carried, e)
+        carried = _extend(ctx, table, carried, ctx.inv[e])
         path.append(e)
         start = e
 
 
 def _feasible(ctx, carried, start, banned):
     """Elements f >= start outside the bitset ``banned``, in increasing
-    order, that keep the path free: on abelian groups those outside the
-    inverse set ``carried``, otherwise those whose inverse is outside the
-    reach set ``carried``."""
-    n, inv = ctx.n, ctx.inv
-    if ctx.abelian:
-        free = ~(carried | banned) & ((1 << n) - (1 << start))
-        while free:
-            low = free & -free
-            yield low.bit_length() - 1
-            free ^= low
-        return
-    for f in range(start, n):
-        if not (carried >> inv[f]) & 1 and not (banned >> f) & 1:
-            yield f
+    order, that keep the path free: those outside the inverse set
+    ``carried``."""
+    free = ~(carried | banned) & ((1 << ctx.n) - (1 << start))
+    while free:
+        low = free & -free
+        yield low.bit_length() - 1
+        free ^= low
 
 
 def _check_roots(n, roots):
@@ -492,7 +485,7 @@ def search(ctx, mode, target, floor_len, budget, state_cap, roots=None,
             if enum and newlen == target:
                 found.append((*[fr[0] for fr in stack], e))
             else:
-                child = _push(ctx, table, carried, e)
+                child = _extend(ctx, table, carried, ctx.inv[e])
                 # inversion is a bijection: the inverse set and the reach
                 # set have one size
                 potential = newlen + (n - 1 - child.bit_count())

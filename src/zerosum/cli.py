@@ -339,8 +339,8 @@ def _verify_params(target: str, pairs) -> dict:
     """The ``--param KEY=VALUE`` pairs of ``target`` in canonical form:
     integers, and a parsed ``GroupSpec`` for ``group``.
 
-    A key the target does not take, or one it needs and did not get, is an
-    ``EngineError``.
+    A key the target does not take, one given twice, or one it needs and did
+    not get, is an ``EngineError``.
     """
     keys = VERIFY_PARAMS[target]
     raw = {}
@@ -352,6 +352,8 @@ def _verify_params(target: str, pairs) -> dict:
         if key not in keys:
             raise EngineError(f"verify --target {target} takes no --param {key}=...; "
                               f"it takes {', '.join(keys)}")
+        if key in raw:
+            raise EngineError(f"--param {key}=... is given more than once")
         raw[key] = value.strip()
     params = {}
     for key in keys:

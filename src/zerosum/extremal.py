@@ -66,7 +66,7 @@ class VerificationReport(namedtuple("VerificationReport", [
             "verdict": self.verdict,
             "details": self.details,
             "nodes": self.nodes,
-            "millis": self.millis,
+            "millis": round(self.millis, 3),
         }
 
 

@@ -673,6 +673,25 @@ def test_verify_cache_keys_are_canonical(tmp_path, capsys):
     assert code == 2 and "X" in err
 
 
+def test_verify_refuses_a_repeated_param(tmp_path, capsys):
+    """A key given twice is refused, not read as its last value, and no
+    record is stored under either value."""
+    code, _, err = run(capsys, "verify", "--target", "dihedral", "--param",
+                       "n=3", "--param", "n=4", "--cache-dir", str(tmp_path))
+    assert code == 2 and "--param n=... is given more than once" in err
+    for n in (3, 4):
+        assert cache.lookup(tmp_path, "verify", f"dihedral:n={n}") is None
+
+
+def test_verify_millis_is_rounded_as_davenport_and_extremal(capsys):
+    """Every command rounds millis to three places."""
+    for argv in (("davenport", "--group", "D:5"), ("extremal", "--group", "D:5"),
+                 ("verify", "--target", "dihedral", "--param", "n=5")):
+        code, out, _ = run(capsys, *argv, "--json", "--no-cache")
+        millis = json.loads(out)["millis"]
+        assert code == 0 and millis == round(millis, 3), argv
+
+
 def test_module_entry_point():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), ZEROSUM_PURE_KERNEL="1")
     proc = subprocess.run(

@@ -307,6 +307,20 @@ def test_reachable_checks_every_element_up_front():
             kern.reachable(ctx, [1, 4, 5, 8], [1, 1, 1, 1], 0, STATE_LIMIT)
 
 
+def test_reachable_takes_more_entries_than_max_order():
+    """elems may list an element many times, so its length is bounded by
+    neither the order nor the compiled kernel's MAX_ORDER: 5000 entries of
+    one element give the empty mask with no copies, and with one copy each
+    their 2^5000 states are above the cap on both lanes."""
+    g = grp("C:6")
+    for kern in LANES:
+        ctx = engine._context(g, kern)
+        assert kern.reachable(ctx, [1] * 5000, [0] * 5000, 0,
+                              STATE_LIMIT) == (0, False), kern.LANE
+        with pytest.raises(EngineLimitError):
+            kern.reachable(ctx, [1] * 5000, [1] * 5000, 0, STATE_LIMIT)
+
+
 @pytest.mark.parametrize("spec", ["Q:5", "C:64", "C:65", "C:130"])
 def test_until_mask_out_of_range_raises(spec):
     g = grp(spec)
@@ -804,13 +818,12 @@ def test_radix_is_not_read_above_one_word():
 
 
 @pytest.mark.parametrize("spec", ["D:32", "D:100"])
-def test_bad_product_entry_is_refused_alike_copied_or_transposed(spec):
-    """The compiled context copies the product table as it is when a radix
-    is given (an abelian group) and transposes it, tile by tile, when not;
-    either way an entry out of range is refused with the message of the
-    first such entry in table order.  The bad entries sit in the last tile
-    (partial at D:100, order 200), and in the second case also one before
-    it, in the first tile row."""
+def test_bad_product_entry_is_refused_alike_with_or_without_radix(spec):
+    """The compiled context reads the product table as it is, with a radix
+    (an abelian group) or without one; either way an entry out of range is
+    refused with the message of the first such entry in table order.  The
+    bad entries sit near the end of the table, and in the second case one
+    also sits before them, in the sixth row."""
     g = grp(spec)
     n = g.order
     for bad in ({(n - 1, n - 2): n}, {(n - 1, n - 2): n, (5, n - 1): -3}):
@@ -825,11 +838,11 @@ def test_bad_product_entry_is_refused_alike_copied_or_transposed(spec):
 
 
 @pytest.mark.parametrize("spec", ["C:65", "M:31,5,2", "D:100"])
-def test_reachable_parity_at_orders_off_the_tile(spec):
-    """Orders 65, 155 and 200, not multiples of 32 or 64: the compiled
-    context copies C:65's table and transposes the others' with a partial
-    last tile.  Each element, with one more and the last element, reaches
-    the same set on both lanes."""
+def test_reachable_parity_at_orders_off_the_word(spec):
+    """Orders 65, 155 and 200, not multiples of 32 or 64, so the last word
+    of a bitset is partial: each element, with one more and the last
+    element, reaches the same set on both lanes, through the product table
+    as the compiled context copied it."""
     g = grp(spec)
     n = g.order
     for e in range(n):
@@ -938,6 +951,47 @@ def test_roster_searches_with_maps():
         collect += _kernel.search(ctx, "collect", 0, g_len, 10 ** 7,
                                   STATE_LIMIT, g.orbit_roots, maps)["nodes"]
     assert (greedy, search, collect) == ROSTER_NODES_WITH_MAPS
+
+
+# The non-abelian groups of MULTIWORD_SPECS: two and three words.
+MULTIWORD_NONABELIAN = ("D:50", "Q:20", "M:31,5,2")
+
+
+def multiword_results(kern):
+    """Greedy, then per budget of WORD_BUDGETS per root: max and collect
+    over the orbit roots from the greedy floor with the engine's maps, and
+    enum at the greedy length over every root, for each group of
+    MULTIWORD_NONABELIAN."""
+    out = []
+    for spec in MULTIWORD_NONABELIAN:
+        g = grp(spec)
+        ctx = engine._context(g, kern)
+        floor = kern.greedy(ctx, STATE_LIMIT)
+        maps = engine._search_maps(g)
+        runs = []
+        for budget in WORD_BUDGETS:
+            runs += [kern.search(ctx, "max", 0, floor[0], budget, STATE_LIMIT,
+                                 g.orbit_roots, maps),
+                     kern.search(ctx, "collect", 0, floor[0], budget,
+                                 STATE_LIMIT, g.orbit_roots, maps),
+                     kern.search(ctx, "enum", floor[0], 0, budget, STATE_LIMIT)]
+        out.append((spec, floor, [sorted(r.items()) for r in runs]))
+    return out
+
+
+# multiword_results of the kernels that carried the reach set on non-abelian
+# groups and walked the transposed product table.
+MULTIWORD_DIGEST = (
+    "56c9006b4ccfb50727e125521ccedee0b96a90c0e03d69f623dc2c1c0715b1cd")
+
+
+def test_multiword_nonabelian_searches_unchanged():
+    """The budgeted searches of two- and three-word non-abelian groups on
+    both lanes, node counts included, are those of the kernels before every
+    search carried the inverse set."""
+    a, b = (multiword_results(kern) for kern in LANES)
+    assert a == b
+    assert hashlib.sha256(repr(a).encode()).hexdigest() == MULTIWORD_DIGEST
 
 
 # ---------------------------------------------------------------------------
