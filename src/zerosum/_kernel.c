@@ -1263,19 +1263,21 @@ reachable(PyObject *self, PyObject *args, PyObject *kwargs)
             || read_indices(counts_obj, k, INT_MAX, counts, "counts") < 0)
         goto done;
 
-    /* The full table holds prod (c_j + 1) states of one bitset each;
+    for (Py_ssize_t j = 0; j < k; j++)
+        copies[elems[j]] += counts[j];
+    /* The full table holds prod (copies[e] + 1) states of one bitset each;
      * refuse it up front (states saturates at max_states + 1). */
     long long max_states = state_cap / c->words, states = 1;
-    for (Py_ssize_t j = 0; j < k && states <= max_states; j++) {
-        long long factor = counts[j] + 1LL;
+    for (int e = 0; e < c->n && states <= max_states; e++) {
+        if (copies[e] == 0)
+            continue;
+        long long factor = copies[e] + 1;
         states = states > max_states / factor ? max_states + 1 : states * factor;
     }
     if (states > max_states) {
         limit_error("reachability", state_cap);
         goto done;
     }
-    for (Py_ssize_t j = 0; j < k; j++)
-        copies[elems[j]] += counts[j];
     s = search_new(c, state_cap, 2);
     if (s == NULL)
         goto done;

@@ -287,8 +287,9 @@ def reachable(ctx, elems, counts, until_mask, state_cap):
     after the first append that reaches any of its bits, returning
     (partial mask, True).  It also stops once the reach set is the whole
     group, which no later append can change: the full mask is then exact.  A
-    state space above ``state_cap`` words is refused up front, for the whole
-    multiset, as in the compiled kernel.
+    state space above ``state_cap`` words, the product over distinct
+    elements of (copies + 1), is refused up front, for the whole multiset,
+    as in the compiled kernel.
     """
     if until_mask < 0 or until_mask >> ctx.n:
         raise ValueError(
@@ -303,13 +304,16 @@ def reachable(ctx, elems, counts, until_mask, state_cap):
     for c in counts:
         if not 0 <= c < _INT_MAX:
             raise ValueError(f"counts entry {c} out of range")
-    if math.prod(c + 1 for c in counts) * ctx.words > state_cap:
+    copies = {}  # the counts of each element, summed
+    for e, c in zip(elems, counts):
+        copies[e] = copies.get(e, 0) + c
+    if math.prod(c + 1 for c in copies.values()) * ctx.words > state_cap:
         raise EngineLimitError(f"reachability DP exceeds the state cap {state_cap}")
     table = None if ctx.abelian else _Table(ctx, state_cap)
     full = (1 << ctx.n) - 1
     reach = 0
-    for e, count in sorted(zip(elems, counts)):
-        for _ in range(count):
+    for e in sorted(copies):
+        for _ in range(copies[e]):
             reach = _extend(ctx, table, reach, e)
             if reach & until_mask:
                 return reach, True

@@ -3,7 +3,8 @@
 Records are newline-terminated single-line JSON keyed by
 ``{kind}-{group_spec}-v{schema_version}``; the payload hash is recomputed on
 read and any mismatch (or schema bump) invalidates the record with a warning,
-never an error.  Writes go through a temp file and an atomic rename.
+never an error, as does a record whose kind or group spec is not the one
+looked up.  Writes go through a temp file and an atomic rename.
 
 A record also carries the ``algorithm_version`` of the search that computed
 its payload, and a lookup matches it like the rest of the key.  A record
@@ -32,7 +33,10 @@ SCHEMA_VERSION = 1
 # an automorphism fixing the path moves to a smaller index.  6: the
 # max-length search of an abelian group does not descend again from a
 # carried set, last element and depth that a walked node of its root covers.
-ALGORITHM_VERSION = 6
+# 7: verify --target cyclic-structure diffs every length above n/2 against
+# the Savchev-Chen theorem: its predicted_count is the theorem's count and
+# its details list the predicted counts by length, not the shape lengths.
+ALGORITHM_VERSION = 7
 ENV_CACHE_DIR = "ZEROSUM_CACHE_DIR"
 
 
@@ -141,12 +145,20 @@ def _read_valid(path: Path) -> CacheRecord | None:
 
 
 def lookup(cache_dir: Path, kind: str, group_spec: str) -> dict | None:
-    """Return the cached payload, or None (with a warning if it was invalid)."""
+    """Return the cached payload, or None (with a warning if it was invalid
+    or is filed under another kind or group spec)."""
     path = record_path(Path(cache_dir), kind, group_spec)
     if not path.exists():
         return None
     record = _read_valid(path)
-    return None if record is None else record.payload
+    if record is None:
+        return None
+    if (record.kind, record.group_spec) != (kind, group_spec):
+        warnings.warn(f"cache record {path} holds {record.kind} "
+                      f"{record.group_spec}, not {kind} {group_spec}; ignored",
+                      CacheWarning)
+        return None
+    return record.payload
 
 
 def load_all(cache_dir: Path) -> list[CacheRecord]:

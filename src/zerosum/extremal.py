@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import combinations_with_replacement
 
 from . import engine
@@ -136,29 +136,17 @@ def family_cyclic(n: int, group: Group | None = None) -> CharacterizationFamily:
         parameter_note=f"(g)^{n - 1} with gcd(g, {n}) = 1")
 
 
-def _short_metacyclic_like(group: Group, h: int, note_prefix: str):
-    """The q = 3, m = 2 shape list: (y^t, y^t, x*y^nu) and (x, x*y, x*y^2).
+def _short_metacyclic_like(h: int, note_prefix: str):
+    """The q = 3, m = 2 clause: (y^t, y^t, x*y^nu) and (x, x*y, x*y^2).
 
-    The published t-range for this clause cannot be taken literally (it
-    includes t with y^t = 1), so the range is resolved by checking each
-    candidate against the engine; the resolved range is recorded in the
-    parameter note.
+    The published t-range of this clause cannot be taken literally: it
+    includes t = h, where y^t = 1.  Since h = 3 is prime, y^t generates <y>
+    for every t in [1, h - 1], and that is the range taken, with nu in
+    [0, h - 1].
     """
-    seqs = set()
-    resolved = []
-    for t in range(1, h):
-        ok_for_some_nu = False
-        for nu in range(h):
-            cand = tuple(sorted((t, t, h + nu)))
-            if is_product1_free(group, GSequence(group.key, cand)):
-                seqs.add(cand)
-                ok_for_some_nu = True
-        if ok_for_some_nu:
-            resolved.append(t)
-    triple = (h, h + 1, h + 2)  # (x, x*y, x*y^2)
-    if is_product1_free(group, GSequence(group.key, triple)):
-        seqs.add(triple)
-    note = (f"{note_prefix}: (y^t)^2 (x*y^nu), t in {resolved}, "
+    seqs = {(t, t, h + nu) for t in range(1, h) for nu in range(h)}
+    seqs.add((h, h + 1, h + 2))  # (x, x*y, x*y^2)
+    note = (f"{note_prefix}: (y^t)^2 (x*y^nu), t in [1, {h - 1}], "
             f"nu in [0, {h - 1}]; plus (x, x*y, x*y^2)")
     return seqs, note
 
@@ -174,7 +162,7 @@ def family_dihedral(n: int, group: Group | None = None) -> CharacterizationFamil
         seqs = {(1, 2), (1, 3), (2, 3)}
         note = "pairs of distinct non-identity elements of the Klein four-group"
     elif n == 3:
-        seqs, note = _short_metacyclic_like(group, n, "n = 3 clause")
+        seqs, note = _short_metacyclic_like(n, "n = 3 clause")
     else:
         seqs = set()
         for t in _units(n):
@@ -222,7 +210,7 @@ def family_metacyclic(q: int, m: int, s: int,
     """Predicted extremal multisets of C_q x| C_m (length m + q - 2)."""
     group = group or build_group(f"M:{q},{m},{s}")
     if (m, q) == (2, 3):
-        seqs, note = _short_metacyclic_like(group, q, "(m, q) = (2, 3) clause")
+        seqs, note = _short_metacyclic_like(q, "(m, q) = (2, 3) clause")
     else:
         seqs = set()
         nu_choices = list(combinations_with_replacement(range(q), m - 1))
@@ -368,90 +356,93 @@ def check_weighted_lemma(n: int, *,
 
 
 # ---------------------------------------------------------------------------
-# Structure of long zero-sum-free sequences in C_n
+# Long zero-sum-free sequences in C_n: the Savchev-Chen theorem
 # ---------------------------------------------------------------------------
 
-def _cyclic_shape_instances(group: Group, n: int, length: int):
-    """Candidate multisets of the published shapes for the given length.
+def _partitions(k: int, most: int):
+    """Partitions of k into parts of at most ``most``, each nonincreasing."""
+    if k == 0:
+        yield ()
+    for first in range(min(k, most), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
 
-    Only generators g of C_n (gcd(g, n) = 1) are taken.  Any other g puts
-    every item in <g>, of order d <= n/2, and the lengths asked for exceed
-    n/2 >= d = D(C_d), so such a multiset is never product-1 free."""
-    shapes = {
-        n - 1: [((1, n - 1),)],
-        n - 2: [((1, n - 2),), ((1, n - 3), (2, 1))],
-        n - 3: [((1, n - 3),), ((1, n - 4), (3, 1)),
-                ((1, n - 5), (2, 2)), ((1, n - 4), (2, 1))],
-    }
-    units = [g for g in range(1, n) if math.gcd(g, n) == 1]
+
+def _savchev_chen_sets(n: int, length: int) -> set:
+    """(a_1 g, ..., a_l g) as sorted index tuples, for every generator g of
+    C_n and positive integers a_i summing to less than n, at a length l > n/2.
+
+    The a_i are 1 + b_i for a partition b of some k < n - l.  Since
+    n - l < l, b has fewer than l parts; the rest of the a_i are 1.
+    """
     out = set()
-    for shape in shapes.get(length, []):
-        for g in units:
-            items = []
-            for power, mult in shape:
-                items.extend([(power * g) % n] * mult)
-            if len(items) == length and 0 not in items:
-                out.add(tuple(sorted(items)))
+    units = _units(n)
+    for k in range(n - length):
+        for b in _partitions(k, k):
+            parts = [1 + p for p in b] + [1] * (length - len(b))
+            for g in units:
+                out.add(tuple(sorted(a * g % n for a in parts)))
     return out
 
 
 def check_cyclic_structure(n: int, *,
                            budget: int = DEFAULT_NODE_BUDGET) -> VerificationReport:
-    """Check multiplicity and shape structure of zero-sum-free sequences in C_n.
+    """Diff the free multisets of C_n at every length l > n/2 against the
+    Savchev-Chen theorem.
 
-    For every length l >= (n+1)/2 some element must repeat at least
-    2l - n + 1 times; for l in {n-1, n-2, n-3} (within the same length
-    hypothesis) the sequences must be exactly the published shape lists.
-    An enumerated sequence outside the list is a violation; a listed one
-    outside the enumeration is re-checked, and raises ``RuntimeError`` if
-    it is free.
+    Savchev and Chen ("Long zero-free sequences in finite cyclic groups",
+    Discrete Math. 2007) prove that a zero-sum-free sequence of C_n of
+    length l > n/2 is (a_1 g)...(a_l g) for a generator g and positive
+    integers a_i with sum below n.  Each such sequence is free, since its
+    subsums are 1 ... n - 1 times g, so the free set at each such length is
+    known exactly.  It implies the older corollaries: at most n - 1 - l of
+    the a_i exceed 1, so g repeats at least 2l - n + 1 times.
+
+    Each length is enumerated and diffed.  An enumerated multiset outside
+    the prediction is a violation; a predicted one outside the enumeration
+    is re-checked, is a violation if it is not free, and raises
+    ``RuntimeError`` if it is, since the search must have missed it.
     """
     if n < 3:
         raise GroupError("cyclic structure check requires n >= 3")
     t0 = time.perf_counter()
     group = build_group(f"C:{n}")
-    min_len = (n + 1 + 1) // 2  # ceil((n+1)/2)
+    lengths = range((n + 2) // 2, n)  # ceil((n+1)/2) .. n-1
     violations = []
     nodes = 0
-    length_counts = {}
-    shape_lengths = []
-    for length in range(min_len, n):
+    free_counts = {}
+    predicted_counts = {}
+    for length in lengths:
         enum = engine.enumerate_free(group, length, budget=budget)
+        nodes += enum["nodes"]
         if not enum["complete"]:
             raise BudgetExhaustedError(
                 f"budget exhausted enumerating C:{n} at length {length}",
                 best_length=length, nodes=nodes)
-        nodes += enum["nodes"]
-        seqs = enum["found"]
-        length_counts[length] = len(seqs)
-        bound = 2 * length - n + 1
-        for seq in seqs:
-            if max(Counter(seq).values()) < bound:
-                violations.append(
-                    f"multiplicity < {bound} at length {length}: "
-                    f"{items_text(group, seq)}")
-        if length in (n - 1, n - 2, n - 3):
-            shape_lengths.append(length)
-            allowed = _cyclic_shape_instances(group, n, length)
-            enum_set = set(seqs)
-            for seq in sorted(enum_set - allowed):
-                violations.append(
-                    f"unlisted shape at length {length}: {items_text(group, seq)}")
-            stranded = [items_text(group, s) for s in sorted(allowed - enum_set)
-                        if is_product1_free(group, GSequence(group.key, s))]
-            if stranded:
+        found = set(enum["found"])
+        predicted = _savchev_chen_sets(n, length)
+        free_counts[str(length)] = len(found)
+        predicted_counts[str(length)] = len(predicted)
+        for seq in sorted(found - predicted):
+            violations.append(f"not of the Savchev-Chen form at length "
+                              f"{length}: {items_text(group, seq)}")
+        for seq in sorted(predicted - found):
+            text = items_text(group, seq)
+            if is_product1_free(group, GSequence(group.key, seq)):
                 raise RuntimeError(
-                    f"enumeration missed predicted free sequences: {stranded}")
+                    f"enumeration missed a predicted free sequence: {text}")
+            violations.append(
+                f"predicted but not free at length {length}: {text}")
     details = {
         "n": n,
-        "lengths_checked": sorted(length_counts),
-        "shape_lengths_checked": shape_lengths,
-        "free_counts_by_length": {str(k): v for k, v in length_counts.items()},
+        "lengths_checked": list(lengths),
+        "free_counts_by_length": free_counts,
+        "predicted_counts_by_length": predicted_counts,
     }
     return VerificationReport(
         target="cyclic-structure", group=f"C:{n}",
-        enumerated_count=sum(length_counts.values()),
-        predicted_count=sum(length_counts.values()),
+        enumerated_count=sum(free_counts.values()),
+        predicted_count=sum(predicted_counts.values()),
         missing=tuple(violations), extra=(),
         verdict=_verdict(violations, ()),
         details=details, nodes=nodes,

@@ -70,8 +70,8 @@ def test_criterion_2_dihedral_inverse_theorem():
         if rep.verdict != VERDICT_EXACT or rep.missing or rep.extra:
             failures.append(f"D:{n}: verdict {rep.verdict}, "
                             f"missing {len(rep.missing)}, extra {len(rep.extra)}")
-    # n = 3: the enumerated set equals the clause list with the t-range
-    # resolved by enumeration; 7 sequences expected
+    # n = 3: the enumerated set equals the clause list with t in [1, 2]
+    # (y^3 = 1); 7 sequences expected
     g3 = grp("D:3")
     enum3 = set(enumerate_extremal(g3).sequences)
     fam3 = family_dihedral(3)
@@ -158,9 +158,11 @@ def test_criterion_6_cyclic_structure_exhaustive():
     failures = []
     for n in range(5, 13):
         rep = check_cyclic_structure(n)
-        if rep.verdict != VERDICT_EXACT:
+        if (rep.verdict != VERDICT_EXACT
+                or rep.predicted_count != rep.enumerated_count):
             failures.append(f"n={n}: {rep.missing[:3]}")
-    _finish(6, "zero-sum-free structure in C_n for n in [5,12]", failures,
+    _finish(6, "Savchev-Chen structure of zero-sum-free C_n sequences for "
+            "n in [5,12]", failures,
             time.perf_counter() - t0, 120)
 
 

@@ -187,6 +187,32 @@ def test_outdated_algorithm_version_is_recomputed(tmp_path, capsys, stale):
     assert json.loads(out) == dict(first, nodes=0, millis=0.0)
 
 
+def test_record_filed_under_another_key_is_recomputed(tmp_path, capsys):
+    """A record copied to the file name of another group or kind is not
+    served: lookup warns and misses, and davenport recomputes D(D_12) = 7
+    and overwrites the copy with its own record."""
+    run(capsys, "davenport", "--group", "D:5", "--cache-dir", str(tmp_path))
+    source = cache.record_path(tmp_path, "davenport", "D:5")
+    path = cache.record_path(tmp_path, "davenport", "D:6")
+    assert path.name == "davenport-D_6-v1.json"
+    path.write_bytes(source.read_bytes())
+    with pytest.warns(cache.CacheWarning,
+                      match="holds davenport D:5, not davenport D:6"):
+        assert cache.lookup(tmp_path, "davenport", "D:6") is None
+    with pytest.warns(cache.CacheWarning, match="holds davenport D:5"):
+        code, out, err = run(capsys, "davenport", "--group", "D:6", "--json",
+                             "--cache-dir", str(tmp_path))
+    assert code == 0 and "cache hit" not in err
+    assert json.loads(out)["davenport"] == 7
+    assert json.loads(path.read_text())["group_spec"] == "D:6"
+
+    other_kind = cache.record_path(tmp_path, "extremal", "D:5")
+    other_kind.write_bytes(source.read_bytes())
+    with pytest.warns(cache.CacheWarning,
+                      match="holds davenport D:5, not extremal D:5"):
+        assert cache.lookup(tmp_path, "extremal", "D:5") is None
+
+
 def test_free_check_examples(tmp_path, capsys):
     code, out, _ = run(capsys, "free", "check", "--group", "D:5",
                        "--seq", "[y,y,y,y,x*y^2]")
@@ -521,10 +547,10 @@ def test_verify_cyclic_and_structure_targets(capsys):
 
 
 def test_cyclic_structure_rechecks_no_shape(capsys, monkeypatch):
-    """Only shapes over generators of C_30 are listed; each is free (its
-    coefficients sum to less than n), so the complete enumeration holds
-    them all and none is re-checked by reachability.  Shapes over the
-    other 21 elements are never free, so none is listed."""
+    """Every multiset the Savchev-Chen theorem predicts for C_30 is free
+    (its coefficients of the generator g sum to less than n), so the
+    complete enumeration holds them all and none is re-checked by
+    reachability.  Their count at the 14 lengths 16 .. 29 is 10,104."""
     calls = []
     real = engine._run_reachable
 
@@ -535,8 +561,40 @@ def test_cyclic_structure_rechecks_no_shape(capsys, monkeypatch):
     monkeypatch.setattr(engine, "_run_reachable", spy)
     code, out, _ = run(capsys, "verify", "--target", "cyclic-structure",
                        "--param", "n=30", "--no-cache", "--json")
-    assert code == 0 and json.loads(out)["verdict"] == "exact-match"
+    payload = json.loads(out)
+    assert code == 0 and payload["verdict"] == "exact-match"
+    assert payload["predicted_count"] == payload["enumerated_count"] == 10104
     assert calls == []
+
+
+def test_cyclic_structure_failure_exits_1_with_a_valid_payload(capsys,
+                                                               monkeypatch):
+    """The payload validates against the shipped schema, as an exact match
+    and as a failure: an enumerated multiset outside the theorem (one that
+    holds the identity) makes the verdict failure and the exit code 1."""
+    argv = ("verify", "--target", "cyclic-structure", "--param", "n=7",
+            "--no-cache", "--json")
+    code, out, _ = run(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 0 and payload["verdict"] == "exact-match"
+    validate("verify", payload)
+    real = engine.enumerate_free
+
+    def padded(group, length, *, budget):
+        res = real(group, length, budget=budget)
+        if length == 6:
+            res["found"] = res["found"] + [(0,) + (1,) * 5]
+        return res
+
+    monkeypatch.setattr(engine, "enumerate_free", padded)
+    code, out, _ = run(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 1 and payload["verdict"] == "failure"
+    assert payload["enumerated_count"] == payload["predicted_count"] + 1
+    assert len(payload["missing"]) == 1
+    assert payload["missing"][0].startswith(
+        "not of the Savchev-Chen form at length 6: ")
+    validate("verify", payload)
 
 
 def test_json_outputs_validate_against_shipped_schema(tmp_path, capsys):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -180,8 +179,8 @@ def test_family_counts():
 
 def test_dihedral3_resolved_t_range():
     fam = family_dihedral(3)
-    # the published clause says t in {2, 3}, but y^3 = 1 in D_6; the engine
-    # resolves the intended range to {1, 2}
+    # the published clause says t in {2, 3}, but y^3 = 1 in D_6; the
+    # intended range is {1, 2}
     assert "t in [1, 2]" in fam.parameter_note
     doubles = {s[0] for s in fam.sequences if s[0] == s[1]}
     assert doubles == {1, 2}
@@ -362,44 +361,70 @@ def test_weighted_lemma():
 
 
 def test_cyclic_structure_n7_clause3_shapes():
+    """At l = n - 3 = 4 the theorem's parts, partitions of 4, 5 and 6 into
+    four positive integers, are the four published shapes: g^4, g^3 (2g),
+    g^3 (3g) and g^2 (2g)^2 over the six generators g of C_7."""
     rep = check_cyclic_structure(7)
     assert rep.verdict == VERDICT_EXACT
-    assert rep.details["shape_lengths_checked"] == [4, 5, 6]
-    # all four published length-(n-3) shapes occur, and nothing else
-    import zerosum.engine as engine
+    assert rep.details["lengths_checked"] == [4, 5, 6]
+    assert rep.details["free_counts_by_length"] == {"4": 24, "5": 12, "6": 6}
+    assert rep.details["predicted_counts_by_length"] == {
+        "4": 24, "5": 12, "6": 6}
     g = grp("C:7")
-    enum4 = {GSequence(g.key, items)
-             for items in engine.enumerate_free(g, 4, budget=10 ** 6)["found"]}
-    shapes = set()
-    for ggen in range(1, 7):
-        for shape in [(ggen,) * 4, (ggen,) * 3 + (2 * ggen % 7,),
-                      (ggen,) * 3 + (3 * ggen % 7,),
-                      (ggen,) * 2 + (2 * ggen % 7,) * 2]:
-            s = GSequence(g.key, tuple(sorted(shape)))
-            if is_product1_free(g, s):
-                shapes.add(s)
+    enum4 = set(engine.enumerate_free(g, 4, budget=10 ** 6)["found"])
+    shapes = {tuple(sorted(a * ggen % 7 for a in parts))
+              for ggen in range(1, 7)
+              for parts in [(1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 1, 3),
+                            (1, 1, 2, 2)]}
     assert enum4 == shapes
 
 
 def test_cyclic_structure_n10_top_lengths():
+    """phi(10) = 4 generators times the partitions of 0 .. 9 - l for each
+    l in 6 .. 9: at l = 9 only (g)^9, at l = 8 (g)^8 or (g)^7 (2g)."""
     rep = check_cyclic_structure(10)
     assert rep.verdict == VERDICT_EXACT
-    import zerosum.engine as engine
+    assert rep.predicted_count == rep.enumerated_count == 56
+    assert rep.details["predicted_counts_by_length"] == {
+        "6": 28, "7": 16, "8": 8, "9": 4}
     g = grp("C:10")
-    # length n-1: only (g)^9 for generators g
-    enum9 = {GSequence(g.key, items)
-             for items in engine.enumerate_free(g, 9, budget=10 ** 6)["found"]}
-    assert enum9 == {GSequence(g.key, (t,) * 9) for t in (1, 3, 7, 9)}
-    # length n-2: (g)^8 or (g)^7 (g^2)
-    enum8 = {GSequence(g.key, items)
-             for items in engine.enumerate_free(g, 8, budget=10 ** 6)["found"]}
-    for s in enum8:
-        cnt = Counter(s.items)
-        top, mult = cnt.most_common(1)[0]
-        assert mult >= 7
-        if mult == 7:
-            (other,) = [e for e in cnt if e != top]
-            assert other == 2 * top % 10
+    units = (1, 3, 7, 9)
+    enum9 = set(engine.enumerate_free(g, 9, budget=10 ** 6)["found"])
+    assert enum9 == {(t,) * 9 for t in units}
+    enum8 = set(engine.enumerate_free(g, 8, budget=10 ** 6)["found"])
+    assert enum8 == ({(t,) * 8 for t in units}
+                     | {tuple(sorted((t,) * 7 + (2 * t % 10,))) for t in units})
+
+
+def test_cyclic_structure_counts_n11():
+    """phi(11) = 10 times 1 + 1 + 2 + 3 + 5 partitions at l = 6, down to
+    one at l = 10."""
+    rep = check_cyclic_structure(11)
+    counts = {"6": 120, "7": 70, "8": 40, "9": 20, "10": 10}
+    assert rep.verdict == VERDICT_EXACT
+    assert rep.details["free_counts_by_length"] == counts
+    assert rep.details["predicted_counts_by_length"] == counts
+    assert rep.predicted_count == rep.enumerated_count == 260
+
+
+def test_cyclic_structure_budget_error_counts_every_node(monkeypatch):
+    """The error carries the nodes of the lengths that finished and of the
+    one that ran out: here length 5 of C:9 finishes and length 6 runs out
+    of a per-root budget of 5 nodes."""
+    real = engine.enumerate_free
+    spent = []
+
+    def tight_at_6(group, length, *, budget):
+        res = real(group, length, budget=5 if length == 6 else budget)
+        spent.append(res["nodes"])
+        return res
+
+    monkeypatch.setattr(engine, "enumerate_free", tight_at_6)
+    with pytest.raises(BudgetExhaustedError) as info:
+        check_cyclic_structure(9)
+    assert info.value.best_length == 6
+    assert spent == [239, 48]
+    assert info.value.nodes == 239 + 48
 
 
 def test_minimal_zero_sequences_examples():

@@ -311,14 +311,38 @@ def test_reachable_takes_more_entries_than_max_order():
     """elems may list an element many times, so its length is bounded by
     neither the order nor the compiled kernel's MAX_ORDER: 5000 entries of
     one element give the empty mask with no copies, and with one copy each
-    their 2^5000 states are above the cap on both lanes."""
+    they are the 5000 copies of one element, 5001 states, whose products
+    fill C:6 on both lanes."""
     g = grp("C:6")
     for kern in LANES:
         ctx = engine._context(g, kern)
         assert kern.reachable(ctx, [1] * 5000, [0] * 5000, 0,
                               STATE_LIMIT) == (0, False), kern.LANE
+        assert kern.reachable(ctx, [1] * 5000, [1] * 5000, 0,
+                              STATE_LIMIT) == ((1 << 6) - 1, False), kern.LANE
+
+
+def test_reachable_caps_states_over_distinct_elements():
+    """The state cap counts the product over distinct elements of
+    (copies + 1), however the copies of an element are split over entries:
+    30 entries of y on D:4 are the 31 states of (y)^30, as one entry of 30
+    copies is, refused under a cap of 30 states and taken under 31.  With
+    one x more they are 62 states."""
+    g = grp("D:4")
+    y, x = 1, 4
+    powers_of_y = 0b1111  # 1, y, y^2, y^3
+    for kern in LANES:
+        ctx = engine._context(g, kern)
+        for elems, counts in (([y] * 30, [1] * 30), ([y], [30]),
+                              ([y, y, y], [10, 5, 15])):
+            assert kern.reachable(ctx, elems, counts, 0, 31) == (
+                powers_of_y, False), (kern.LANE, counts)
+            with pytest.raises(EngineLimitError):
+                kern.reachable(ctx, elems, counts, 0, 30)
+        both = kern.reachable(ctx, [y] * 30 + [x], [1] * 31, 0, 62)
+        assert both == kern.reachable(ctx, [x, y], [1, 30], 0, STATE_LIMIT)
         with pytest.raises(EngineLimitError):
-            kern.reachable(ctx, [1] * 5000, [1] * 5000, 0, STATE_LIMIT)
+            kern.reachable(ctx, [y] * 30 + [x], [1] * 31, 0, 61)
 
 
 @pytest.mark.parametrize("spec", ["Q:5", "C:64", "C:65", "C:130"])
