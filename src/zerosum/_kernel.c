@@ -1263,15 +1263,20 @@ reachable(PyObject *self, PyObject *args, PyObject *kwargs)
             || read_indices(counts_obj, k, INT_MAX, counts, "counts") < 0)
         goto done;
 
-    for (Py_ssize_t j = 0; j < k; j++)
-        copies[elems[j]] += counts[j];
+    /* elems[0 .. d) becomes the distinct elements with copies, in place
+     * (d <= j, and elems[j] is read before elems[d] is written) */
+    Py_ssize_t d = 0;
+    for (Py_ssize_t j = 0; j < k; j++) {
+        int e = elems[j];
+        if (copies[e] == 0 && counts[j] > 0)
+            elems[d++] = e;
+        copies[e] += counts[j];
+    }
     /* The full table holds prod (copies[e] + 1) states of one bitset each;
      * refuse it up front (states saturates at max_states + 1). */
     long long max_states = state_cap / c->words, states = 1;
-    for (int e = 0; e < c->n && states <= max_states; e++) {
-        if (copies[e] == 0)
-            continue;
-        long long factor = copies[e] + 1;
+    for (Py_ssize_t j = 0; j < d && states <= max_states; j++) {
+        long long factor = copies[elems[j]] + 1;
         states = states > max_states / factor ? max_states + 1 : states * factor;
     }
     if (states > max_states) {
