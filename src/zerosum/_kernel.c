@@ -61,13 +61,15 @@
  * array again.  Each state holds one bitset, so state caps are counted in
  * words: a cap of N admits N / words states.  Every entry point takes the
  * cap from its caller (engine.STATE_LIMIT); the kernel holds no default.
- * Stand-alone reachability appends a multiset's copies in increasing
- * element order through the same extend, so each lane has one sub-multiset
- * DP.  It stops after the first append whose reach set meets until_mask or
- * is the whole group: from then on no append changes the answer, and a
- * multiset of k distinct elements that fills the group early never builds
- * the rest of its 2^k states.  The state cap still applies to the whole
- * multiset, up front.
+ * Stand-alone reachability takes a multiset as its items (element
+ * indices, repeats allowed, in any order), counts the copies of each
+ * element and appends them in increasing element order through the same
+ * extend, so each lane has one sub-multiset DP.  It stops after the first
+ * append whose reach set meets until_mask or is the whole group: from then
+ * on no append changes the answer, and a multiset of k distinct elements
+ * that fills the group early never builds the rest of its 2^k states.  The
+ * state cap still applies to the whole multiset, up front: the product over
+ * distinct elements of (copies + 1) states.
  *
  * search walks one branch per root (first element), 1 .. n-1 unless the
  * caller names the roots, and it may take a list of automorphisms (maps).
@@ -442,36 +444,6 @@ done:
     PyBuffer_Release(&mul_buf);
     PyBuffer_Release(&inv_buf);
     return capsule;
-}
-
-/* Read a sequence of `len` ints, each in [0, bound), into out[]. */
-static int
-read_indices(PyObject *seq, Py_ssize_t len, int bound, int *out,
-             const char *what)
-{
-    PyObject *fast = PySequence_Fast(seq, what);
-    if (fast == NULL)
-        return -1;
-    if (PySequence_Fast_GET_SIZE(fast) != len) {
-        PyErr_Format(PyExc_ValueError, "%s must have %zd entries", what, len);
-        Py_DECREF(fast);
-        return -1;
-    }
-    for (Py_ssize_t i = 0; i < len; i++) {
-        long v = PyLong_AsLong(PySequence_Fast_GET_ITEM(fast, i));
-        if (v == -1 && PyErr_Occurred()) {
-            Py_DECREF(fast);
-            return -1;
-        }
-        if (v < 0 || v >= bound) {
-            PyErr_Format(PyExc_ValueError, "%s entry %ld out of range", what, v);
-            Py_DECREF(fast);
-            return -1;
-        }
-        out[i] = (int)v;
-    }
-    Py_DECREF(fast);
-    return 0;
 }
 
 /* A nonnegative int of at most n bits as a bitset; wider values and
@@ -1231,53 +1203,49 @@ done:
 static PyObject *
 reachable(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"ctx", "elems", "counts", "until_mask",
-                             "state_cap", NULL};
-    PyObject *ctx_obj, *elems_obj, *counts_obj, *until_obj;
+    static char *kwlist[] = {"ctx", "items", "until_mask", "state_cap", NULL};
+    PyObject *ctx_obj, *items_obj, *until_obj;
     long long state_cap;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOL:reachable", kwlist,
-                                     &ctx_obj, &elems_obj, &counts_obj,
-                                     &until_obj, &state_cap))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOL:reachable", kwlist,
+                                     &ctx_obj, &items_obj, &until_obj,
+                                     &state_cap))
         return NULL;
     const Context *c = get_context(ctx_obj);
     if (c == NULL)
         return NULL;
-    Py_ssize_t k = PySequence_Size(elems_obj);
-    if (k < 0)
-        return NULL;
     uint64_t until[MAX_WORDS];
     if (read_mask(until_obj, c, until) < 0)
         return NULL;
-    /* elems[j] and counts[j] side by side; copies[e] totals the counts of
-     * element e */
-    int *elems = PyMem_New(int, 2 * k + 1);
-    long long *copies = PyMem_Calloc(c->n, sizeof *copies);
+    PyObject *items = PySequence_Fast(items_obj, "items must be iterable");
+    if (items == NULL)
+        return NULL;
+    /* copies[e] counts the copies of element e.  Every entry is checked up
+     * front: an early exit may never reach it. */
+    Py_ssize_t *copies = PyMem_Calloc(c->n, sizeof *copies);
     Search *s = NULL;
     PyObject *result = NULL;
-    if (elems == NULL || copies == NULL) {
+    if (copies == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    int *counts = elems + k;
-    if (read_indices(elems_obj, k, c->n, elems, "elems") < 0
-            || read_indices(counts_obj, k, INT_MAX, counts, "counts") < 0)
-        goto done;
-
-    /* elems[0 .. d) becomes the distinct elements with copies, in place
-     * (d <= j, and elems[j] is read before elems[d] is written) */
-    Py_ssize_t d = 0;
-    for (Py_ssize_t j = 0; j < k; j++) {
-        int e = elems[j];
-        if (copies[e] == 0 && counts[j] > 0)
-            elems[d++] = e;
-        copies[e] += counts[j];
+    for (Py_ssize_t j = 0; j < PySequence_Fast_GET_SIZE(items); j++) {
+        long e = PyLong_AsLong(PySequence_Fast_GET_ITEM(items, j));
+        if (e == -1 && PyErr_Occurred())
+            goto done;
+        if (e < 0 || e >= c->n) {
+            PyErr_Format(PyExc_ValueError, "items entry %ld out of range", e);
+            goto done;
+        }
+        copies[e]++;
     }
     /* The full table holds prod (copies[e] + 1) states of one bitset each;
      * refuse it up front (states saturates at max_states + 1). */
     long long max_states = state_cap / c->words, states = 1;
-    for (Py_ssize_t j = 0; j < d && states <= max_states; j++) {
-        long long factor = copies[elems[j]] + 1;
-        states = states > max_states / factor ? max_states + 1 : states * factor;
+    for (int e = 0; e < c->n && states <= max_states; e++) {
+        long long factor = copies[e] + 1;
+        if (factor > 1)
+            states = states > max_states / factor ? max_states + 1
+                                                  : states * factor;
     }
     if (states > max_states) {
         limit_error("reachability", state_cap);
@@ -1292,7 +1260,7 @@ reachable(PyObject *self, PyObject *args, PyObject *kwargs)
      * hit flag, so the loop stops there as it does on a hit. */
     int W = c->words, slot = 0, hit = 0, full = 0;
     for (int e = 0; e < c->n && !hit && !full; e++) {
-        for (long long i = 0; i < copies[e] && !hit && !full; i++, slot ^= 1) {
+        for (Py_ssize_t i = 0; i < copies[e] && !hit && !full; i++, slot ^= 1) {
             uint64_t *reach = s->reach + (size_t)slot * W;
             uint64_t *child = s->reach + (size_t)(slot ^ 1) * W;
             if (extend(s, e, reach, child, W) < 0)
@@ -1307,7 +1275,7 @@ reachable(PyObject *self, PyObject *args, PyObject *kwargs)
 done:
     search_free(s);
     PyMem_Free(copies);
-    PyMem_Free(elems);
+    Py_DECREF(items);
     return result;
 }
 
@@ -1341,12 +1309,14 @@ static PyMethodDef kernel_methods[] = {
      "lane."},
     {"reachable", (PyCFunction)(void (*)(void))reachable,
      METH_VARARGS | METH_KEYWORDS,
-     "reachable(ctx, elems, counts, until_mask, state_cap)\n--\n\n"
-     "Products of nonempty sub-multisets as (mask, hit): the copies are\n"
-     "appended in increasing element order with the search's own step, which\n"
-     "stops after the first append that reaches until_mask or fills the\n"
-     "whole group (the full mask is then exact).  A state space above\n"
-     "state_cap words is refused up front with zerosum.engine.EngineLimitError."},
+     "reachable(ctx, items, until_mask, state_cap)\n--\n\n"
+     "Products of nonempty sub-multisets of items (element indices, repeats\n"
+     "allowed, in any order) as (mask, hit): the copies of each element are\n"
+     "counted and appended in increasing element order with the search's own\n"
+     "step, which stops after the first append that reaches until_mask or\n"
+     "fills the whole group (the full mask is then exact).  A DP table above\n"
+     "state_cap words, prod (copies + 1) states over distinct elements, is\n"
+     "refused up front with zerosum.engine.EngineLimitError."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -5,9 +5,10 @@ primitive is ``translate(mask, e)`` = { e*r : r in mask }, row e of the
 product table.  A context is abelian exactly when it is built with the
 (stride, order) pairs of its group's cyclic factors (``radix``).  An abelian
 group of order <= 64 turns each factor by two masked shifts, checked against
-every product when the context is built; other groups apply translate byte
-by byte through per-element tables, each built on the first translate by
-its element.
+every product when the context is built; other groups of order up to
+``_TABLE_ORDER_LIMIT`` (512) apply translate byte by byte through
+per-element tables, each built on the first translate by its element, and
+larger ones walk the set bits of the mask through the product table.
 
 A path grows one copy at a time through ``_extend``, the one step that
 ``greedy``, ``search`` and ``reachable`` share (the compiled kernel in
@@ -22,10 +23,12 @@ A path grows one copy at a time through ``_extend``, the one step that
   A sub-multiset's products are the union, over each of its elements u, of
   u times the products of the rest: every ordering has a first element.
 
-``reachable`` appends a multiset's copies in increasing element order, so
-it runs on the same step and the same table as the search.  It stops as soon
-as its answer is decided: at a hit on ``until_mask`` or once the reach set
-is the whole group.
+``reachable`` takes a multiset as its items (element indices, repeats
+allowed, in any order), counts the copies of each element and appends them
+in increasing element order, so it runs on the same step and the same table
+as the search.  It refuses a table above its state cap up front and stops
+as soon as its answer is decided: at a hit on ``until_mask`` or once the
+reach set is the whole group.
 
 State caps count 64-bit words, as in the compiled kernel, where each DP state
 holds one bitset of ``words`` = ceil(n / 64) words: a cap of N admits
@@ -64,9 +67,6 @@ LANE = "pure"
 # Chunked translate tables get too large past this order; beyond it a
 # bit-by-bit loop is used (only plausible for one-off reachability queries).
 _TABLE_ORDER_LIMIT = 512
-
-# The compiled kernel reads counts as C ints below this bound.
-_INT_MAX = 2 ** 31 - 1
 
 # A radix is read only for bitsets of one 64-bit word, as in the compiled
 # kernel, which has at most 6 factors > 1 there.
@@ -278,35 +278,28 @@ def _extend(ctx, table, reach, e):
     return reach | table.append(ctx, e)
 
 
-def reachable(ctx, elems, counts, until_mask, state_cap):
+def reachable(ctx, items, until_mask, state_cap):
     """Exact set of products of nonempty sub-multisets, in any order.
 
-    ``elems``/``counts`` describe the multiset (elements with their
-    multiplicities, in any order).  Its copies are appended in increasing
-    element order by ``_extend``.  If ``until_mask`` is nonzero the DP stops
-    after the first append that reaches any of its bits, returning
-    (partial mask, True).  It also stops once the reach set is the whole
-    group, which no later append can change: the full mask is then exact.  A
-    state space above ``state_cap`` words, the product over distinct
-    elements of (copies + 1), is refused up front, for the whole multiset,
-    as in the compiled kernel.
+    ``items`` is the multiset as element indices, with repeats, in any
+    order.  Its copies are appended in increasing element order by
+    ``_extend``.  If ``until_mask`` is nonzero the DP stops after the first
+    append that reaches any of its bits, returning (partial mask, True).  It
+    also stops once the reach set is the whole group, which no later append
+    can change: the full mask is then exact.  A DP table above ``state_cap``
+    words, the product over distinct elements of (copies + 1), is refused up
+    front, for the whole multiset, as in the compiled kernel.
     """
     if until_mask < 0 or until_mask >> ctx.n:
         raise ValueError(
             f"until_mask must be a bitset of the {ctx.n} group elements")
-    # Checked up front with the compiled kernel's messages: an early exit
+    # Checked up front with the compiled kernel's message: an early exit
     # may never reach an element.
-    for e in elems:
+    copies = {}  # the copies of each element
+    for e in items:
         if not 0 <= e < ctx.n:
-            raise ValueError(f"elems entry {e} out of range")
-    if len(counts) != len(elems):
-        raise ValueError(f"counts must have {len(elems)} entries")
-    for c in counts:
-        if not 0 <= c < _INT_MAX:
-            raise ValueError(f"counts entry {c} out of range")
-    copies = {}  # the counts of each element, summed
-    for e, c in zip(elems, counts):
-        copies[e] = copies.get(e, 0) + c
+            raise ValueError(f"items entry {e} out of range")
+        copies[e] = copies.get(e, 0) + 1
     if math.prod(c + 1 for c in copies.values()) * ctx.words > state_cap:
         raise EngineLimitError(f"reachability DP exceeds the state cap {state_cap}")
     table = None if ctx.abelian else _Table(ctx, state_cap)

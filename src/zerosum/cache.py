@@ -4,7 +4,7 @@ Records are newline-terminated single-line JSON keyed by
 ``{kind}-{group_spec}-v{schema_version}``; the payload hash is recomputed on
 read and any mismatch (or schema bump) invalidates the record with a warning,
 never an error, as does a record whose kind or group spec is not the one
-looked up.  Writes go through a temp file and an atomic rename.
+its file name says.  Writes go through a temp file and an atomic rename.
 
 A record also carries the ``algorithm_version`` of the search that computed
 its payload, and a lookup matches it like the rest of the key.  A record
@@ -162,9 +162,23 @@ def lookup(cache_dir: Path, kind: str, group_spec: str) -> dict | None:
 
 
 def load_all(cache_dir: Path) -> list[CacheRecord]:
-    """Every valid record in the cache directory (for the report command)."""
+    """Every valid record in the cache directory (for the report command).
+
+    A record filed under another kind or group spec is skipped with a
+    warning, as ``lookup`` refuses it: a copy would be counted twice."""
     cache_dir = Path(cache_dir)
     if not cache_dir.is_dir():
         return []
-    records = (_read_valid(path) for path in sorted(cache_dir.glob("*.json")))
-    return [rec for rec in records if rec is not None]
+    records = []
+    for path in sorted(cache_dir.glob("*.json")):
+        record = _read_valid(path)
+        if record is None:
+            continue
+        home = record_path(cache_dir, record.kind, record.group_spec)
+        if path.name != home.name:
+            warnings.warn(f"cache record {path} holds {record.kind} "
+                          f"{record.group_spec}, which is filed as {home.name}; "
+                          f"ignored", CacheWarning)
+            continue
+        records.append(record)
+    return records

@@ -9,6 +9,13 @@ follow one traversal contract, so every result (node counts included) is
 identical across lanes, and both raise this module's ``EngineLimitError``
 themselves, with the same messages, when a DP would exceed its state cap.
 
+Stand-alone reachability (``reachable_products``, ``is_product1_free``,
+``has_product_in``) refuses a multiset of more than ``DISTINCT_LIMIT``
+distinct elements and hands its items, as they are, to one kernel call.
+The kernel counts the copies of each element and refuses, up front, a DP
+table above ``STATE_LIMIT`` words: the product over distinct elements of
+(copies + 1) states.
+
 The searches walk free multisets as non-decreasing index sequences
 s_1 <= s_2 <= ..., and automorphisms prune them.  An automorphism maps a
 free multiset onto a free multiset of the same length.  The stabilizer
@@ -67,7 +74,6 @@ Set ``ZEROSUM_PURE_KERNEL=1`` to force the pure lane.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from array import array
 
@@ -81,8 +87,8 @@ except ImportError:
 
 DISTINCT_LIMIT = 24
 # DP states hold one bitset of ceil(order / 64) 64-bit words each; the limit
-# counts words (800 MB).  It is the one state cap: the guard applies it, and
-# every kernel call takes it as an argument.
+# counts words (800 MB).  It is the one state cap: every kernel call takes it
+# as an argument, and the kernels apply it.
 STATE_LIMIT = 100_000_000
 ORACLE_LENGTH_LIMIT = 8
 
@@ -174,33 +180,18 @@ class ReachableSet(Frozen):
         return self.mask.bit_count()
 
 
-def _counts_of(seq: GSequence):
-    """Distinct elements and their counts; the kernels take any order."""
-    cnt = seq.counts()
-    return list(cnt), list(cnt.values())
-
-
-def _guard(group: Group, elems, counts):
-    """Refuse a multiset (from ``_counts_of``) before any context is built."""
-    if len(elems) > DISTINCT_LIMIT:
-        raise EngineLimitError(
-            f"sequence has {len(elems)} distinct elements, above the limit "
-            f"{DISTINCT_LIMIT}")
-    words = (group.order + 63) // 64
-    estimate = math.prod(c + 1 for c in counts) * words
-    if estimate > STATE_LIMIT:
-        raise EngineLimitError(
-            f"sub-multiset state space ~{estimate} words exceeds the limit "
-            f"{STATE_LIMIT}")
-
-
 def _run_reachable(group: Group, seq: GSequence, until_mask: int):
     seq._check_group(group)
-    elems, counts = _counts_of(seq)
-    _guard(group, elems, counts)
+    distinct = len(set(seq.items))
+    if distinct > DISTINCT_LIMIT:
+        raise EngineLimitError(
+            f"sequence has {distinct} distinct elements, above the limit "
+            f"{DISTINCT_LIMIT}")
     kern = _kernel_for(group)
-    ctx = _context(group, kern)
-    return kern.reachable(ctx, elems, counts, until_mask, STATE_LIMIT)
+    # by keyword: perfbench's tracer reads a fourth positional argument as
+    # until_mask
+    return kern.reachable(_context(group, kern), seq.items,
+                          until_mask=until_mask, state_cap=STATE_LIMIT)
 
 
 def reachable_products(group: Group, seq: GSequence) -> ReachableSet:
@@ -231,7 +222,7 @@ def target_mask(group: Group, targets) -> int:
             raise EngineError(f"target index {t} out of range for {group.key}")
         mask |= 1 << t
     if not mask:
-        raise EngineError("has_product_in requires a nonempty target set")
+        raise EngineError("the target set must be nonempty")
     return mask
 
 

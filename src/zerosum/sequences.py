@@ -13,7 +13,6 @@ writes it from a sorted index tuple, the form extremal sets are kept in;
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 
 from .groups import Frozen, Group
@@ -99,9 +98,6 @@ class GSequence(Frozen):
     @property
     def length(self) -> int:
         return len(self.items)
-
-    def counts(self) -> Counter:
-        return Counter(self.items)
 
     def format(self, group: Group) -> str:
         self._check_group(group)

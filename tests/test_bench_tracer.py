@@ -19,6 +19,7 @@ import zerosum.engine as engine
 import zerosum.extremal  # noqa: F401
 from zerosum import _kernel
 from zerosum.groups import TABLE_LIMIT
+from zerosum.sequences import GSequence
 
 from conftest import grp
 
@@ -48,6 +49,28 @@ def test_tracer_installs_and_reads_kernel_calls(monkeypatch):
     assert attrs["kernel.search"]["mode"] == "max"
     assert attrs["kernel.reachable"]["until"] is True
     assert "engine.is_product1_free" in attrs
+
+
+def test_tracer_reads_until_mask_of_engine_reachability(monkeypatch):
+    """The engine passes until_mask to the kernel by keyword, so the tracer
+    reads it from the call as made: no until for a reachable set, an until
+    for a target query.  Read positionally from a four-argument call, every
+    such span would read True."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    g = grp("D:3")
+    seq = GSequence.from_indices(g, [1, 3])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        engine.reachable_products(g, seq)
+        engine.has_product_in(g, seq, [g.identity])
+    finally:
+        tracer.uninstall()
+        sys.modules.pop("tracing", None)
+    until = [span[tracing.ATTRS]["until"] for span in tracer.spans
+             if span[tracing.NAME] == "kernel.reachable"]
+    assert until == [False, True]
 
 
 def test_worker_reads_lane_names():

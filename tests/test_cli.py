@@ -213,6 +213,25 @@ def test_record_filed_under_another_key_is_recomputed(tmp_path, capsys):
         assert cache.lookup(tmp_path, "extremal", "D:5") is None
 
 
+def test_report_skips_a_record_filed_under_another_key(tmp_path, capsys):
+    """report reads a record only at its own file name: a copy of the D:5
+    record filed as D:6 is skipped with a warning, so D:5 keeps one row and
+    its own node count, not twice it."""
+    run(capsys, "davenport", "--group", "D:5", "--cache-dir", str(tmp_path))
+    code, want, _ = run(capsys, "report", "--format", "csv",
+                        "--cache-dir", str(tmp_path))
+    assert code == 0 and len(want.strip().splitlines()) == 2
+    source = cache.record_path(tmp_path, "davenport", "D:5")
+    copy = cache.record_path(tmp_path, "davenport", "D:6")
+    copy.write_bytes(source.read_bytes())
+    with pytest.warns(cache.CacheWarning,
+                      match="holds davenport D:5, which is filed as "
+                            "davenport-D_5-v1.json"):
+        code, out, _ = run(capsys, "report", "--format", "csv",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0 and out == want
+
+
 def test_free_check_examples(tmp_path, capsys):
     code, out, _ = run(capsys, "free", "check", "--group", "D:5",
                        "--seq", "[y,y,y,y,x*y^2]")
@@ -241,6 +260,13 @@ def test_reach_command(capsys):
                        "--json")
     data = json.loads(out)
     assert sorted(data["reachable"]) == ["x", "x*y", "y", "y^2"]
+
+
+def test_reach_with_no_targets_exits_2(capsys):
+    code, out, err = run(capsys, "reach", "--group", "D:3", "--seq", "[x]",
+                         "--targets", "[]")
+    assert code == 2 and out == ""
+    assert err == "error: the target set must be nonempty\n"
 
 
 def test_group_info(capsys):

@@ -14,7 +14,6 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
-from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -106,17 +105,12 @@ def test_greedy_parity():
 
 
 def assert_reachable_parity(g, items, until_masks):
-    elems, counts = engine._counts_of(GSequence.from_indices(g, items))
-    a, b = on_both(g, lambda k, c: k.reachable(c, elems, counts, 0, STATE_LIMIT))
-    assert a == b
-    for until in until_masks:
-        # An early exit returns a partial mask that depends on the lane's
-        # state order; only the hit flag is part of the contract.
-        a, b = on_both(g, lambda k, c: k.reachable(c, elems, counts, until,
+    """Both lanes give one (mask, hit), early exits included: each stops
+    after the same append, holding the products of the copies so far."""
+    for until in [0, *until_masks]:
+        a, b = on_both(g, lambda k, c: k.reachable(c, items, until,
                                                    STATE_LIMIT))
-        assert a[1] == b[1]
-        if not a[1]:
-            assert a == b
+        assert a == b, (items, until)
 
 
 def test_reachable_parity_random():
@@ -154,51 +148,61 @@ def test_reachable_parity_property(case):
     assert_reachable_parity(g, items, [1 << g.identity, 1 << target])
 
 
-def merged(elems, counts):
-    """The multiset ``elems``/``counts`` as sorted distinct elements with
-    nonzero counts."""
-    total = Counter()
-    for e, c in zip(elems, counts):
-        total[e] += c
-    keep = sorted(e for e in total if total[e])
-    return keep, [total[e] for e in keep]
-
-
 @pytest.mark.parametrize("spec", ["CxC:2,4", "D:4"])
 def test_reachable_input_shapes(spec):
-    """Unsorted, repeated and zero-count entries give exactly the mask and
-    hit of the merged, sorted multiset, early exits included; no entries
+    """Unsorted and repeated items give exactly the mask and hit of the
+    sorted multiset, early exits included, and the oracle's mask; no items
     give (0, False)."""
     g = grp(spec)
-    shapes = [([5, 3, 5], [1, 2, 1]), ([6, 3, 1], [1, 0, 2]),
-              ([7, 2, 7, 2], [0, 1, 2, 1]), ([4], [0])]
+    shapes = [[5, 3, 3, 5], [6, 1, 3, 1], [7, 2, 7, 7, 2], [4]]
     untils = [0] + [1 << t for t in range(g.order)]
     for kern in LANES:
         ctx = engine._context(g, kern)
         for until in untils:
-            assert kern.reachable(ctx, [], [], until, STATE_LIMIT) == (0, False)
-        for elems, counts in shapes:
-            m_elems, m_counts = merged(elems, counts)
-            items = [e for e, c in zip(m_elems, m_counts) for _ in range(c)]
-            if items:
-                oracle = engine.oracle_reachable(
-                    g, GSequence.from_indices(g, items)).mask
-                assert kern.reachable(ctx, m_elems, m_counts, 0,
-                                      STATE_LIMIT) == (oracle, False)
+            assert kern.reachable(ctx, [], until, STATE_LIMIT) == (0, False)
+        for items in shapes:
+            oracle = engine.oracle_reachable(
+                g, GSequence.from_indices(g, items)).mask
+            assert kern.reachable(ctx, sorted(items), 0,
+                                  STATE_LIMIT) == (oracle, False)
             for until in untils:
-                got = kern.reachable(ctx, elems, counts, until, STATE_LIMIT)
-                want = kern.reachable(ctx, m_elems, m_counts, until, STATE_LIMIT)
-                assert got == want, (kern.LANE, elems, counts, until)
+                got = kern.reachable(ctx, items, until, STATE_LIMIT)
+                want = kern.reachable(ctx, sorted(items), until, STATE_LIMIT)
+                assert got == want, (kern.LANE, items, until)
+
+
+@pytest.mark.parametrize("spec", ["CxC:4,4", "D:7", "D:50"])
+def test_reachable_shuffled_items_parity(spec):
+    """A shuffled items list with repeats gives the (mask, hit) of its
+    sorted form, and the same pair on both lanes, with and without
+    until_mask: on a one-word abelian group, a one-word non-abelian group
+    and a two-word group."""
+    g = grp(spec)
+    rng = random.Random(32)
+    untils = [0, 1 << g.identity] + [1 << rng.randrange(g.order)
+                                     for _ in range(4)]
+    for _ in range(25):
+        distinct = rng.sample(range(g.order), rng.randint(1, 5))
+        items = [e for e in distinct for _ in range(rng.randint(1, 3))]
+        rng.shuffle(items)
+        for until in untils:
+            a, b = on_both(g, lambda k, c: k.reachable(c, items, until,
+                                                       STATE_LIMIT))
+            want = on_both(g, lambda k, c: k.reachable(c, sorted(items), until,
+                                                       STATE_LIMIT))
+            assert a == b == want[0] == want[1], (items, until)
 
 
 @pytest.mark.parametrize("spec, elems, counts",
                          [("D:3", [1, 3], [7, 7]), ("C:5", [1], [12])])
 def test_reachable_longer_than_group_order(spec, elems, counts):
-    """A multiset longer than the group order reaches the whole group."""
+    """A multiset longer than the group order, ``counts`` copies of each of
+    ``elems``, reaches the whole group."""
     g = grp(spec)
+    items = [e for e, c in zip(elems, counts) for _ in range(c)]
     for kern in LANES:
         ctx = engine._context(g, kern)
-        assert kern.reachable(ctx, elems, counts, 0, STATE_LIMIT) == (
+        assert kern.reachable(ctx, items, 0, STATE_LIMIT) == (
             (1 << g.order) - 1, False)
 
 
@@ -216,7 +220,7 @@ def filling_multiset(g, words, fill_at):
     for kern in LANES:
         ctx = engine._context(g, kern)
         for k, filled in ((fill_at - 1, False), (fill_at, True)):
-            mask, _ = kern.reachable(ctx, elems[:k], [1] * k, 0, STATE_LIMIT)
+            mask, _ = kern.reachable(ctx, elems[:k], 0, STATE_LIMIT)
             assert (mask == full) == filled, (kern.LANE, k)
     return elems
 
@@ -228,17 +232,16 @@ def test_reachable_stops_once_the_group_is_full():
     elems = filling_multiset(g, Q6_FILLING, 7)
     full = (1 << g.order) - 1
     for counts in ([1] * 12, [2] * 12, [1] * 6 + [5] * 6):
-        a, b = on_both(g, lambda k, c: k.reachable(c, elems, counts, 0,
-                                                   STATE_LIMIT))
+        items = [e for e, n in zip(elems, counts) for _ in range(n)]
+        a, b = on_both(g, lambda k, c: k.reachable(c, items, 0, STATE_LIMIT))
         assert a == b == (full, False)
         assert engine.reachable_products(
-            g, GSequence.from_indices(g, [e for e, n in zip(elems, counts)
-                                          for _ in range(n)])).mask == full
+            g, GSequence.from_indices(g, items)).mask == full
     # The pure lane builds an element's byte tables on its first translate:
     # on a fresh context, the elements after the filling one never get any.
     ctx = _pykernel.build_context(g.order, g.table, g.inv_table, g.identity,
                                   None)
-    _pykernel.reachable(ctx, elems, [1] * 12, 0, STATE_LIMIT)
+    _pykernel.reachable(ctx, elems, 0, STATE_LIMIT)
     assert [ctx.tables[e] is None for e in elems] == [False] * 7 + [True] * 5
 
 
@@ -247,9 +250,8 @@ def test_reachable_hit_flag_with_a_full_group():
     for a full-group target set."""
     g = grp("Q:6")
     elems = filling_multiset(g, Q6_FILLING, 7)
-    counts = [1] * len(elems)
     for until in [1 << t for t in range(g.order)] + [(1 << g.order) - 1]:
-        a, b = on_both(g, lambda k, c: k.reachable(c, elems, counts, until,
+        a, b = on_both(g, lambda k, c: k.reachable(c, elems, until,
                                                    STATE_LIMIT))
         assert a[1] is b[1] is True, until
 
@@ -267,32 +269,18 @@ def test_reachable_refuses_above_the_cap_even_when_a_prefix_fills():
     for kern in LANES:
         ctx = engine._context(g, kern)
         with pytest.raises(EngineLimitError):
-            kern.reachable(ctx, elems, [1] * 24, 0, STATE_LIMIT)
+            kern.reachable(ctx, elems, 0, STATE_LIMIT)
         # Ten elements: 2^10 states of 7 words each.
         with pytest.raises(EngineLimitError):
-            kern.reachable(ctx, elems[:10], [1] * 10, 0, 1024 * 7 - 1)
-        assert kern.reachable(ctx, elems[:10], [1] * 10, 0, 1024 * 7) == (
-            full, False)
+            kern.reachable(ctx, elems[:10], 0, 1024 * 7 - 1)
+        assert kern.reachable(ctx, elems[:10], 0, 1024 * 7) == (full, False)
     seq = GSequence.from_indices(g, elems)
     for lane in ("1", "0"):
         with mock.patch.dict(os.environ, {"ZEROSUM_PURE_KERNEL": lane}):
-            with pytest.raises(EngineLimitError, match="state space"):
+            with pytest.raises(EngineLimitError, match="state cap"):
                 engine.reachable_products(g, seq)
-            with pytest.raises(EngineLimitError, match="state space"):
+            with pytest.raises(EngineLimitError, match="state cap"):
                 engine.is_product1_free(g, seq)
-
-
-@pytest.mark.parametrize("counts, message", [
-    ([1, -1], "counts entry -1 out of range"),
-    ([1], "counts must have 2 entries"),
-    ([1, 1, 1], "counts must have 2 entries")])
-def test_reachable_checks_counts_as_c_does(counts, message):
-    g = grp("D:4")
-    for kern in LANES:
-        with pytest.raises(ValueError) as info:
-            kern.reachable(engine._context(g, kern), [1, 4], counts, 0,
-                           STATE_LIMIT)
-        assert str(info.value) == message, kern.LANE
 
 
 def test_reachable_checks_every_element_up_front():
@@ -301,48 +289,43 @@ def test_reachable_checks_every_element_up_front():
     g = grp("D:4")
     for kern in LANES:
         ctx = engine._context(g, kern)
-        assert kern.reachable(ctx, [1, 4, 5], [1, 1, 1], 0, STATE_LIMIT) == (
+        assert kern.reachable(ctx, [1, 4, 5], 0, STATE_LIMIT) == (
             (1 << g.order) - 1, False)
-        with pytest.raises(ValueError, match="elems entry 8 out of range"):
-            kern.reachable(ctx, [1, 4, 5, 8], [1, 1, 1, 1], 0, STATE_LIMIT)
+        with pytest.raises(ValueError, match="items entry 8 out of range"):
+            kern.reachable(ctx, [1, 4, 5, 8], 0, STATE_LIMIT)
 
 
 def test_reachable_takes_more_entries_than_max_order():
-    """elems may list an element many times, so its length is bounded by
-    neither the order nor the compiled kernel's MAX_ORDER: 5000 entries of
-    one element give the empty mask with no copies, and with one copy each
-    they are the 5000 copies of one element, 5001 states, whose products
-    fill C:6 on both lanes."""
+    """items may list an element many times, so its length is bounded by
+    neither the order nor the compiled kernel's MAX_ORDER: 5000 copies of
+    one element, 5001 states, fill C:6 on both lanes."""
     g = grp("C:6")
     for kern in LANES:
         ctx = engine._context(g, kern)
-        assert kern.reachable(ctx, [1] * 5000, [0] * 5000, 0,
-                              STATE_LIMIT) == (0, False), kern.LANE
-        assert kern.reachable(ctx, [1] * 5000, [1] * 5000, 0,
+        assert kern.reachable(ctx, [1] * 5000, 0,
                               STATE_LIMIT) == ((1 << 6) - 1, False), kern.LANE
 
 
 def test_reachable_caps_states_over_distinct_elements():
     """The state cap counts the product over distinct elements of
-    (copies + 1), however the copies of an element are split over entries:
-    30 entries of y on D:4 are the 31 states of (y)^30, as one entry of 30
-    copies is, refused under a cap of 30 states and taken under 31.  With
-    one x more they are 62 states."""
+    (copies + 1), wherever the copies of an element sit among the items:
+    30 copies of y on D:4 are the 31 states of (y)^30, refused under a cap
+    of 30 states and taken under 31.  With one x more, before, after or
+    among them, they are 62 states."""
     g = grp("D:4")
     y, x = 1, 4
     powers_of_y = 0b1111  # 1, y, y^2, y^3
     for kern in LANES:
         ctx = engine._context(g, kern)
-        for elems, counts in (([y] * 30, [1] * 30), ([y], [30]),
-                              ([y, y, y], [10, 5, 15])):
-            assert kern.reachable(ctx, elems, counts, 0, 31) == (
-                powers_of_y, False), (kern.LANE, counts)
-            with pytest.raises(EngineLimitError):
-                kern.reachable(ctx, elems, counts, 0, 30)
-        both = kern.reachable(ctx, [y] * 30 + [x], [1] * 31, 0, 62)
-        assert both == kern.reachable(ctx, [x, y], [1, 30], 0, STATE_LIMIT)
+        assert kern.reachable(ctx, [y] * 30, 0, 31) == (
+            powers_of_y, False), kern.LANE
         with pytest.raises(EngineLimitError):
-            kern.reachable(ctx, [y] * 30 + [x], [1] * 31, 0, 61)
+            kern.reachable(ctx, [y] * 30, 0, 30)
+        want = kern.reachable(ctx, [x] + [y] * 30, 0, STATE_LIMIT)
+        for items in ([y] * 30 + [x], [y] * 15 + [x] + [y] * 15):
+            assert kern.reachable(ctx, items, 0, 62) == want, kern.LANE
+            with pytest.raises(EngineLimitError):
+                kern.reachable(ctx, items, 0, 61)
 
 
 @pytest.mark.parametrize("spec", ["Q:5", "C:64", "C:65", "C:130"])
@@ -351,35 +334,29 @@ def test_until_mask_out_of_range_raises(spec):
     for kern in LANES:
         ctx = engine._context(g, kern)
         top = 1 << (g.order - 1)
-        assert kern.reachable(ctx, [1], [1], top, STATE_LIMIT) == (1 << 1, False)
+        assert kern.reachable(ctx, [1], top, STATE_LIMIT) == (1 << 1, False)
         for bad in (-1, top << 1, top << 64):
             with pytest.raises(ValueError, match="until_mask"):
-                kern.reachable(ctx, [1], [1], bad, STATE_LIMIT)
+                kern.reachable(ctx, [1], bad, STATE_LIMIT)
 
 
 def test_state_cap_counts_words(monkeypatch):
     """24 distinct elements of CxC:32,32 make 2^24 states of 16 words each:
-    below STATE_LIMIT as states, above it as words.  Both lanes and the
-    engine refuse before allocating the table."""
+    below STATE_LIMIT as states, above it as words.  Both lanes refuse,
+    through the engine too, before allocating the table."""
     g = grp("CxC:32,32")
     elems = list(range(1, 25))
     seq = GSequence.from_indices(g, elems)
-
-    def no_context(group, kern):
-        raise AssertionError("the guard must refuse before building a context")
-
     for lane in ("1", "0"):
         monkeypatch.setenv("ZEROSUM_PURE_KERNEL", lane)
-        with monkeypatch.context() as m:
-            m.setattr(engine, "_context", no_context)
-            with pytest.raises(EngineLimitError, match="state space"):
-                engine.reachable_products(g, seq)
+        with pytest.raises(EngineLimitError, match="state cap"):
+            engine.reachable_products(g, seq)
     for kern in LANES:
         ctx = engine._context(g, kern)
         tracemalloc.start()
         try:
             with pytest.raises(EngineLimitError):
-                kern.reachable(ctx, elems, [1] * 24, 0, STATE_LIMIT)
+                kern.reachable(ctx, elems, 0, STATE_LIMIT)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -837,7 +814,7 @@ def test_radix_is_not_read_above_one_word():
     for kern in LANES:
         ctx = kern.build_context(g.order, g.table, g.inv_table, g.identity,
                                  "not a radix")
-        mask, _ = kern.reachable(ctx, [1, 64], [1, 1], 0, STATE_LIMIT)
+        mask, _ = kern.reachable(ctx, [1, 64], 0, STATE_LIMIT)
         assert mask == 1 | 1 << 1 | 1 << 64, kern.LANE
 
 
@@ -870,10 +847,8 @@ def test_reachable_parity_at_orders_off_the_word(spec):
     g = grp(spec)
     n = g.order
     for e in range(n):
-        elems, counts = engine._counts_of(GSequence.from_indices(
-            g, [e, (37 * e + 11) % n, n - 1]))
-        a, b = on_both(g, lambda k, c: k.reachable(c, elems, counts, 0,
-                                                   STATE_LIMIT))
+        items = [e, (37 * e + 11) % n, n - 1]
+        a, b = on_both(g, lambda k, c: k.reachable(c, items, 0, STATE_LIMIT))
         assert a == b, (spec, e)
 
 
